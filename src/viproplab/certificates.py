@@ -19,7 +19,8 @@ from .piecewise import (
     PiecewiseLinearFn,
     PolynomialTest,
     _frac_pair,
-    common_refinement,
+    _refine,
+    _slopes,
     derivative,
     plap_pairing,
     pow_norm,
@@ -27,6 +28,7 @@ from .piecewise import (
 )
 
 CAUCHY_TAIL_TOL = 1e-12
+MIN_K_MAX = 8  # shortest sequence whose tail is long enough to analyse
 HOLDER_REL_TOL = 1e-9
 
 PROP_KY_FAN_VIOLATION = "ky_fan_violation"
@@ -52,21 +54,18 @@ class ExplicitSequence:
 def equilibrium_gap(x: PiecewiseLinearFn, y: PiecewiseLinearFn) -> ExactReal:
     """Gap functional <F(x), x - y> of the equilibrium reformulation.
 
-    Computed as <F(x), x> - <F(x), y>; the pairing is linear in its second
+    Computed as ∫ |x'|^3 - <F(x), y>; the pairing is linear in its second
     argument, so this equals pairing x against x - y, exactly, while
     skipping the grid merge that forming x - y would need.
     """
-    return plap_pairing(x, x) - plap_pairing(x, y)
+    return pow_norm(derivative(x), 3) - plap_pairing(x, y)
 
 
 def monotone_gap_check(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
     """<F(u) - F(w), u - w>, exact; nonnegative for this operator."""
-    du, dw = common_refinement(derivative(u), derivative(w))
-    total = 0
-    for i, (c, d) in enumerate(zip(du.interval_values, dw.interval_values)):
-        total += (abs(c) * c - abs(d) * d) * (c - d) * (
-            du.breakpoints[i + 1] - du.breakpoints[i]
-        )
+    total = Fraction(0)
+    for a, b, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
+        total += (abs(c) * c - abs(d) * d) * (c - d) * (b - a)
     return ExactReal(total)
 
 
@@ -79,6 +78,11 @@ class PairingSequenceReport:
     limit_candidate: Optional[ExactReal]
     detection: str  # "eventually-constant" | "cauchy-tail" | "none"
     tail_window: int
+
+    @property
+    def k_window(self) -> List[int]:
+        """First and last index of the tail the limit was detected on."""
+        return [self.indices[-self.tail_window], self.indices[-1]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,8 +125,8 @@ def pairing_sequence(
     For the unit-vector sequence the operator is the identity and y must
     be the zero element (pass None) or another unit vector.
     """
-    if k_max < 8:
-        raise ValueError("k_max must be >= 8")
+    if k_max < MIN_K_MAX:
+        raise ValueError(f"k_max must be >= {MIN_K_MAX}")
     if tail_window is None:
         tail_window = k_max // 2
     values: List[ExactReal] = []
@@ -189,14 +193,13 @@ def ky_fan_violation_certificate(
     gap at the limit point strictly exceeds L, with exact margin.
     """
     report = pairing_sequence(seq, y, k_max)
-    window = [k_max - report.tail_window + 1, k_max]
     if report.limit_candidate is None:
         return Certificate(
             PROP_KY_FAN_VIOLATION,
             "inconclusive",
             witness={
                 "y": y,
-                "k_window": window,
+                "k_window": report.k_window,
                 "note": "no tail limit detected for <F(x_k), x_k - y>; "
                 "the sequence limit could not be finitely determined",
             },
@@ -210,7 +213,7 @@ def ky_fan_violation_certificate(
         verdict,
         witness={
             "y": y,
-            "k_window": window,
+            "k_window": report.k_window,
             "tail_constant": report.limit_candidate,
             "gap_at_limit": gap_at_limit,
             "margin": margin,
@@ -231,13 +234,12 @@ def pseudomonotone_premise_audit(
     along this sequence.
     """
     report = pairing_sequence(seq, limit, k_max)
-    window = [k_max - report.tail_window + 1, k_max]
     if report.limit_candidate is None:
         return Certificate(
             PROP_PREMISE_FAILS,
             "inconclusive",
             witness={
-                "k_window": window,
+                "k_window": report.k_window,
                 "note": "no tail limit detected for <F(x_k), x_k - x>; "
                 "the limsup could not be finitely determined",
             },
@@ -247,7 +249,7 @@ def pseudomonotone_premise_audit(
     return Certificate(
         PROP_PREMISE_FAILS,
         verdict,
-        witness={"k_window": window, "tail_constant": tail},
+        witness={"k_window": report.k_window, "tail_constant": tail},
         exactness="exact" if tail.exact else "approximate",
     )
 
@@ -260,7 +262,7 @@ def l2_unit_limit_certificate(k_max: int = 64) -> Certificate:
     weakly null sequences.
     """
     seq = SequenceSpec("l2unit")
-    report = pairing_sequence(seq, None, max(k_max, 8))
+    report = pairing_sequence(seq, None, max(k_max, MIN_K_MAX))
     tail = report.limit_candidate
     established = tail is not None and tail.exact and tail.value != 0
     return Certificate(
@@ -268,7 +270,7 @@ def l2_unit_limit_certificate(k_max: int = 64) -> Certificate:
         "established" if established else "refuted",
         witness={
             "tail_constant": tail,
-            "k_window": [report.tail_window + 1, report.indices[-1]],
+            "k_window": report.k_window,
             "conclusion": "limit != 0" if established else "limit = 0",
         },
     )

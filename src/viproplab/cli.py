@@ -1,8 +1,8 @@
 """Command-line surface of the lab.
 
 Exit codes are a contract: 0 success, 1 identity mismatch / certificate
-not established, 2 inconclusive detection, 3 parse error, 4 solver
-non-convergence.
+not established, 2 inconclusive detection, 3 malformed argument or problem
+file, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ from typing import List, Optional
 
 from . import certificates as certs
 from . import solver as vis
-from .families import gap_negativity_threshold, sawtooth, scaled_hat, SequenceSpec
+from .families import HAT_PAIRING_SLOPE, SAWTOOTH_ENERGY, SequenceSpec
+from .families import gap_negativity_threshold, sawtooth, scaled_hat
 from .piecewise import (
+    MAX_DYADIC_LEVEL,
+    MAX_POLY_DEGREE,
     PiecewiseLinearFn,
     PolynomialTest,
     derivative,
@@ -31,16 +34,38 @@ EXIT_INCONCLUSIVE = 2
 EXIT_PARSE = 3
 EXIT_NO_CONVERGENCE = 4
 
-# exact constants of the sawtooth family (independent of the index)
-SAWTOOTH_ENERGY = Fraction(45)
-HAT_PAIRING_SLOPE = Fraction(3)
+
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors print one line and exit with EXIT_PARSE."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_rational(text: str) -> Fraction:
+def _int_in(lo: int, hi: Optional[int] = None):
+    """Argument type: an integer in lo..hi, unbounded above when hi is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            wanted = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _emit(doc, out: Optional[str]) -> None:
@@ -187,35 +212,35 @@ def cmd_solve(problem_path: str, out: Optional[str]) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="viproplab",
         description="Verification lab for variational-inequality operator properties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", help="check the exact norm and gap identities")
-    p.add_argument("--kmax", type=int, default=64)
-    p.add_argument("--alpha", type=_parse_rational, default=Fraction(16))
+    p.add_argument("--kmax", type=_int_in(1), default=64)
+    p.add_argument("--alpha", type=_positive_rational, default=Fraction(16))
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("certify", help="emit property certificates along the sawtooth sequence")
-    p.add_argument("--kmax", type=int, default=64)
-    p.add_argument("--alpha", type=_parse_rational, default=Fraction(16))
+    p.add_argument("--kmax", type=_int_in(certs.MIN_K_MAX), default=64)
+    p.add_argument("--alpha", type=_positive_rational, default=Fraction(16))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("weak-evidence", help="exact test-integral decay sweep")
-    p.add_argument("--kmax", type=int, default=64)
-    p.add_argument("--degree-max", type=int, default=5)
-    p.add_argument("--indicator-level", type=int, default=3)
+    p.add_argument("--kmax", type=_int_in(1), default=64)
+    p.add_argument("--degree-max", type=_int_in(-1, MAX_POLY_DEGREE), default=5)
+    p.add_argument("--indicator-level", type=_int_in(0, MAX_DYADIC_LEVEL), default=3)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("figure", help="write plot data files for one sawtooth index")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_int_in(1), default=4)
     p.add_argument("--out", required=True, help="output path prefix")
 
     p = sub.add_parser("remark32", help="unit-vector sequence check in the sequence space")
-    p.add_argument("--kmax", type=int, default=64)
+    p.add_argument("--kmax", type=_int_in(1), default=64)
 
     p = sub.add_parser("solve", help="solve a discretized VI problem file")
     p.add_argument("problem", help="problem JSON path")
@@ -225,12 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "reproduce":
         return cmd_reproduce(args.kmax, args.alpha, args.out, args.format)
     if args.command == "certify":
         return cmd_certify(args.kmax, args.alpha, args.out)
     if args.command == "weak-evidence":
+        if args.degree_max < 0 and args.indicator_level == 0:
+            parser.error("weak-evidence: empty test family (no monomials, no indicators)")
         return cmd_weak_evidence(args.kmax, args.degree_max, args.indicator_level, args.out)
     if args.command == "figure":
         return cmd_figure(args.k, args.out)

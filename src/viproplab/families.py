@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .piecewise import (
     ExactReal,
-    rational,
     PiecewiseLinearFn,
     RationalLike,
     as_fraction,
@@ -23,6 +22,9 @@ from .piecewise import (
 )
 
 SEQUENCE_KINDS = ("sawtooth", "hat", "l2unit")
+# N and S of gap_negativity_threshold: the gap is N - S*alpha for every k
+SAWTOOTH_ENERGY = Fraction(45)
+HAT_PAIRING_SLOPE = Fraction(3)
 
 
 def sawtooth(k: int) -> PiecewiseLinearFn:
@@ -35,13 +37,13 @@ def sawtooth(k: int) -> PiecewiseLinearFn:
         raise ValueError("index k must be >= 1")
     bps = []
     vals = []
-    zero, peak = rational(0), rational(1, k)
+    zero, peak = Fraction(0), Fraction(1, k)
     for i in range(k):
-        bps.append(rational(i, 2 * k))
+        bps.append(Fraction(i, 2 * k))
         vals.append(zero)
-        bps.append(rational(3 * i + 1, 6 * k))
+        bps.append(Fraction(3 * i + 1, 6 * k))
         vals.append(peak)
-    bps += [rational(1, 2), rational(1)]
+    bps += [Fraction(1, 2), Fraction(1)]
     vals += [zero, zero]
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
 

@@ -15,30 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-try:  # gmpy2 rationals are drop-in and much faster than Fraction
-    from gmpy2 import mpq as _make_rational
-
-    _RATIONAL_TYPES = (Fraction, type(_make_rational(0)))
-except ImportError:  # pragma: no cover
-    _make_rational = Fraction
-    _RATIONAL_TYPES = (Fraction,)
+# perfbench/run.py records this name as the rational backend; nothing else reads it
+_make_rational = Fraction
 
 RationalLike = Union[int, Fraction, str]
 
 MAX_POLY_DEGREE = 8
+MAX_DYADIC_LEVEL = 8
 
 
-def rational(num: int, den: int = 1):
-    """Exact rational num/den in the fast backing representation."""
-    return _make_rational(num, den)
-
-
-def as_fraction(x: RationalLike):
+def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, rationals and 'p/q' strings to an exact rational (never floats)."""
-    if isinstance(x, _RATIONAL_TYPES):
-        return x if type(x) is not Fraction else _make_rational(x)
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return _make_rational(x)
+        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -180,8 +171,9 @@ class PiecewiseLinearFn:
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(as_fraction(t) for t in self.breakpoints)
-        vals = tuple(as_fraction(v) for v in self.values)
+        # tuple of a list, not of a generator: built at its final size, and faster
+        bps = tuple([as_fraction(t) for t in self.breakpoints])
+        vals = tuple([as_fraction(v) for v in self.values])
         _check_breakpoints(bps)
         if len(vals) != len(bps):
             raise ValueError("one value per breakpoint required")
@@ -227,8 +219,8 @@ class PiecewiseConstFn:
     interval_values: tuple
 
     def __post_init__(self):
-        bps = tuple(as_fraction(t) for t in self.breakpoints)
-        vals = tuple(as_fraction(v) for v in self.interval_values)
+        bps = tuple([as_fraction(t) for t in self.breakpoints])
+        vals = tuple([as_fraction(v) for v in self.interval_values])
         _check_breakpoints(bps)
         if len(vals) != len(bps) - 1:
             raise ValueError("one value per interval required")
@@ -257,31 +249,40 @@ class PiecewiseConstFn:
         )
 
 
+def _slopes(u: PiecewiseLinearFn) -> list:
+    t, y = u.breakpoints, u.values
+    return [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])]
+
+
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
     """Weak derivative of a piecewise-linear function: exact slopes."""
-    vals = tuple(
-        (u.values[i + 1] - u.values[i]) / (u.breakpoints[i + 1] - u.breakpoints[i])
-        for i in range(len(u.breakpoints) - 1)
-    )
-    return PiecewiseConstFn(u.breakpoints, vals)
+    return PiecewiseConstFn(u.breakpoints, _slopes(u))
+
+
+def _refine(bf: tuple, vf: Sequence, bg: tuple, vg: Sequence):
+    """Yield (a, b, vf value, vg value) per interval of the union of grids bf, bg."""
+    i = j = 0
+    a, n = bf[0], len(vf)
+    while i < n:  # both grids end at 1, so the merge ends in both at once
+        x, y = bf[i + 1], bg[j + 1]
+        if x < y:
+            yield a, x, vf[i], vg[j]
+            a, i = x, i + 1
+        elif y < x:
+            yield a, y, vf[i], vg[j]
+            a, j = y, j + 1
+        else:
+            yield a, x, vf[i], vg[j]
+            a, i, j = x, i + 1, j + 1
 
 
 def common_refinement(
     f: PiecewiseConstFn, g: PiecewiseConstFn
 ) -> tuple:
     """Re-express both functions on the union breakpoint grid."""
-    merged = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-
-    def resample(h: PiecewiseConstFn) -> PiecewiseConstFn:
-        vals = []
-        j = 0
-        for a in merged[:-1]:
-            while j + 1 < len(h.breakpoints) - 1 and h.breakpoints[j + 1] <= a:
-                j += 1
-            vals.append(h.interval_values[j])
-        return PiecewiseConstFn(merged, tuple(vals))
-
-    return resample(f), resample(g)
+    cells = _refine(f.breakpoints, f.interval_values, g.breakpoints, g.interval_values)
+    lo, hi, fv, gv = zip(*cells)
+    return PiecewiseConstFn(lo[:1] + hi, fv), PiecewiseConstFn(lo[:1] + hi, gv)
 
 
 def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
@@ -292,7 +293,7 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    total = _make_rational(0)
+    total = Fraction(0)
     for i, c in enumerate(f.interval_values):
         total += abs(c) ** p * (f.breakpoints[i + 1] - f.breakpoints[i])
     return ExactReal(total)
@@ -301,13 +302,12 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
 def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
     """Degenerate third-power duality pairing ∫ |u'| u' w' dt, exact.
 
-    The integrand is piecewise constant on the common refinement of the
-    two derivative grids, so the integral is a finite rational sum.
+    The integrand is piecewise constant on the union of the two grids,
+    so the integral is a finite rational sum.
     """
-    du, dw = common_refinement(derivative(u), derivative(w))
-    total = _make_rational(0)
-    for i, (c, d) in enumerate(zip(du.interval_values, dw.interval_values)):
-        total += abs(c) * c * d * (du.breakpoints[i + 1] - du.breakpoints[i])
+    total = Fraction(0)
+    for a, b, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
+        total += abs(c) * c * d * (b - a)
     return ExactReal(total)
 
 
@@ -381,18 +381,18 @@ class PolynomialTest:
     def __call__(self, t: RationalLike) -> Fraction:
         t = as_fraction(t)
         if self.kind == "poly":
-            acc = _make_rational(0)
+            acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * t + c
             return acc
         lo, hi = self.support
-        return _make_rational(1) if lo < t < hi else _make_rational(0)
+        return Fraction(1) if lo < t < hi else Fraction(0)
 
 
 def dyadic_indicators(level: int) -> list:
     """All indicators of dyadic intervals (j/2^L, (j+1)/2^L) at one level."""
-    if not 1 <= level <= 8:
-        raise ValueError("dyadic level must be in 1..8")
+    if not 1 <= level <= MAX_DYADIC_LEVEL:
+        raise ValueError(f"dyadic level must be in 1..{MAX_DYADIC_LEVEL}")
     n = 2**level
     return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
@@ -401,7 +401,7 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
     """Exact integral ∫ f(t) φ(t) dt over [0,1]."""
     if phi.kind == "indicator":
         lo, hi = phi.support
-        total = _make_rational(0)
+        total = Fraction(0)
         i = max(bisect_right(f.breakpoints, lo) - 1, 0)
         while i < len(f.interval_values) and f.breakpoints[i] < hi:
             a = max(f.breakpoints[i], lo)
@@ -415,12 +415,12 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
 
     def big_phi(t: Fraction) -> Fraction:
         # antiderivative with zero constant term, evaluated by Horner
-        acc = _make_rational(0)
+        acc = Fraction(0)
         for c in reversed(anti):
             acc = acc * t + c
         return acc * t
 
-    total = _make_rational(0)
+    total = Fraction(0)
     right = big_phi(f.breakpoints[0])
     for i, c in enumerate(f.interval_values):
         left = right
@@ -444,14 +444,14 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> ExactReal:
             return z0**p * length
         return length * (z1 ** (p + 1) - z0 ** (p + 1)) / ((p + 1) * (z1 - z0))
 
-    total = _make_rational(0)
+    total = Fraction(0)
     for i in range(len(u.breakpoints) - 1):
         a, b = u.breakpoints[i], u.breakpoints[i + 1]
         y0, y1 = u.values[i], u.values[i + 1]
         if y0 * y1 < 0:
             r = a + (b - a) * y0 / (y0 - y1)
-            total += seg(abs(y0), _make_rational(0), r - a)
-            total += seg(_make_rational(0), abs(y1), b - r)
+            total += seg(abs(y0), Fraction(0), r - a)
+            total += seg(Fraction(0), abs(y1), b - r)
         else:
             total += seg(abs(y0), abs(y1), b - a)
     return ExactReal(total)

@@ -10,6 +10,7 @@ constant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
@@ -224,10 +225,25 @@ def extragradient_solve(
 
 
 def _number(v) -> float:
-    # accept JSON numbers and exact "p/q" strings
-    if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)
+    # accept JSON numbers and exact "p/q" strings; JSON reads 1e400 as inf
+    try:
+        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {v!r}")
+    return x
+
+
+def _count(v) -> int:
+    return int(_number(v)) if isinstance(v, float) else int(v)
+
+
+def _vector(spec: dict, key: str, n: int) -> np.ndarray:
+    values = [_number(v) for v in spec[key]]
+    if len(values) != n:
+        raise ValueError(f"{key} must have length n = {n}, got {len(values)}")
+    return np.array(values)
 
 
 def load_problem(source: Union[str, dict]) -> DiscreteVI:
@@ -235,34 +251,32 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
 
     Schema: {"n": int, "forcing": [...], "set": {"kind": "box"|"ball", ...},
     "eps": float, "max_iter": int}; numbers may be given as "p/q" strings.
+    Vectors must have length n and every number must be finite; anything
+    else raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = source
-    n = int(doc["n"])
+    n = _count(doc["n"])
     forcing = doc.get("forcing")
     if forcing is not None:
         forcing = [_number(v) for v in forcing]
     spec = doc.get("set", {"kind": "box", "lower": [-1.0] * n, "upper": [1.0] * n})
+    if not isinstance(spec, dict):
+        raise ValueError("set must be an object")
     kind = spec.get("kind")
     if kind == "box":
-        feasible: FeasibleSet = Box(
-            np.array([_number(v) for v in spec["lower"]]),
-            np.array([_number(v) for v in spec["upper"]]),
-        )
+        feasible: FeasibleSet = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
     elif kind == "ball":
-        feasible = Ball(
-            np.array([_number(v) for v in spec["center"]]),
-            _number(spec["radius"]),
-        )
+        feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
     else:
         raise ValueError(f"unknown feasible-set kind: {kind!r}")
     return assemble_vi(
         n,
         forcing=forcing,
         feasible_set=feasible,
-        eps=float(doc.get("eps", DEFAULT_EPS)),
-        max_iter=int(doc.get("max_iter", DEFAULT_MAX_ITER)),
+        eps=_number(doc.get("eps", DEFAULT_EPS)),
+        max_iter=_count(doc.get("max_iter", DEFAULT_MAX_ITER)),
     )

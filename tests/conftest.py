@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viproplab import PiecewiseLinearFn, derivative
+from viproplab import PiecewiseConstFn, PiecewiseLinearFn, derivative
 
 SEED = int(os.environ.get("VIPROPLAB_SEED", "20240817"))
 
@@ -32,6 +32,31 @@ def random_pw_linear(r, max_interior=5, lo=-8, hi=8, max_den=24):
     bps = [Fraction(0)] + sorted(interior) + [Fraction(1)]
     vals = [Fraction(0)] + [random_fraction(r, lo, hi, max_den) for _ in range(n)] + [Fraction(0)]
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
+
+
+def reference_refinement(f, g):
+    """Test-only reference for the union-grid walk: sorted-set grid, then resample."""
+    merged = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+
+    def resample(h):
+        vals = []
+        j = 0
+        for a in merged[:-1]:
+            while j + 1 < len(h.breakpoints) - 1 and h.breakpoints[j + 1] <= a:
+                j += 1
+            vals.append(h.interval_values[j])
+        return PiecewiseConstFn(merged, tuple(vals))
+
+    return resample(f), resample(g)
+
+
+def reference_sum(u, w, term):
+    """Sum term(u', w') * width over the reference refinement, one interval at a time."""
+    du, dw = reference_refinement(derivative(u), derivative(w))
+    total = Fraction(0)
+    for i, (c, d) in enumerate(zip(du.interval_values, dw.interval_values)):
+        total += term(c, d) * (du.breakpoints[i + 1] - du.breakpoints[i])
+    return total
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

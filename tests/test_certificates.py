@@ -140,6 +140,18 @@ class TestL2UnitLimit:
         assert cert.witness["tail_constant"] == 1
         assert cert.witness["conclusion"] == "limit != 0"
 
+    def test_window_is_the_checked_tail(self):
+        # k_max = 9 checks the tail 6..9 (tail_window = 9 // 2)
+        assert l2_unit_limit_certificate(9).witness["k_window"] == [6, 9]
+
+    def test_certificates_share_one_window(self):
+        windows = [
+            ky_fan_violation_certificate(SAW, ZERO, scaled_hat(16), 9).witness["k_window"],
+            pseudomonotone_premise_audit(SAW, ZERO, 9).witness["k_window"],
+            l2_unit_limit_certificate(9).witness["k_window"],
+        ]
+        assert windows == [[6, 9]] * 3
+
 
 class TestMonotoneGap:
     def test_diagonal_zero(self, rng):

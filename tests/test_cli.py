@@ -147,6 +147,30 @@ class TestRemark32:
         assert "verdict: limit not zero" in out
 
 
+MALFORMED_ARGS = [
+    ["certify", "--kmax", "4"],
+    ["certify", "--alpha", "-1"],
+    ["certify", "--alpha", "1/0"],
+    ["reproduce", "--alpha", "0"],
+    ["reproduce", "--kmax", "0"],
+    ["weak-evidence", "--kmax", "0"],
+    ["weak-evidence", "--indicator-level", "9"],
+    ["weak-evidence", "--degree-max", "-1", "--indicator-level", "0"],
+    ["figure", "--k", "0", "--out", "unused"],
+    ["remark32", "--kmax", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGS, ids=" ".join)
+def test_malformed_arguments_exit_parse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "error: " in captured.err
+
+
 class TestSolve:
     def test_converged_problem(self, tmp_path):
         problem = tmp_path / "p.json"
@@ -165,6 +189,21 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "forcing": [1e400, 1]}',
+            '{"n": 2, "set": {"kind": "box", "lower": [-1], "upper": [1]}}',
+            '{"n": 2, "set": {"kind": "ball", "center": [0, 0, 0], "radius": 1}}',
+        ],
+        ids=["infinite-forcing", "short-box", "long-center"],
+    )
+    def test_malformed_problem_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("cannot parse problem file")
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_PARSE

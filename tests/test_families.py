@@ -8,10 +8,12 @@ from viproplab import (
     derivative,
     gap_negativity_threshold,
     l2_pairing,
+    plap_pairing,
     pow_norm,
     sawtooth,
     scaled_hat,
 )
+from viproplab.families import HAT_PAIRING_SLOPE, SAWTOOTH_ENERGY
 
 F = Fraction
 
@@ -85,7 +87,12 @@ class TestScaledHat:
             scaled_hat(F(-1, 2))
 
     def test_negativity_threshold_computed(self):
-        assert gap_negativity_threshold() == 15
+        assert gap_negativity_threshold() == 15 == SAWTOOTH_ENERGY / HAT_PAIRING_SLOPE
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_constants_match_the_calculus(self, k):
+        assert pow_norm(derivative(sawtooth(k)), 3) == SAWTOOTH_ENERGY
+        assert plap_pairing(sawtooth(k), scaled_hat(7)) == 7 * HAT_PAIRING_SLOPE
 
 
 class TestL2UnitVectors:

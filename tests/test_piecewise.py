@@ -16,7 +16,9 @@ from viproplab import (
     common_refinement,
     derivative,
     dyadic_indicators,
+    equilibrium_gap,
     lin_comb,
+    monotone_gap_check,
     plap_pairing,
     pow_norm,
     sawtooth,
@@ -24,7 +26,7 @@ from viproplab import (
     test_integral as integral_against,
 )
 
-from conftest import random_pw_linear
+from conftest import random_pw_linear, reference_refinement, reference_sum
 
 F = Fraction
 
@@ -32,11 +34,13 @@ fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=24)
 
 
 @st.composite
-def pw_linear_st(draw):
+def pw_linear_st(draw, avoid=frozenset()):
     n = draw(st.integers(min_value=0, max_value=5))
     interior = draw(
         st.sets(
-            st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64),
+            st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64).filter(
+                lambda t: t not in avoid
+            ),
             min_size=n,
             max_size=n,
         )
@@ -180,6 +184,55 @@ class TestPairing:
             pow_norm(derivative(w), 3)
         ) ** (1 / 3)
         assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+
+@st.composite
+def pw_pair_st(draw):
+    """Two functions whose grids are unrelated, equal, nested or disjoint inside."""
+    u = draw(pw_linear_st())
+    relation = draw(st.sampled_from(["free", "same", "nested", "disjoint"]))
+    if relation == "same":
+        return u, u
+    if relation == "nested":  # every breakpoint of u is one of w
+        return u, lin_comb(draw(fractions_st), u, 1, draw(pw_linear_st()))
+    avoid = frozenset(u.breakpoints) if relation == "disjoint" else frozenset()
+    return u, draw(pw_linear_st(avoid))
+
+
+_U = PiecewiseLinearFn((F(0), F(1, 4), F(1)), (F(0), F(1), F(0)))
+_W = PiecewiseLinearFn((F(0), F(1, 3), F(3, 4), F(1)), (F(0), F(-2), F(1), F(0)))
+
+
+class TestUnionGridWalk:
+    """Every exact pairing against the sorted-set refinement in conftest."""
+
+    @staticmethod
+    def check(u, w):
+        for u, w in ((u, w), (w, u)):
+            du, dw = derivative(u), derivative(w)
+            assert common_refinement(du, dw) == reference_refinement(du, dw)
+            terms = {
+                plap_pairing: lambda c, d: abs(c) * c * d,
+                equilibrium_gap: lambda c, d: abs(c) * c * (c - d),
+                monotone_gap_check: lambda c, d: (abs(c) * c - abs(d) * d) * (c - d),
+            }
+            for fn, term in terms.items():
+                got = fn(u, w)
+                assert got.exact and got.value == reference_sum(u, w, term), fn.__name__
+            assert equilibrium_gap(u, w) == plap_pairing(u, lin_comb(1, u, -1, w))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pw_pair_st())
+    def test_matches_reference(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize(
+        "u, w",
+        [(_U, _U), (_U, _W), (_U, lin_comb(2, _U, 1, _W))],
+        ids=["same", "disjoint", "nested"],
+    )
+    def test_grid_relations(self, u, w):
+        self.check(u, w)
 
 
 class TestLinComb:

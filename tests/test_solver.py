@@ -210,3 +210,35 @@ class TestProblemIO:
     def test_unknown_set_rejected(self):
         with pytest.raises(ValueError):
             load_problem({"n": 2, "set": {"kind": "simplex"}})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "set": {"kind": "box", "lower": [-1], "upper": [1]}},
+            {"n": 2, "set": {"kind": "box", "lower": [-1] * 3, "upper": [1] * 3}},
+            {"n": 2, "set": {"kind": "ball", "center": [0], "radius": 1}},
+            {"n": 2, "forcing": [math.inf, 0]},
+            {"n": 2, "forcing": ["1e400", 0]},
+            {"n": 2, "set": {"kind": "box", "lower": [-math.inf, -1], "upper": [1, 1]}},
+            {"n": 2, "set": {"kind": "ball", "center": [0, math.nan], "radius": 1}},
+            {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": math.inf}},
+            {"n": 2, "eps": math.nan},
+            {"n": math.inf},
+            {"n": 2, "max_iter": math.inf},
+            {"n": 2, "set": [-1, 1]},
+        ],
+        ids=[
+            "short-box", "long-box", "short-center", "inf-forcing", "huge-p/q-forcing",
+            "inf-bound", "nan-center", "inf-radius", "nan-eps", "inf-n", "inf-max-iter",
+            "set-not-object",
+        ],
+    )
+    def test_malformed_problem_rejected(self, doc):
+        with pytest.raises(ValueError):
+            load_problem(doc)
+
+    def test_literal_1e400_rejected(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"n": 1, "forcing": [1], "eps": 1e400}')
+        with pytest.raises(ValueError):
+            load_problem(str(path))
