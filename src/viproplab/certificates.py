@@ -254,15 +254,18 @@ def pseudomonotone_premise_audit(
     )
 
 
-def l2_unit_limit_certificate(k_max: int = 64) -> Certificate:
+def l2_unit_limit_certificate(
+    k_max: int = 64, report: Optional[PairingSequenceReport] = None
+) -> Certificate:
     """Pairings <e_k, e_k - 0> under the identity operator: constant 1.
 
     The sequence converges (it is constant), but its limit is 1, not 0 --
     so vanishing of the pairing sequence cannot be taken for granted for
-    weakly null sequences.
+    weakly null sequences.  Pass ``report`` to judge pairings already
+    computed by ``pairing_sequence``; otherwise they are computed here.
     """
-    seq = SequenceSpec("l2unit")
-    report = pairing_sequence(seq, None, max(k_max, MIN_K_MAX))
+    if report is None:
+        report = pairing_sequence(SequenceSpec("l2unit"), None, max(k_max, MIN_K_MAX))
     tail = report.limit_candidate
     established = tail is not None and tail.exact and tail.value != 0
     return Certificate(

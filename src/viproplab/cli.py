@@ -184,8 +184,8 @@ def cmd_figure(k: int, out: str) -> int:
 
 def cmd_remark32(kmax: int) -> int:
     """Identity operator on the sequence space, paired along unit vectors."""
-    cert = certs.l2_unit_limit_certificate(kmax)
-    report = certs.pairing_sequence(SequenceSpec("l2unit"), None, max(kmax, 8))
+    report = certs.pairing_sequence(SequenceSpec("l2unit"), None, max(kmax, certs.MIN_K_MAX))
+    cert = certs.l2_unit_limit_certificate(kmax, report)
     for k, v in zip(report.indices, report.values):
         if k > kmax:
             break

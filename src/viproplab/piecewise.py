@@ -13,6 +13,10 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import lcm
+from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
 
 # perfbench/run.py records this name as the rational backend; nothing else reads it
@@ -248,6 +252,29 @@ class PiecewiseConstFn:
             tuple(_pair_frac(p) for p in d["values"]),
         )
 
+    @cached_property
+    def _integer_view(self) -> SimpleNamespace:
+        """Integer form of this frozen function, built on first use by ``test_integral``.
+
+        Breakpoints are t_i = n_i/D and values c_i = p_i/E, with D and E the
+        lcm of their denominators, and p_m = 0 past the last interval.
+        ``primitive[i]`` is D*E times the integral of f over [0, t_i], and
+        ``memo`` holds the primitive at points already asked for.
+        ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0), and ``sums[j]`` is
+        S_j = sum of n_i**j * J_i, grown on demand from ``powers`` = n_i**j.
+        """
+        bps, vals = self.breakpoints, self.interval_values
+        d = lcm(*[t.denominator for t in bps])
+        e = lcm(*[c.denominator for c in vals])
+        n = [t.numerator * (d // t.denominator) for t in bps]
+        p = [c.numerator * (e // c.denominator) for c in vals] + [0]
+        return SimpleNamespace(
+            d=d, e=e, n=n, p=p, memo={},
+            primitive=[0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))],
+            jump=[left - right for left, right in zip([0] + p, p)],
+            powers=[1] * len(n), sums=[0],
+        )
+
 
 def _slopes(u: PiecewiseLinearFn) -> list:
     t, y = u.breakpoints, u.values
@@ -397,36 +424,52 @@ def dyadic_indicators(level: int) -> list:
     return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
 
+def _primitive(v: SimpleNamespace, t: Fraction) -> int:
+    """D*E*b times F(t), the integral of f over [0, t = a/b], from the integer view v of f."""
+    a, b = key = t.numerator, t.denominator  # hashing ints is cheaper than a Fraction
+    value = v.memo.get(key)
+    if value is None:
+        i = bisect_right(v.n, a * v.d // b) - 1
+        value = v.memo[key] = v.primitive[i] * b + v.p[i] * (a * v.d - v.n[i] * b)
+    return value
+
+
+def _jump_sums(v: SimpleNamespace, j: int) -> list:
+    """The power sums S_0..S_j (at least) of the integer view v."""
+    powers, sums = v.powers, v.sums
+    while len(sums) <= j:
+        powers[:] = [q * n for q, n in zip(powers, v.n)]
+        sums.append(sum(q * jump for q, jump in zip(powers, v.jump)))
+    return sums
+
+
 def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
-    """Exact integral ∫ f(t) φ(t) dt over [0,1]."""
+    """Exact integral ∫ f(t) φ(t) dt over [0,1].
+
+    An indicator of (a, b) gives F(b) - F(a), with F the primitive of f.
+    A polynomial sums by parts over the jumps of f: with c_{-1} = c_m = 0,
+    ∫ f(t) t^d dt = Σ_i t_i^(d+1) (c_{i-1} - c_i) / (d+1), one integer
+    power sum per degree.  Both read the integer view cached on f, so
+    after the first call an indicator costs O(1) and a polynomial O(degree).
+    """
+    v = f._integer_view
     if phi.kind == "indicator":
         lo, hi = phi.support
-        total = Fraction(0)
-        i = max(bisect_right(f.breakpoints, lo) - 1, 0)
-        while i < len(f.interval_values) and f.breakpoints[i] < hi:
-            a = max(f.breakpoints[i], lo)
-            b = min(f.breakpoints[i + 1], hi)
-            if b > a:
-                total += f.interval_values[i] * (b - a)
-            i += 1
-        return ExactReal(total)
-
-    anti = tuple(c / (i + 1) for i, c in enumerate(phi.coeffs))
-
-    def big_phi(t: Fraction) -> Fraction:
-        # antiderivative with zero constant term, evaluated by Horner
-        acc = Fraction(0)
-        for c in reversed(anti):
-            acc = acc * t + c
-        return acc * t
-
-    total = Fraction(0)
-    right = big_phi(f.breakpoints[0])
-    for i, c in enumerate(f.interval_values):
-        left = right
-        right = big_phi(f.breakpoints[i + 1])
-        total += c * (right - left)
-    return ExactReal(total)
+        b0, b1 = lo.denominator, hi.denominator
+        num = _primitive(v, hi) * b0 - _primitive(v, lo) * b1
+        return ExactReal(Fraction(num, v.d * v.e * b0 * b1))
+    terms = [(deg + 1, c) for deg, c in enumerate(phi.coeffs) if c]
+    if not terms:
+        return ExactReal(Fraction(0))
+    top = terms[-1][0]
+    sums = _jump_sums(v, top)
+    # every term over the one denominator common * E * D**top
+    common = lcm(*[j * c.denominator for j, c in terms])
+    num = sum(
+        c.numerator * (common // (j * c.denominator)) * sums[j] * v.d ** (top - j)
+        for j, c in terms
+    )
+    return ExactReal(Fraction(num, common * v.e * v.d**top))
 
 
 def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> ExactReal:

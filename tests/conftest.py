@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viproplab import PiecewiseConstFn, PiecewiseLinearFn, derivative
+from viproplab import ExactReal, PiecewiseConstFn, PiecewiseLinearFn, derivative
 
 SEED = int(os.environ.get("VIPROPLAB_SEED", "20240817"))
 
@@ -57,6 +57,38 @@ def reference_sum(u, w, term):
     for i, (c, d) in enumerate(zip(du.interval_values, dw.interval_values)):
         total += term(c, d) * (du.breakpoints[i + 1] - du.breakpoints[i])
     return total
+
+
+def reference_test_integral(f, phi):
+    """Test-only reference for test_integral: walk the intervals, Horner per breakpoint."""
+    if phi.kind == "indicator":
+        lo, hi = phi.support
+        total = Fraction(0)
+        i = max(bisect_right(f.breakpoints, lo) - 1, 0)
+        while i < len(f.interval_values) and f.breakpoints[i] < hi:
+            a = max(f.breakpoints[i], lo)
+            b = min(f.breakpoints[i + 1], hi)
+            if b > a:
+                total += f.interval_values[i] * (b - a)
+            i += 1
+        return ExactReal(total)
+
+    anti = tuple(c / (i + 1) for i, c in enumerate(phi.coeffs))
+
+    def big_phi(t: Fraction) -> Fraction:
+        # antiderivative with zero constant term, evaluated by Horner
+        acc = Fraction(0)
+        for c in reversed(anti):
+            acc = acc * t + c
+        return acc * t
+
+    total = Fraction(0)
+    right = big_phi(f.breakpoints[0])
+    for i, c in enumerate(f.interval_values):
+        left = right
+        right = big_phi(f.breakpoints[i + 1])
+        total += c * (right - left)
+    return ExactReal(total)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -112,6 +113,24 @@ class TestWeakEvidence:
         assert len(doc["entries"]) == 3 + 2 + 4
 
 
+    # SHA-256 of stdout before test_integral read a cached integer view
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "c3990293385ca5f5f5d9bb361373aef65a0385378decab4d70b1552fc1084eb8"),
+            (
+                ["--kmax", "16", "--degree-max", "8", "--indicator-level", "6"],
+                "f0443b79a03c6f5bdae416f42f68511bb79bf88e1a4e5a979cc1cd939533ba25",
+            ),
+        ],
+        ids=["defaults", "kmax16-degree8-level6"],
+    )
+    def test_stdout_bytes_pinned(self, argv, digest, capsys):
+        assert main(["weak-evidence", *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestFigure:
     def test_k4_files(self, tmp_path):
         prefix = str(tmp_path / "fig")
@@ -145,6 +164,21 @@ class TestRemark32:
         assert lines[11] == "k=12: <F(e_k), e_k - 0> = 1"
         assert "detected limit: 1" in out
         assert "verdict: limit not zero" in out
+
+    def test_pairings_computed_once(self, monkeypatch, capsys):
+        import viproplab.certificates as certs_mod
+
+        calls = []
+        real = certs_mod.pairing_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certs_mod, "pairing_sequence", counting)
+        assert main(["remark32", "--kmax", "12"]) == EXIT_OK
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith("k=1: <F(e_k), e_k - 0> = 1\n")
 
 
 MALFORMED_ARGS = [

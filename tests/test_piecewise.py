@@ -26,7 +26,12 @@ from viproplab import (
     test_integral as integral_against,
 )
 
-from conftest import random_pw_linear, reference_refinement, reference_sum
+from conftest import (
+    random_pw_linear,
+    reference_refinement,
+    reference_sum,
+    reference_test_integral,
+)
 
 F = Fraction
 
@@ -313,6 +318,69 @@ class TestTestIntegral:
             for i in range(n)
         ) / n
         assert math.isclose(exact, approx, rel_tol=1e-4, abs_tol=1e-4)
+
+
+wide_fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+unit_points_st = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+@st.composite
+def pw_const_st(draw):
+    """1..64 intervals, denominators up to 1000, values that repeat, vanish or change sign."""
+    interior = draw(st.sets(unit_points_st.filter(lambda t: 0 < t < 1), max_size=63))
+    bps = (F(0), *sorted(interior), F(1))
+    values = st.one_of(st.sampled_from([F(0), F(1), F(-3, 7)]), wide_fractions_st)
+    m = len(bps) - 1
+    return PiecewiseConstFn(bps, draw(st.lists(values, min_size=m, max_size=m)))
+
+
+@st.composite
+def phi_st(draw, f):
+    """A polynomial of degree 0..8, or an indicator placed relative to the grid of f."""
+    if draw(st.booleans()):
+        coeffs = st.one_of(st.just(F(0)), st.fractions(-10, 10, max_denominator=1000))
+        return PolynomialTest.polynomial(draw(st.lists(coeffs, min_size=1, max_size=9)))
+    bps = f.breakpoints
+    if draw(st.booleans()):  # both ends inside one interval
+        i = draw(st.integers(0, len(bps) - 2))
+        a, b = bps[i], bps[i + 1]
+        inner = unit_points_st.filter(lambda x: 0 < x < 1)
+        x, y = draw(st.lists(inner, min_size=2, max_size=2, unique=True))
+        lo, hi = sorted((a + (b - a) * x, a + (b - a) * y))
+    else:  # on breakpoints (0 and 1 among them), off them, or anywhere
+        point = st.one_of(st.sampled_from(bps), st.sampled_from([F(0), F(1)]), unit_points_st)
+        lo, hi = sorted(draw(st.lists(point, min_size=2, max_size=2, unique=True)))
+    return PolynomialTest.indicator(lo, hi)
+
+
+class TestCachedIntegerView:
+    """test_integral on the cached integer view against the interval walk in conftest."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        f = data.draw(pw_const_st())
+        phis = data.draw(st.lists(phi_st(f), min_size=1, max_size=12))
+        expected = [reference_test_integral(f, phi) for phi in phis]
+        # every phi twice, in shuffled order: answers must not depend on the cache
+        order = data.draw(st.permutations(list(range(len(phis))) * 2))
+        for i in order:
+            got = integral_against(f, phis[i])
+            assert got.exact and got.value == expected[i].value, phis[i].describe()
+        fresh = PiecewiseConstFn(f.breakpoints, f.interval_values)
+        for i in reversed(order):
+            assert integral_against(fresh, phis[i]).value == expected[i].value
+
+    def test_cache_leaves_identity_alone(self):
+        f = derivative(sawtooth(5))
+        g = PiecewiseConstFn(f.breakpoints, f.interval_values)
+        before = (f.to_json_dict(), repr(f))
+        for phi in [PolynomialTest.monomial(8), *dyadic_indicators(4)]:
+            integral_against(f, phi)
+        assert "_integer_view" in vars(f) and "_integer_view" not in vars(g)
+        assert f == g and hash(f) == hash(g)
+        assert (f.to_json_dict(), repr(f)) == before
+        assert f.to_json_dict() == g.to_json_dict()
 
 
 class TestAbsPowIntegral:
