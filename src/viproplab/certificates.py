@@ -8,7 +8,6 @@ reported as inconclusive.  All verdicts carry concrete witness data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Union
@@ -19,8 +18,7 @@ from .piecewise import (
     PiecewiseLinearFn,
     PolynomialTest,
     _frac_pair,
-    _refine,
-    _slopes,
+    _union_sum,
     derivative,
     plap_pairing,
     pow_norm,
@@ -54,19 +52,16 @@ class ExplicitSequence:
 def equilibrium_gap(x: PiecewiseLinearFn, y: PiecewiseLinearFn) -> ExactReal:
     """Gap functional <F(x), x - y> of the equilibrium reformulation.
 
-    Computed as ∫ |x'|^3 - <F(x), y>; the pairing is linear in its second
-    argument, so this equals pairing x against x - y, exactly, while
-    skipping the grid merge that forming x - y would need.
+    Computed as ∫ |x'| x' (x' - y') in one pass over the union grid; the
+    pairing is linear in its second argument, so this equals pairing x
+    against x - y, exactly, without forming x - y.
     """
-    return pow_norm(derivative(x), 3) - plap_pairing(x, y)
+    return _union_sum(x, y, lambda c, d: abs(c) * c * (c - d))
 
 
 def monotone_gap_check(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
     """<F(u) - F(w), u - w>, exact; nonnegative for this operator."""
-    total = Fraction(0)
-    for a, b, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
-        total += (abs(c) * c - abs(d) * d) * (c - d) * (b - a)
-    return ExactReal(total)
+    return _union_sum(u, w, lambda c, d: (abs(c) * c - abs(d) * d) * (c - d))
 
 
 @dataclass
@@ -359,7 +354,7 @@ def weak_convergence_evidence(
     entries = []
     for phi in test_family:
         integrals = [test_integral(g, phi) for g in gradients]
-        c = max(Fraction(k) * abs(v.value) for k, v in enumerate(integrals, start=1))
+        c = max(abs(v.value) * k for k, v in enumerate(integrals, start=1))
         entries.append(
             WeakConvergenceEntry(
                 phi=phi,
@@ -368,8 +363,6 @@ def weak_convergence_evidence(
                 all_zero=all(v.value == 0 for v in integrals),
             )
         )
-    consistent = all(math.isfinite(float(e.bound_constant)) for e in entries)
-    verdict = (
-        "consistent with weak null convergence" if consistent else "inconsistent"
-    )
+    # a fixed label, not a test: every sweep constant is a finite rational
+    verdict = "consistent with weak null convergence"
     return WeakConvergenceReport(entries=entries, k_max=k_max, verdict=verdict)

@@ -254,8 +254,10 @@ class PiecewiseConstFn:
 
     @cached_property
     def _integer_view(self) -> SimpleNamespace:
-        """Integer form of this frozen function, built on first use by ``test_integral``.
+        """Integer form of this frozen function, built on first use.
 
+        ``pow_norm`` and ``test_integral`` both read it, so every integral of
+        one piecewise-constant function is an integer sum over one grid.
         Breakpoints are t_i = n_i/D and values c_i = p_i/E, with D and E the
         lcm of their denominators, and p_m = 0 past the last interval.
         ``primitive[i]`` is D*E times the integral of f over [0, t_i], and
@@ -320,9 +322,16 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
+    v = f._integer_view  # |c_i|^p (t_{i+1} - t_i) = |p_i|^p (n_{i+1} - n_i) / (E^p D)
+    num = sum(abs(q) ** p * (b - a) for q, a, b in zip(v.p, v.n, v.n[1:]))
+    return ExactReal(Fraction(num, v.e**p * v.d))
+
+
+def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> ExactReal:
+    """Exact ∫ term(u', w') dt: term(c, d) * (b - a) summed over the union grid."""
     total = Fraction(0)
-    for i, c in enumerate(f.interval_values):
-        total += abs(c) ** p * (f.breakpoints[i + 1] - f.breakpoints[i])
+    for a, b, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
+        total += term(c, d) * (b - a)
     return ExactReal(total)
 
 
@@ -332,10 +341,7 @@ def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
     The integrand is piecewise constant on the union of the two grids,
     so the integral is a finite rational sum.
     """
-    total = Fraction(0)
-    for a, b, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
-        total += abs(c) * c * d * (b - a)
-    return ExactReal(total)
+    return _union_sum(u, w, lambda c, d: abs(c) * c * d)
 
 
 def lin_comb(
@@ -344,19 +350,18 @@ def lin_comb(
     b: RationalLike,
     w: PiecewiseLinearFn,
 ) -> PiecewiseLinearFn:
-    """Pointwise a*u + b*w on the union breakpoint grid (a, b exact)."""
-    if isinstance(a, ExactReal):
-        if not a.exact:
-            raise ValueError("coefficients must be exact")
-        a = a.value
-    if isinstance(b, ExactReal):
-        if not b.exact:
-            raise ValueError("coefficients must be exact")
-        b = b.value
-    a, b = as_fraction(a), as_fraction(b)
-    merged = tuple(sorted(set(u.breakpoints) | set(w.breakpoints)))
-    vals = tuple(a * u(t) + b * w(t) for t in merged)
-    return PiecewiseLinearFn(merged, vals)
+    """Pointwise a*u + b*w on the union breakpoint grid (a, b exact).
+
+    From v(0) = 0, each cell (t, t') with slopes c, d adds (a*c + b*d)(t' - t).
+    """
+    if any(isinstance(x, ExactReal) and not x.exact for x in (a, b)):
+        raise ValueError("coefficients must be exact")
+    a, b = (as_fraction(x.value if isinstance(x, ExactReal) else x) for x in (a, b))
+    bps, vals = [Fraction(0)], [Fraction(0)]
+    for lo, hi, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
+        bps.append(hi)
+        vals.append(vals[-1] + (a * c + b * d) * (hi - lo))
+    return PiecewiseLinearFn(tuple(bps), tuple(vals))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,21 @@ def reference_sum(u, w, term):
     return total
 
 
+def reference_pow_norm(f, p):
+    """Test-only reference for pow_norm: one Fraction term per interval."""
+    total = Fraction(0)
+    for i, c in enumerate(f.interval_values):
+        total += abs(c) ** p * (f.breakpoints[i + 1] - f.breakpoints[i])
+    return ExactReal(total)
+
+
+def reference_lin_comb(a, u, b, w):
+    """Test-only reference for lin_comb: sorted-set grid, then a*u(t) + b*w(t) at every point."""
+    a, b = (x.value if isinstance(x, ExactReal) else Fraction(x) for x in (a, b))
+    merged = tuple(sorted(set(u.breakpoints) | set(w.breakpoints)))
+    return PiecewiseLinearFn(merged, tuple(a * u(t) + b * w(t) for t in merged))
+
+
 def reference_test_integral(f, phi):
     """Test-only reference for test_integral: walk the intervals, Horner per breakpoint."""
     if phi.kind == "indicator":

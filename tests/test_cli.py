@@ -66,6 +66,23 @@ class TestReproduce:
         main(["reproduce", "--kmax", "12", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    # SHA-256 of stdout before the pairings shared one union-grid sum and pow_norm the integer view
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "15ed8454b8b4f02084709d8a6d2cd6c791d2d44fa5cc3a939cb1e4716e5d5529"),
+            (
+                ["--format", "csv", "--alpha", "31/2", "--kmax", "20"],
+                "9da7093c29102edbf078145380ceb8e97ecb2e6a92faa141f431d78f901e9863",
+            ),
+        ],
+        ids=["defaults", "csv-alpha31_2-kmax20"],
+    )
+    def test_stdout_bytes_pinned(self, argv, digest, capsys):
+        assert main(["reproduce", *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestCertify:
     def test_alpha_16_established(self, tmp_path):
@@ -98,6 +115,28 @@ class TestCertify:
         monkeypatch.setattr(cli_mod.certs, "ky_fan_violation_certificate", fake_cert)
         out = tmp_path / "c.json"
         assert main(["certify", "--alpha", "16", "--out", str(out)]) == EXIT_INCONCLUSIVE
+
+    # SHA-256 of stdout before the pairings shared one union-grid sum and pow_norm the integer view
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                ["--alpha", "16"],
+                EXIT_OK,
+                "37312abc48c93aa1429e37b782229ba5fab77d49f749cfef44c4b94903bd359a",
+            ),
+            (
+                ["--alpha", "10", "--kmax", "40"],
+                EXIT_MISMATCH,
+                "c0ab0324ab9453a9865bfa6a16ea03bbfccecd8f9b93c19f9e2f8945564f2684",
+            ),
+        ],
+        ids=["alpha16", "alpha10-kmax40"],
+    )
+    def test_stdout_bytes_pinned(self, argv, code, digest, capsys):
+        assert main(["certify", *argv]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestWeakEvidence:

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,8 @@ from viproplab import (
 
 from conftest import (
     random_pw_linear,
+    reference_lin_comb,
+    reference_pow_norm,
     reference_refinement,
     reference_sum,
     reference_test_integral,
@@ -204,6 +207,11 @@ def pw_pair_st(draw):
     return u, draw(pw_linear_st(avoid))
 
 
+# zero, negative, rational and ExactReal coefficients for lin_comb
+coefficients_st = st.one_of(
+    st.just(0), st.integers(-5, -1), fractions_st, fractions_st.map(ExactReal)
+)
+
 _U = PiecewiseLinearFn((F(0), F(1, 4), F(1)), (F(0), F(1), F(0)))
 _W = PiecewiseLinearFn((F(0), F(1, 3), F(3, 4), F(1)), (F(0), F(-2), F(1), F(0)))
 
@@ -256,6 +264,20 @@ class TestLinComb:
         diff = lin_comb(1, u, -1, v)
         for t in (F(1, 8), F(1, 3), F(1, 2), F(3, 4)):
             assert diff(t) == u(t) - v(t)
+
+    def test_inexact_coefficient_rejected(self):
+        u = sawtooth(2)
+        with pytest.raises(ValueError):
+            lin_comb(ExactReal.approx(0.5), u, 1, u)
+        with pytest.raises(ValueError):
+            lin_comb(1, u, ExactReal.approx(0.5), u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pw_pair_st(), coefficients_st, coefficients_st)
+    def test_matches_reference(self, pair, a, b):
+        u, w = pair
+        for u, w in ((u, w), (w, u)):
+            assert lin_comb(a, u, b, w) == reference_lin_comb(a, u, b, w)
 
 
 class TestTestIntegral:
@@ -310,13 +332,16 @@ class TestTestIntegral:
         # independent float oracle: midpoint rule on a fine uniform grid
         u = random_pw_linear(rng)
         d = derivative(u)
-        phi = PolynomialTest.polynomial([F(1, 2), F(-2), F(0), F(3)])
-        exact = float(integral_against(d, phi))
+        coeffs = [F(1, 2), F(-2), F(0), F(3)]
+        exact = float(integral_against(d, PolynomialTest.polynomial(coeffs)))
         n = 200_000
-        approx = sum(
-            float(d.value_at(F(2 * i + 1, 2 * n))) * float(phi(F(2 * i + 1, 2 * n)))
-            for i in range(n)
-        ) / n
+        mids = (2 * np.arange(n) + 1) / (2 * n)
+        # value_at's left-closed rule: the interval whose left end is the last one <= t
+        bps = np.array([float(t) for t in d.breakpoints[1:-1]])
+        vals = np.array([float(c) for c in d.interval_values])
+        d_mid = vals[np.searchsorted(bps, mids, side="right")]
+        phi_mid = np.polyval([float(c) for c in reversed(coeffs)], mids)
+        approx = float(np.sum(d_mid * phi_mid)) / n
         assert math.isclose(exact, approx, rel_tol=1e-4, abs_tol=1e-4)
 
 
@@ -370,6 +395,13 @@ class TestCachedIntegerView:
         fresh = PiecewiseConstFn(f.breakpoints, f.interval_values)
         for i in reversed(order):
             assert integral_against(fresh, phis[i]).value == expected[i].value
+
+    @settings(max_examples=100, deadline=None)
+    @given(pw_const_st(), st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    def test_pow_norm_matches_reference(self, f, powers):
+        for p in powers:
+            got = pow_norm(f, p)
+            assert got.exact and got.value == reference_pow_norm(f, p).value, p
 
     def test_cache_leaves_identity_alone(self):
         f = derivative(sawtooth(5))
