@@ -43,7 +43,8 @@ class Box:
         object.__setattr__(self, "upper", hi)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        # the same bits as np.clip, without its per-call dispatch overhead
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class Ball:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(d.dot(d))  # what np.linalg.norm computes for 1-D input
         if norm <= self.radius:
             return x.copy()
         return self.center + d * (self.radius / norm)
@@ -95,12 +96,23 @@ class GalerkinOperator:
             self.forcing = np.asarray([float(f) for f in forcing], dtype=float)
             if self.forcing.shape != (n,):
                 raise ValueError("forcing must have length n")
+        # zero boundary values around x; a scratch buffer, so one call at a time
+        self._padded = np.zeros(n + 2)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        padded = np.concatenate(([0.0], np.asarray(x, dtype=float), [0.0]))
-        s = np.diff(padded) / self.h
-        a = np.abs(s) * s
-        return a[:-1] - a[1:] - self.forcing
+        if len(x) != self.n:  # the slice assignment below would broadcast a length-1 x
+            raise ValueError("x must have length n")
+        # np.diff, abs and the subtractions of the formula, done in place on
+        # fresh arrays: callers keep the result across calls
+        padded = self._padded
+        padded[1:-1] = x
+        s = padded[1:] - padded[:-1]
+        s /= self.h
+        a = np.abs(s)
+        a *= s
+        g = a[:-1] - a[1:]
+        g -= self.forcing
+        return g
 
     def apply_exact(self, x: Sequence[Fraction]) -> List[Fraction]:
         """Same operator over exact rationals, assembled from pairings.
@@ -163,7 +175,8 @@ def assemble_vi(
 def residual(vi: DiscreteVI, x: np.ndarray) -> float:
     """Natural-map residual ||x - P_A(x - G(x))||; zero exactly at solutions."""
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - vi.feasible_set.project(x - vi.operator(x))))
+    v = x - vi.feasible_set.project(x - vi.operator(x))
+    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -195,23 +208,22 @@ def extragradient_solve(
     if step <= 0:
         raise ValueError("step must be positive")
     P = vi.feasible_set.project
+    eps = vi.eps
     x = P(np.zeros(vi.n) if x0 is None else np.asarray(x0, dtype=float))
     lam = step
     best_x, best_r = x, residual(vi, x)
     for m in range(vi.max_iter):
         g = vi.operator(x)
-        r = float(np.linalg.norm(x - P(x - g)))
+        v = x - P(x - g)
+        r = math.sqrt(v.dot(v))
         if r < best_r:
             best_x, best_r = x, r
-        if r <= vi.eps:
+        if r <= eps:
             return SolveResult(x=x, residual=r, iterations=m, converged=True)
         y = P(x - lam * g)
         gy = vi.operator(y)
         d = x - y
-        while (
-            lam > MIN_STEP
-            and float(np.dot(g - gy, d)) > float(np.dot(d, d)) / (2.0 * lam)
-        ):
+        while lam > MIN_STEP and (g - gy).dot(d) > d.dot(d) / (2.0 * lam):
             lam *= BACKTRACK_FACTOR
             y = P(x - lam * g)
             gy = vi.operator(y)
@@ -221,7 +233,9 @@ def extragradient_solve(
     r = residual(vi, x)
     if r < best_r:
         best_x, best_r = x, r
-    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
+    # the last iterate may be the one that meets eps
+    converged = bool(best_r <= eps)
+    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=converged)
 
 
 def _number(v) -> float:
@@ -235,8 +249,12 @@ def _number(v) -> float:
     return x
 
 
-def _count(v) -> int:
-    return int(_number(v)) if isinstance(v, float) else int(v)
+def _count(v, key: str) -> int:
+    # JSON true is an int to Python, and int() truncates 3.5: neither is a count
+    x = v if isinstance(v, int) else _number(v)
+    if isinstance(v, bool) or x != int(x) or x < 1:
+        raise ValueError(f"{key} must be a positive integer, got {v!r}")
+    return int(x)
 
 
 def _vector(spec: dict, key: str, n: int) -> np.ndarray:
@@ -251,15 +269,15 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
 
     Schema: {"n": int, "forcing": [...], "set": {"kind": "box"|"ball", ...},
     "eps": float, "max_iter": int}; numbers may be given as "p/q" strings.
-    Vectors must have length n and every number must be finite; anything
-    else raises ValueError.
+    n and max_iter are positive integers, eps >= 0, vectors have length n
+    and every number is finite; anything else raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = source
-    n = _count(doc["n"])
+    n = _count(doc["n"], "n")
     forcing = doc.get("forcing")
     if forcing is not None:
         forcing = [_number(v) for v in forcing]
@@ -273,10 +291,13 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
         feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
     else:
         raise ValueError(f"unknown feasible-set kind: {kind!r}")
+    eps = _number(doc.get("eps", DEFAULT_EPS))
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
     return assemble_vi(
         n,
         forcing=forcing,
         feasible_set=feasible,
-        eps=_number(doc.get("eps", DEFAULT_EPS)),
-        max_iter=_count(doc.get("max_iter", DEFAULT_MAX_ITER)),
+        eps=eps,
+        max_iter=_count(doc.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
     )

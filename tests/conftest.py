@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from viproplab import ExactReal, PiecewiseConstFn, PiecewiseLinearFn, derivative
+from viproplab import (
+    Ball,
+    ExactReal,
+    PiecewiseConstFn,
+    PiecewiseLinearFn,
+    SolveResult,
+    derivative,
+)
+from viproplab.solver import BACKTRACK_FACTOR, DEFAULT_STEP, MIN_STEP, STEP_GROWTH
 
 SEED = int(os.environ.get("VIPROPLAB_SEED", "20240817"))
 
@@ -104,6 +112,74 @@ def reference_test_integral(f, phi):
         right = big_phi(f.breakpoints[i + 1])
         total += c * (right - left)
     return ExactReal(total)
+
+
+def reference_operator(op, x):
+    """Test-only reference for GalerkinOperator.__call__: concatenate, np.diff, fresh arrays."""
+    padded = np.concatenate(([0.0], np.asarray(x, dtype=float), [0.0]))
+    s = np.diff(padded) / op.h
+    a = np.abs(s) * s
+    return a[:-1] - a[1:] - op.forcing
+
+
+def reference_box_project(box, x):
+    """Test-only reference for Box.project."""
+    return np.clip(x, box.lower, box.upper)
+
+
+def reference_ball_project(ball, x):
+    """Test-only reference for Ball.project, with np.linalg.norm."""
+    d = x - ball.center
+    norm = float(np.linalg.norm(d))
+    if norm <= ball.radius:
+        return x.copy()
+    return ball.center + d * (ball.radius / norm)
+
+
+def reference_extragradient_solve(vi, x0=None, step=DEFAULT_STEP):
+    """Test-only reference for extragradient_solve, on the reference operator and projections.
+
+    Its non-converged exit reports converged=False even when the last
+    iterate meets eps.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+
+    def P(z):
+        if isinstance(vi.feasible_set, Ball):
+            return reference_ball_project(vi.feasible_set, z)
+        return reference_box_project(vi.feasible_set, z)
+
+    def residual(z):
+        return float(np.linalg.norm(z - P(z - reference_operator(vi.operator, z))))
+
+    x = P(np.zeros(vi.n) if x0 is None else np.asarray(x0, dtype=float))
+    lam = step
+    best_x, best_r = x, residual(x)
+    for m in range(vi.max_iter):
+        g = reference_operator(vi.operator, x)
+        r = float(np.linalg.norm(x - P(x - g)))
+        if r < best_r:
+            best_x, best_r = x, r
+        if r <= vi.eps:
+            return SolveResult(x=x, residual=r, iterations=m, converged=True)
+        y = P(x - lam * g)
+        gy = reference_operator(vi.operator, y)
+        d = x - y
+        while (
+            lam > MIN_STEP
+            and float(np.dot(g - gy, d)) > float(np.dot(d, d)) / (2.0 * lam)
+        ):
+            lam *= BACKTRACK_FACTOR
+            y = P(x - lam * g)
+            gy = reference_operator(vi.operator, y)
+            d = x - y
+        x = P(x - lam * gy)
+        lam = min(lam * STEP_GROWTH, 10.0 * step)
+    r = residual(x)
+    if r < best_r:
+        best_x, best_r = x, r
+    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

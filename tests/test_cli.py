@@ -269,14 +269,44 @@ class TestSolve:
             '{"n": 2, "forcing": [1e400, 1]}',
             '{"n": 2, "set": {"kind": "box", "lower": [-1], "upper": [1]}}',
             '{"n": 2, "set": {"kind": "ball", "center": [0, 0, 0], "radius": 1}}',
+            '{"n": 3.5}',
+            '{"n": true}',
+            '{"n": 2, "max_iter": 2.7}',
+            '{"n": 2, "max_iter": -5}',
+            '{"n": 2, "eps": -1}',
         ],
-        ids=["infinite-forcing", "short-box", "long-center"],
+        ids=[
+            "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
+            "fractional-max-iter", "negative-max-iter", "negative-eps",
+        ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("cannot parse problem file")
+
+    # SHA-256 of stdout before the solver kernel dropped np.linalg.norm, np.clip and np.diff
+    @pytest.mark.parametrize(
+        "kind, n, digest",
+        [
+            ("box", 32, "42e0c6083ea9cd8d25fe8bc313b2ad0cf0bcd64baa386e23bf05df298add4ae2"),
+            ("ball", 64, "62df97d785d5ab906976eae8c3e89fa92fa7486715b3a00203b33b5d64f63359"),
+        ],
+        ids=["box-n32", "ball-n64"],
+    )
+    def test_stdout_bytes_pinned(self, tmp_path, capsys, kind, n, digest):
+        if kind == "box":
+            feasible = {"kind": "box", "lower": [-1] * n, "upper": [1] * n}
+        else:
+            feasible = {"kind": "ball", "center": [0] * n, "radius": 1}
+        problem = tmp_path / "p.json"
+        problem.write_text(
+            json.dumps({"n": n, "forcing": [1 + j % 5 for j in range(n)], "set": feasible})
+        )
+        assert main(["solve", str(problem)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_PARSE

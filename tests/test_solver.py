@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viproplab import (
     Ball,
@@ -14,6 +16,13 @@ from viproplab import (
     load_problem,
     project,
     residual,
+)
+
+from conftest import (
+    reference_ball_project,
+    reference_box_project,
+    reference_extragradient_solve,
+    reference_operator,
 )
 
 F = Fraction
@@ -52,6 +61,11 @@ class TestOperator:
         op = GalerkinOperator(1)
         for c in (-1.5, -0.3, 0.0, 0.7, 2.0):
             assert op(np.array([c]))[0] == pytest.approx(8 * abs(c) * c)
+
+    @pytest.mark.parametrize("x", [[1.0], 1.0, [1.0, 2.0], [[1.0, 2.0, 3.0]]])
+    def test_wrong_length_rejected(self, x):
+        with pytest.raises((ValueError, TypeError)):
+            GalerkinOperator(3)(np.array(x))
 
     def test_zero_maps_to_minus_forcing(self):
         op = GalerkinOperator(4, forcing=[1.0, 2.0, 3.0, 4.0])
@@ -152,6 +166,16 @@ class TestExtragradient:
         assert not res.converged
         assert res.iterations == 2
 
+    def test_last_iterate_within_eps_is_converged(self):
+        # without a cap this problem converges at iteration 611; the iterate
+        # the capped loop leaves behind is the same one
+        vi = assemble_vi(8, forcing=[2.0] * 8, max_iter=611)
+        res = extragradient_solve(vi)
+        assert res.iterations == 611
+        assert res.residual <= vi.eps
+        assert res.converged
+        assert not extragradient_solve(assemble_vi(8, forcing=[2.0] * 8, max_iter=610)).converged
+
     def test_perturbation_closedness(self):
         # solutions of perturbed problems accumulate at a solution of the
         # unperturbed one (solution set is closed under such limits)
@@ -161,6 +185,101 @@ class TestExtragradient:
             perturbed = assemble_vi(1, forcing=[8.0 + 2.0**-m])
             limit_iterate = extragradient_solve(perturbed).x
         assert residual(base, limit_iterate) <= 1e-6
+
+
+# floats with the signed zeros drawn often
+coords_st = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10))
+
+
+@st.composite
+def operator_input_st(draw):
+    n = draw(st.integers(1, 64))
+    x = draw(st.lists(st.one_of(coords_st, st.floats()), min_size=n, max_size=n))
+    x[0], x[-1] = draw(coords_st), draw(coords_st)
+    forcing = draw(st.one_of(st.none(), st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    return n, x, forcing
+
+
+@st.composite
+def box_point_st(draw):
+    n = draw(st.integers(1, 16))
+    bounds = [sorted(draw(st.lists(coords_st, min_size=2, max_size=2))) for _ in range(n)]
+    lower, upper = (np.array(b) for b in zip(*bounds))
+    x = np.array([
+        draw(st.one_of(st.sampled_from([lo, hi, math.nan]), coords_st))
+        for lo, hi in bounds
+    ])
+    return Box(lower, upper), x
+
+
+@st.composite
+def ball_point_st(draw):
+    n = draw(st.integers(1, 16))
+    center = np.array(draw(st.lists(coords_st, min_size=n, max_size=n)))
+    radius = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    where = draw(st.sampled_from(["free", "center", "axis", "nan"]))
+    if where == "free":
+        x = np.array(draw(st.lists(coords_st, min_size=n, max_size=n)))
+    else:
+        x = center.copy()
+        if where == "axis":  # on the sphere, along a coordinate axis
+            x[draw(st.integers(0, n - 1))] += draw(st.sampled_from([radius, -radius]))
+        elif where == "nan":
+            x[0] = math.nan
+    return Ball(center, radius), x
+
+
+@st.composite
+def solve_input_st(draw):
+    n = draw(st.integers(1, 8))
+    forcing = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        feasible = Box(-np.ones(n), np.ones(n))
+    else:
+        feasible = Ball(np.zeros(n), draw(st.sampled_from([0.5, 1.0, 2.0])))
+    vi = assemble_vi(
+        n, forcing=forcing, feasible_set=feasible,
+        eps=draw(st.sampled_from([1e-8, 1e-3])),
+        max_iter=draw(st.integers(1, 60)),
+    )
+    # steps far above 1/L force backtracks
+    return vi, draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 1000.0]))
+
+
+class TestAgainstReference:
+    """The solver kernel computes the reference's floating-point operations, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operator_input_st())
+    def test_operator_bitwise(self, case):
+        n, x, forcing = case
+        op = GalerkinOperator(n, forcing)
+        x = np.array(x)
+        with np.errstate(all="ignore"):  # huge and non-finite inputs overflow alike
+            got = op(x)
+            want = reference_operator(op, x)
+            assert got.tobytes() == want.tobytes()
+            # a fresh array per call: a later call leaves this result alone
+            op(np.ones(n))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(box_point_st(), ball_point_st()))
+    def test_projection_bitwise(self, case):
+        feasible, x = case
+        ref = reference_box_project if isinstance(feasible, Box) else reference_ball_project
+        assert feasible.project(x).tobytes() == ref(feasible, x).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(solve_input_st())
+    def test_solve_bitwise(self, case):
+        vi, step = case
+        got = extragradient_solve(vi, step=step)
+        ref = reference_extragradient_solve(vi, step=step)
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.residual == ref.residual
+        assert got.iterations == ref.iterations
+        assert got.converged == (ref.converged or ref.residual <= vi.eps)
 
 
 class TestResidual:
@@ -226,16 +345,30 @@ class TestProblemIO:
             {"n": math.inf},
             {"n": 2, "max_iter": math.inf},
             {"n": 2, "set": [-1, 1]},
+            {"n": 3.5},
+            {"n": True},
+            {"n": 0},
+            {"n": 2, "max_iter": 2.7},
+            {"n": 2, "max_iter": -5},
+            {"n": 2, "max_iter": 0},
+            {"n": 2, "max_iter": False},
+            {"n": 2, "eps": -1},
         ],
         ids=[
             "short-box", "long-box", "short-center", "inf-forcing", "huge-p/q-forcing",
             "inf-bound", "nan-center", "inf-radius", "nan-eps", "inf-n", "inf-max-iter",
-            "set-not-object",
+            "set-not-object", "fractional-n", "boolean-n", "zero-n", "fractional-max-iter",
+            "negative-max-iter", "zero-max-iter", "boolean-max-iter", "negative-eps",
         ],
     )
     def test_malformed_problem_rejected(self, doc):
         with pytest.raises(ValueError):
             load_problem(doc)
+
+    def test_integral_counts_accepted(self):
+        vi = load_problem({"n": 2.0, "max_iter": "12", "eps": 0})
+        assert (vi.n, vi.max_iter, vi.eps) == (2, 12, 0.0)
+        assert type(vi.n) is int and type(vi.max_iter) is int
 
     def test_literal_1e400_rejected(self, tmp_path):
         path = tmp_path / "problem.json"
