@@ -50,7 +50,6 @@ from .solver import (
     assemble_vi,
     extragradient_solve,
     load_problem,
-    project,
     residual,
 )
 

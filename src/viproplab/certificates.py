@@ -113,17 +113,17 @@ def pairing_sequence(
     seq: FunctionSequence,
     y: Optional[PiecewiseLinearFn],
     k_max: int,
-    tail_window: Optional[int] = None,
 ) -> PairingSequenceReport:
     """Evaluate <F(x_k), x_k - y> exactly for k = 1..k_max.
 
     For the unit-vector sequence the operator is the identity and y must
-    be the zero element (pass None) or another unit vector.
+    be the zero element (pass None) or another unit vector.  The tail
+    analysed for a limit is the last k_max // 2 values.
     """
     if k_max < MIN_K_MAX:
         raise ValueError(f"k_max must be >= {MIN_K_MAX}")
-    if tail_window is None:
-        tail_window = k_max // 2
+    tail_window = k_max // 2
+    y_fn = PiecewiseLinearFn.zero() if y is None else y
     values: List[ExactReal] = []
     for k in range(1, k_max + 1):
         x_k = seq.at(k)
@@ -135,7 +135,6 @@ def pairing_sequence(
             else:
                 raise TypeError("unit-vector sequences pair only with unit vectors")
         else:
-            y_fn = PiecewiseLinearFn.zero() if y is None else y
             values.append(equilibrium_gap(x_k, y_fn))
     limit, detection = _detect_tail(values, tail_window)
     return PairingSequenceReport(

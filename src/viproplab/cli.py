@@ -68,13 +68,16 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _emit(doc, out: Optional[str]) -> None:
-    payload = json.dumps(doc, indent=2)
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(text)
     else:
-        print(payload)
+        sys.stdout.write(text)
+
+
+def _emit(doc, out: Optional[str]) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -97,12 +100,7 @@ def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> i
     if fmt == "csv":
         lines = ["k,grad_norm_cubed,gap"]
         lines += [f"{k},{_frac_str(n)},{_frac_str(g)}" for k, n, g in rows]
-        payload = "\n".join(lines) + "\n"
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write("\n".join(lines) + "\n", out)
     else:
         _emit(
             {

@@ -260,8 +260,7 @@ class PiecewiseConstFn:
         one piecewise-constant function is an integer sum over one grid.
         Breakpoints are t_i = n_i/D and values c_i = p_i/E, with D and E the
         lcm of their denominators, and p_m = 0 past the last interval.
-        ``primitive[i]`` is D*E times the integral of f over [0, t_i], and
-        ``memo`` holds the primitive at points already asked for.
+        ``primitive[i]`` is D*E times the integral of f over [0, t_i].
         ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0), and ``sums[j]`` is
         S_j = sum of n_i**j * J_i, grown on demand from ``powers`` = n_i**j.
         """
@@ -271,7 +270,7 @@ class PiecewiseConstFn:
         n = [t.numerator * (d // t.denominator) for t in bps]
         p = [c.numerator * (e // c.denominator) for c in vals] + [0]
         return SimpleNamespace(
-            d=d, e=e, n=n, p=p, memo={},
+            d=d, e=e, n=n, p=p,
             primitive=[0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))],
             jump=[left - right for left, right in zip([0] + p, p)],
             powers=[1] * len(n), sums=[0],
@@ -431,12 +430,9 @@ def dyadic_indicators(level: int) -> list:
 
 def _primitive(v: SimpleNamespace, t: Fraction) -> int:
     """D*E*b times F(t), the integral of f over [0, t = a/b], from the integer view v of f."""
-    a, b = key = t.numerator, t.denominator  # hashing ints is cheaper than a Fraction
-    value = v.memo.get(key)
-    if value is None:
-        i = bisect_right(v.n, a * v.d // b) - 1
-        value = v.memo[key] = v.primitive[i] * b + v.p[i] * (a * v.d - v.n[i] * b)
-    return value
+    a, b = t.numerator, t.denominator
+    i = bisect_right(v.n, a * v.d // b) - 1
+    return v.primitive[i] * b + v.p[i] * (a * v.d - v.n[i] * b)
 
 
 def _jump_sums(v: SimpleNamespace, j: int) -> list:
@@ -480,26 +476,21 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
 def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> ExactReal:
     """Integral of |u|^p for piecewise-linear u, exact.
 
-    Each interval contributes a polynomial integral; intervals where u
-    changes sign are split at the (rational) root first.
+    On a cell of length L where |u| runs linearly from z0 to z1 the
+    integral is L (z1^(p+1) - z0^(p+1)) / ((p+1)(z1 - z0)), or L z0^p when
+    z0 = z1; where u changes sign inside the cell it is
+    L (z0^(p+1) + z1^(p+1)) / ((p+1)(z0 + z1)).
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-
-    def seg(z0: Fraction, z1: Fraction, length: Fraction) -> Fraction:
-        # |u| linear from z0 to z1 >= 0 over an interval of given length
-        if z0 == z1:
-            return z0**p * length
-        return length * (z1 ** (p + 1) - z0 ** (p + 1)) / ((p + 1) * (z1 - z0))
-
-    total = Fraction(0)
-    for i in range(len(u.breakpoints) - 1):
-        a, b = u.breakpoints[i], u.breakpoints[i + 1]
-        y0, y1 = u.values[i], u.values[i + 1]
+    t, y = u.breakpoints, u.values
+    total = Fraction(0)  # (p+1) times the integral
+    for a, b, y0, y1 in zip(t, t[1:], y, y[1:]):
+        z0, z1 = abs(y0), abs(y1)
         if y0 * y1 < 0:
-            r = a + (b - a) * y0 / (y0 - y1)
-            total += seg(abs(y0), Fraction(0), r - a)
-            total += seg(Fraction(0), abs(y1), b - r)
+            total += (b - a) * (z0 ** (p + 1) + z1 ** (p + 1)) / (z0 + z1)
+        elif z0 == z1:
+            total += (b - a) * (p + 1) * z0**p
         else:
-            total += seg(abs(y0), abs(y1), b - a)
-    return ExactReal(total)
+            total += (b - a) * (z1 ** (p + 1) - z0 ** (p + 1)) / (z1 - z0)
+    return ExactReal(total / (p + 1))

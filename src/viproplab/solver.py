@@ -71,10 +71,6 @@ class Ball:
 FeasibleSet = Union[Box, Ball]
 
 
-def project(feasible_set: FeasibleSet, x: np.ndarray) -> np.ndarray:
-    return feasible_set.project(np.asarray(x, dtype=float))
-
-
 class GalerkinOperator:
     """Nodal operator G(x)_j = <F(u_x), phi_j> - f_j on a uniform grid.
 
@@ -195,11 +191,7 @@ class SolveResult:
         }
 
 
-def extragradient_solve(
-    vi: DiscreteVI,
-    x0: Optional[np.ndarray] = None,
-    step: float = DEFAULT_STEP,
-) -> SolveResult:
+def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResult:
     """Two-projection extragradient iteration with monotone-safe backtracking.
 
     The step is halved whenever <G(x)-G(y), x-y> exceeds ||x-y||^2/(2*step),
@@ -209,7 +201,7 @@ def extragradient_solve(
         raise ValueError("step must be positive")
     P = vi.feasible_set.project
     eps = vi.eps
-    x = P(np.zeros(vi.n) if x0 is None else np.asarray(x0, dtype=float))
+    x = P(np.zeros(vi.n))
     lam = step
     best_x, best_r = x, residual(vi, x)
     for m in range(vi.max_iter):

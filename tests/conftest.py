@@ -82,6 +82,30 @@ def reference_lin_comb(a, u, b, w):
     return PiecewiseLinearFn(merged, tuple(a * u(t) + b * w(t) for t in merged))
 
 
+def reference_abs_pow_integral(u, p):
+    """Test-only reference for abs_pow_integral: split sign changes at the root, then integrate."""
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+
+    def seg(z0: Fraction, z1: Fraction, length: Fraction) -> Fraction:
+        # |u| linear from z0 to z1 >= 0 over an interval of given length
+        if z0 == z1:
+            return z0**p * length
+        return length * (z1 ** (p + 1) - z0 ** (p + 1)) / ((p + 1) * (z1 - z0))
+
+    total = Fraction(0)
+    for i in range(len(u.breakpoints) - 1):
+        a, b = u.breakpoints[i], u.breakpoints[i + 1]
+        y0, y1 = u.values[i], u.values[i + 1]
+        if y0 * y1 < 0:
+            r = a + (b - a) * y0 / (y0 - y1)
+            total += seg(abs(y0), Fraction(0), r - a)
+            total += seg(Fraction(0), abs(y1), b - r)
+        else:
+            total += seg(abs(y0), abs(y1), b - a)
+    return ExactReal(total)
+
+
 def reference_test_integral(f, phi):
     """Test-only reference for test_integral: walk the intervals, Horner per breakpoint."""
     if phi.kind == "indicator":

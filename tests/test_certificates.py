@@ -132,6 +132,18 @@ class TestPremiseAudit:
         assert cert.verdict == "established"
         assert cert.witness["tail_constant"] == 1
 
+    def test_cauchy_tail_is_approximate(self):
+        # exact pairings (1 + 4^-k)^3 that differ by less than CAUCHY_TAIL_TOL
+        # over the tail: the limit is a float, and the certificate says so
+        seq = ExplicitSequence(lambda k: scaled_hat(1 + F(1, 4**k)))
+        assert pairing_sequence(seq, None, 64).detection == "cauchy-tail"
+        cert = pseudomonotone_premise_audit(seq, None, 64)
+        assert cert.verdict == "established"
+        assert cert.exactness == "approximate"
+        doc = json.loads(json.dumps(cert.to_json_dict()))
+        assert doc["exactness"] == "approximate"
+        assert doc["witness"]["tail_constant"] == {"approx": True, "value": 1.0}
+
 
 class TestL2UnitLimit:
     def test_tail_constant_one(self):

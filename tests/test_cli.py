@@ -24,6 +24,13 @@ def read_json(path):
         return json.load(fh)
 
 
+def check_out_file(argv, code, digest, path, capsys):
+    """With --out, the file holds the pinned stdout bytes and stdout stays empty."""
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestReproduce:
     def test_default_alpha(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -78,10 +85,11 @@ class TestReproduce:
         ],
         ids=["defaults", "csv-alpha31_2-kmax20"],
     )
-    def test_stdout_bytes_pinned(self, argv, digest, capsys):
+    def test_stdout_bytes_pinned(self, argv, digest, capsys, tmp_path):
         assert main(["reproduce", *argv]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        check_out_file(["reproduce", *argv], EXIT_OK, digest, tmp_path / "r.out", capsys)
 
 
 class TestCertify:
@@ -133,10 +141,11 @@ class TestCertify:
         ],
         ids=["alpha16", "alpha10-kmax40"],
     )
-    def test_stdout_bytes_pinned(self, argv, code, digest, capsys):
+    def test_stdout_bytes_pinned(self, argv, code, digest, capsys, tmp_path):
         assert main(["certify", *argv]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        check_out_file(["certify", *argv], code, digest, tmp_path / "c.json", capsys)
 
 
 class TestWeakEvidence:
@@ -164,10 +173,11 @@ class TestWeakEvidence:
         ],
         ids=["defaults", "kmax16-degree8-level6"],
     )
-    def test_stdout_bytes_pinned(self, argv, digest, capsys):
+    def test_stdout_bytes_pinned(self, argv, digest, capsys, tmp_path):
         assert main(["weak-evidence", *argv]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        check_out_file(["weak-evidence", *argv], EXIT_OK, digest, tmp_path / "w.json", capsys)
 
 
 class TestFigure:
@@ -307,6 +317,7 @@ class TestSolve:
         assert main(["solve", str(problem)]) == EXIT_OK
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        check_out_file(["solve", str(problem)], EXIT_OK, digest, tmp_path / "s.json", capsys)
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_PARSE

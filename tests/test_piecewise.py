@@ -29,6 +29,7 @@ from viproplab import (
 
 from conftest import (
     random_pw_linear,
+    reference_abs_pow_integral,
     reference_lin_comb,
     reference_pow_norm,
     reference_refinement,
@@ -415,7 +416,34 @@ class TestCachedIntegerView:
         assert f.to_json_dict() == g.to_json_dict()
 
 
+@st.composite
+def pw_linear_wide_st(draw):
+    """1..64 intervals, denominators up to 1000; each nodal value repeats its
+    left neighbour, negates it, is zero or is free, so cells with equal ends,
+    zeros at breakpoints and sign changes inside a cell all occur."""
+    interior = draw(st.sets(unit_points_st.filter(lambda t: 0 < t < 1), max_size=63))
+    vals = [F(0)]
+    for _ in interior:
+        rule = draw(st.sampled_from(["repeat", "negate", "zero", "free"]))
+        if rule == "repeat":
+            vals.append(vals[-1])
+        elif rule == "negate":
+            vals.append(-vals[-1])
+        elif rule == "zero":
+            vals.append(F(0))
+        else:
+            vals.append(draw(wide_fractions_st))
+    return PiecewiseLinearFn((F(0), *sorted(interior), F(1)), (*vals, F(0)))
+
+
 class TestAbsPowIntegral:
+    @settings(max_examples=100, deadline=None)
+    @given(pw_linear_wide_st(), st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    def test_matches_reference(self, u, powers):
+        for p in powers:
+            got = abs_pow_integral(u, p)
+            assert got.exact and got.value == reference_abs_pow_integral(u, p).value, p
+
     def test_hat_cubed(self):
         # |min(t,1-t)|^3 integrates to 2 * (1/2)^4 / 4 = 1/32
         assert abs_pow_integral(scaled_hat(1), 3) == F(1, 32)

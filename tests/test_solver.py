@@ -14,7 +14,6 @@ from viproplab import (
     assemble_vi,
     extragradient_solve,
     load_problem,
-    project,
     residual,
 )
 
@@ -32,21 +31,21 @@ class TestProjection:
     def test_box_identity_inside(self):
         box = Box(-np.ones(3), np.ones(3))
         x = np.array([0.5, -0.2, 0.9])
-        assert np.array_equal(project(box, x), x)
+        assert np.array_equal(box.project(x), x)
 
     def test_box_clamp(self):
         box = Box(np.zeros(2), np.ones(2))
-        assert np.array_equal(project(box, np.array([-0.5, 2.0])), [0.0, 1.0])
+        assert np.array_equal(box.project(np.array([-0.5, 2.0])), [0.0, 1.0])
 
     def test_ball_radial_scaling(self):
         ball = Ball(np.zeros(2), 1.0)
         x = np.array([0.0, 2.0])
-        assert np.allclose(project(ball, x), [0.0, 1.0])
+        assert np.allclose(ball.project(x), [0.0, 1.0])
 
     def test_ball_inside_unchanged(self):
         ball = Ball(np.ones(2), 2.0)
         x = np.array([1.5, 0.5])
-        assert np.array_equal(project(ball, x), x)
+        assert np.array_equal(ball.project(x), x)
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(ValueError):
