@@ -21,7 +21,6 @@ from .piecewise import (
 )
 from .families import (
     L2SeqVector,
-    SequenceSpec,
     gap_negativity_threshold,
     l2_pairing,
     sawtooth,
@@ -29,7 +28,6 @@ from .families import (
 )
 from .certificates import (
     Certificate,
-    ExplicitSequence,
     PairingSequenceReport,
     WeakConvergenceReport,
     equilibrium_gap,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Union
 
-from .families import L2SeqVector, SequenceSpec, l2_pairing
+from .families import L2SeqVector, l2_pairing
 from .piecewise import (
     ExactReal,
     PiecewiseLinearFn,
@@ -35,18 +35,8 @@ PROP_MONOTONE_GAP = "monotone_gap_nonneg"
 PROP_BOUNDED_HOLDER = "bounded_holder"
 PROP_L2_UNIT_LIMIT = "l2_unit_limit"
 
-# duck-typed: anything with .at(k) works, SequenceSpec in particular
-FunctionSequence = Union[SequenceSpec, "ExplicitSequence"]
-
-
-@dataclass(frozen=True)
-class ExplicitSequence:
-    """Ad-hoc sequence defined by a callable k -> PiecewiseLinearFn."""
-
-    fn: Callable[[int], PiecewiseLinearFn]
-
-    def at(self, k: int) -> PiecewiseLinearFn:
-        return self.fn(k)
+# a sequence is any callable k -> x_k: sawtooth, L2SeqVector or a lambda
+FunctionSequence = Callable[[int], Union[PiecewiseLinearFn, L2SeqVector]]
 
 
 def equilibrium_gap(x: PiecewiseLinearFn, y: PiecewiseLinearFn) -> ExactReal:
@@ -126,7 +116,7 @@ def pairing_sequence(
     y_fn = PiecewiseLinearFn.zero() if y is None else y
     values: List[ExactReal] = []
     for k in range(1, k_max + 1):
-        x_k = seq.at(k)
+        x_k = seq(k)
         if isinstance(x_k, L2SeqVector):
             if y is None:
                 values.append(l2_pairing(x_k, x_k))
@@ -174,6 +164,19 @@ class Certificate:
         }
 
 
+def _sign_certificate(prop: str, v: ExactReal, witness: dict) -> Certificate:
+    """Established if v > 0, refuted if not; inconclusive if v is a float near 0."""
+    verdict = "established" if v > 0 else "refuted"
+    if not v.exact and abs(v.value) < CAUCHY_TAIL_TOL:
+        verdict = "inconclusive"
+        tail = float(witness["tail_constant"])
+        witness["note"] = (
+            f"float tail limit {tail!r} leaves a value within {CAUCHY_TAIL_TOL} of 0, "
+            "whose sign decides nothing"
+        )
+    return Certificate(prop, verdict, witness, "exact" if v.exact else "approximate")
+
+
 def ky_fan_violation_certificate(
     seq: FunctionSequence,
     limit: PiecewiseLinearFn,
@@ -200,20 +203,9 @@ def ky_fan_violation_certificate(
         )
     gap_at_limit = equilibrium_gap(limit, y)
     margin = gap_at_limit - report.limit_candidate
-    exact = margin.exact
-    verdict = "established" if margin > 0 else "refuted"
-    return Certificate(
-        PROP_KY_FAN_VIOLATION,
-        verdict,
-        witness={
-            "y": y,
-            "k_window": report.k_window,
-            "tail_constant": report.limit_candidate,
-            "gap_at_limit": gap_at_limit,
-            "margin": margin,
-        },
-        exactness="exact" if exact else "approximate",
-    )
+    witness = {"y": y, "k_window": report.k_window, "tail_constant": report.limit_candidate,
+               "gap_at_limit": gap_at_limit, "margin": margin}
+    return _sign_certificate(PROP_KY_FAN_VIOLATION, margin, witness)
 
 
 def pseudomonotone_premise_audit(
@@ -239,27 +231,18 @@ def pseudomonotone_premise_audit(
             },
         )
     tail = report.limit_candidate
-    verdict = "established" if tail > 0 else "refuted"
-    return Certificate(
-        PROP_PREMISE_FAILS,
-        verdict,
-        witness={"k_window": report.k_window, "tail_constant": tail},
-        exactness="exact" if tail.exact else "approximate",
-    )
+    witness = {"k_window": report.k_window, "tail_constant": tail}
+    return _sign_certificate(PROP_PREMISE_FAILS, tail, witness)
 
 
-def l2_unit_limit_certificate(
-    k_max: int = 64, report: Optional[PairingSequenceReport] = None
-) -> Certificate:
-    """Pairings <e_k, e_k - 0> under the identity operator: constant 1.
+def l2_unit_limit_certificate(report: PairingSequenceReport) -> Certificate:
+    """Judge the pairings <e_k, e_k - 0> under the identity operator: constant 1.
 
-    The sequence converges (it is constant), but its limit is 1, not 0 --
-    so vanishing of the pairing sequence cannot be taken for granted for
-    weakly null sequences.  Pass ``report`` to judge pairings already
-    computed by ``pairing_sequence``; otherwise they are computed here.
+    ``report`` is ``pairing_sequence(L2SeqVector, None, k_max)``.  The
+    sequence converges (it is constant), but its limit is 1, not 0 -- so
+    vanishing of the pairing sequence cannot be taken for granted for
+    weakly null sequences.
     """
-    if report is None:
-        report = pairing_sequence(SequenceSpec("l2unit"), None, max(k_max, MIN_K_MAX))
     tail = report.limit_candidate
     established = tail is not None and tail.exact and tail.value != 0
     return Certificate(
@@ -349,7 +332,7 @@ def weak_convergence_evidence(
     """
     if not test_family:
         raise ValueError("test family must be nonempty")
-    gradients = [derivative(seq.at(k)) for k in range(1, k_max + 1)]
+    gradients = [derivative(seq(k)) for k in range(1, k_max + 1)]
     entries = []
     for phi in test_family:
         integrals = [test_integral(g, phi) for g in gradients]

@@ -2,7 +2,7 @@
 
 Exit codes are a contract: 0 success, 1 identity mismatch / certificate
 not established, 2 inconclusive detection, 3 malformed argument or problem
-file, 4 solver non-convergence.
+file or an output file that cannot be written, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -11,12 +11,13 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
 from . import certificates as certs
 from . import solver as vis
-from .families import HAT_PAIRING_SLOPE, SAWTOOTH_ENERGY, SequenceSpec
+from .families import HAT_PAIRING_SLOPE, SAWTOOTH_ENERGY, L2SeqVector
 from .families import gap_negativity_threshold, sawtooth, scaled_hat
 from .piecewise import (
     MAX_DYADIC_LEVEL,
@@ -68,9 +69,20 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+@contextmanager
+def _open_out(path: str, **kwargs):
+    """Open path for writing; if that or a write fails, one stderr line and EXIT_PARSE."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        print(f"cannot write output file: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -125,11 +137,10 @@ def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> i
 
 def cmd_certify(kmax: int, alpha: Fraction, out: Optional[str]) -> int:
     """Emit the lower-semicontinuity violation and premise-failure certificates."""
-    seq = SequenceSpec("sawtooth")
     limit = PiecewiseLinearFn.zero()
     y = scaled_hat(alpha)
-    kyfan = certs.ky_fan_violation_certificate(seq, limit, y, k_max=kmax)
-    premise = certs.pseudomonotone_premise_audit(seq, limit, k_max=kmax)
+    kyfan = certs.ky_fan_violation_certificate(sawtooth, limit, y, k_max=kmax)
+    premise = certs.pseudomonotone_premise_audit(sawtooth, limit, k_max=kmax)
     _emit(
         {
             "alpha": _frac_str(alpha),
@@ -155,7 +166,7 @@ def cmd_weak_evidence(
     ]
     for level in range(1, indicator_level + 1):
         family += dyadic_indicators(level)
-    report = certs.weak_convergence_evidence(SequenceSpec("sawtooth"), family, kmax)
+    report = certs.weak_convergence_evidence(sawtooth, family, kmax)
     _emit(report.to_json_dict(), out)
     return EXIT_OK
 
@@ -164,12 +175,12 @@ def cmd_figure(k: int, out: str) -> int:
     """Write plot data: nodal values of u_k and step data of its derivative."""
     u = sawtooth(k)
     du = derivative(u)
-    with open(f"{out}_nodes.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_out(f"{out}_nodes.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "value"])
         for t, v in zip(u.breakpoints, u.values):
             writer.writerow([_frac_str(t), _frac_str(v)])
-    with open(f"{out}_steps.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_out(f"{out}_steps.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_left", "t_right", "t_mid", "value"])
         for i, c in enumerate(du.interval_values):
@@ -182,8 +193,8 @@ def cmd_figure(k: int, out: str) -> int:
 
 def cmd_remark32(kmax: int) -> int:
     """Identity operator on the sequence space, paired along unit vectors."""
-    report = certs.pairing_sequence(SequenceSpec("l2unit"), None, max(kmax, certs.MIN_K_MAX))
-    cert = certs.l2_unit_limit_certificate(kmax, report)
+    report = certs.pairing_sequence(L2SeqVector, None, max(kmax, certs.MIN_K_MAX))
+    cert = certs.l2_unit_limit_certificate(report)
     for k, v in zip(report.indices, report.values):
         if k > kmax:
             break

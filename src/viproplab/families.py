@@ -8,7 +8,7 @@ square-summable sequence space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import (
@@ -21,7 +21,6 @@ from .piecewise import (
     pow_norm,
 )
 
-SEQUENCE_KINDS = ("sawtooth", "hat", "l2unit")
 # N and S of gap_negativity_threshold: the gap is N - S*alpha for every k
 SAWTOOTH_ENERGY = Fraction(45)
 HAT_PAIRING_SLOPE = Fraction(3)
@@ -89,34 +88,3 @@ class L2SeqVector:
 def l2_pairing(a: L2SeqVector, b: L2SeqVector) -> ExactReal:
     """Inner product of two unit vectors: 1 if same index, else 0."""
     return ExactReal(1 if a.index == b.index else 0)
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A symbolic function family evaluable at any index k >= 1.
-
-    kind "sawtooth": the sawtooth sequence; "hat": the constant sequence
-    equal to one scaled hat (parameter alpha); "l2unit": the unit-vector
-    sequence in the sequence space.
-    """
-
-    kind: str
-    parameters: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.kind not in SEQUENCE_KINDS:
-            raise ValueError(f"unknown sequence kind: {self.kind!r}")
-        object.__setattr__(
-            self, "parameters", tuple(as_fraction(p) for p in self.parameters)
-        )
-        if self.kind == "hat" and len(self.parameters) != 1:
-            raise ValueError("hat sequence takes exactly one parameter (alpha)")
-
-    def at(self, k: int):
-        if k < 1:
-            raise ValueError("index k must be >= 1")
-        if self.kind == "sawtooth":
-            return sawtooth(k)
-        if self.kind == "hat":
-            return scaled_hat(self.parameters[0])
-        return L2SeqVector(k)

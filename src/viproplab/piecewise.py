@@ -59,22 +59,13 @@ class ExactReal:
     def approx(cls, value: float) -> "ExactReal":
         return cls(float(value), exact=False)
 
-    def _coerce(self, other) -> "ExactReal":
-        if isinstance(other, ExactReal):
-            return other
-        if isinstance(other, float):
-            return ExactReal.approx(other)
-        if isinstance(other, (int, Fraction)):
-            return ExactReal(other)
-        return NotImplemented  # type: ignore[return-value]
-
     def _combine(self, other, op) -> "ExactReal":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        # Fraction op float is float(a) op float(b) by the numeric tower's own rule
+        if isinstance(other, ExactReal):
+            other = other.value
+        elif isinstance(other, bool) or not isinstance(other, (int, float, Fraction)):
             return NotImplemented
-        if self.exact and other.exact:
-            return ExactReal(op(self.value, other.value))
-        return ExactReal.approx(op(float(self.value), float(other.value)))
+        return ExactReal(op(self.value, other))
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -96,10 +87,10 @@ class ExactReal:
         return self._combine(other, lambda a, b: a / b)
 
     def __neg__(self):
-        return ExactReal(-self.value, exact=self.exact)
+        return ExactReal(-self.value)
 
     def __abs__(self):
-        return ExactReal(abs(self.value), exact=self.exact)
+        return ExactReal(abs(self.value))
 
     def root(self, n: int) -> "ExactReal":
         """n-th root; irrational in general, so always approximate."""
@@ -408,16 +399,6 @@ class PolynomialTest:
             return "poly[" + ",".join(str(c) for c in self.coeffs) + "]"
         lo, hi = self.support
         return f"indicator({lo},{hi})"
-
-    def __call__(self, t: RationalLike) -> Fraction:
-        t = as_fraction(t)
-        if self.kind == "poly":
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * t + c
-            return acc
-        lo, hi = self.support
-        return Fraction(1) if lo < t < hi else Fraction(0)
 
 
 def dyadic_indicators(level: int) -> list:

@@ -236,6 +236,8 @@ def _number(v) -> float:
         x = float(Fraction(v)) if isinstance(v, str) else float(v)
     except OverflowError:
         x = math.inf
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {v!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"not a finite number: {v!r}")
     return x

@@ -14,8 +14,8 @@ import pytest
 
 from viproplab import (
     PiecewiseLinearFn,
+    L2SeqVector,
     PolynomialTest,
-    SequenceSpec,
     assemble_vi,
     derivative,
     dyadic_indicators,
@@ -23,6 +23,7 @@ from viproplab import (
     extragradient_solve,
     l2_unit_limit_certificate,
     monotone_gap_check,
+    pairing_sequence,
     plap_pairing,
     pow_norm,
     residual,
@@ -83,7 +84,7 @@ def test_counterexample_certificates(tmp_path):
 
 
 def test_l2_unit_sequence_limit():
-    cert = l2_unit_limit_certificate(64)
+    cert = l2_unit_limit_certificate(pairing_sequence(L2SeqVector, None, 64))
     assert cert.verdict == "established"
     assert cert.witness["tail_constant"].exact
     assert cert.witness["tail_constant"] == 1

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from viproplab import (
-    ExplicitSequence,
+    L2SeqVector,
     PiecewiseLinearFn,
     PolynomialTest,
-    SequenceSpec,
     dyadic_indicators,
     equilibrium_gap,
     holder_boundedness_check,
@@ -25,7 +24,6 @@ from conftest import random_pw_linear
 
 F = Fraction
 ZERO = PiecewiseLinearFn.zero()
-SAW = SequenceSpec("sawtooth")
 
 
 class TestEquilibriumGap:
@@ -46,32 +44,30 @@ class TestEquilibriumGap:
 
 class TestPairingSequence:
     def test_hat_direction_is_constant(self):
-        report = pairing_sequence(SAW, scaled_hat(16), 64)
+        report = pairing_sequence(sawtooth, scaled_hat(16), 64)
         assert all(v == -3 for v in report.values)
         assert report.detection == "eventually-constant"
         assert report.limit_candidate == -3
         assert report.tail_window == 32
 
     def test_zero_direction_gives_energy(self):
-        report = pairing_sequence(SAW, ZERO, 64)
+        report = pairing_sequence(sawtooth, ZERO, 64)
         assert all(v == 45 for v in report.values)
         assert report.limit_candidate == 45
 
     def test_none_direction_means_zero_element(self):
-        a = pairing_sequence(SAW, None, 16)
-        b = pairing_sequence(SAW, ZERO, 16)
+        a = pairing_sequence(sawtooth, None, 16)
+        b = pairing_sequence(sawtooth, ZERO, 16)
         assert [v.value for v in a.values] == [v.value for v in b.values]
 
     def test_small_kmax_rejected(self):
         with pytest.raises(ValueError):
-            pairing_sequence(SAW, ZERO, 4)
+            pairing_sequence(sawtooth, ZERO, 4)
 
     def test_no_detection_reported(self):
         # strictly alternating pairing values: no finite limit detectable
-        seq = ExplicitSequence(lambda k: sawtooth(1) if k % 2 else sawtooth(2))
-        wobble = ExplicitSequence(
-            lambda k: seq.at(k) if k % 2 else scaled_hat(1)
-        )
+        seq = lambda k: sawtooth(1) if k % 2 else sawtooth(2)
+        wobble = lambda k: seq(k) if k % 2 else scaled_hat(1)
         report = pairing_sequence(wobble, scaled_hat(30), 16)
         assert report.detection == "none"
         assert report.limit_candidate is None
@@ -79,7 +75,7 @@ class TestPairingSequence:
 
 class TestKyFanViolation:
     def test_established_with_exact_margin(self):
-        cert = ky_fan_violation_certificate(SAW, ZERO, scaled_hat(16), 64)
+        cert = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 64)
         assert cert.verdict == "established"
         assert cert.exactness == "exact"
         assert cert.witness["margin"] == 3
@@ -87,25 +83,25 @@ class TestKyFanViolation:
         assert cert.witness["gap_at_limit"] == 0
 
     def test_refuted_along_zero_direction(self):
-        cert = ky_fan_violation_certificate(SAW, ZERO, ZERO, 64)
+        cert = ky_fan_violation_certificate(sawtooth, ZERO, ZERO, 64)
         assert cert.verdict == "refuted"
 
     def test_threshold_behavior(self):
-        below = ky_fan_violation_certificate(SAW, ZERO, scaled_hat(10), 32)
-        at = ky_fan_violation_certificate(SAW, ZERO, scaled_hat(15), 32)
-        above = ky_fan_violation_certificate(SAW, ZERO, scaled_hat(F(61, 4)), 32)
+        below = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(10), 32)
+        at = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(15), 32)
+        above = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(F(61, 4)), 32)
         assert below.verdict == "refuted"
         assert at.verdict == "refuted"  # margin 0 is not strict
         assert above.verdict == "established"
 
     def test_inconclusive_names_missing_limit(self):
-        wobble = ExplicitSequence(lambda k: sawtooth(1) if k % 2 else scaled_hat(1))
+        wobble = lambda k: sawtooth(1) if k % 2 else scaled_hat(1)
         cert = ky_fan_violation_certificate(wobble, ZERO, scaled_hat(30), 16)
         assert cert.verdict == "inconclusive"
         assert "could not be finitely determined" in cert.witness["note"]
 
     def test_json_schema(self):
-        cert = ky_fan_violation_certificate(SAW, ZERO, scaled_hat(16), 64)
+        cert = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 64)
         doc = json.loads(json.dumps(cert.to_json_dict()))
         assert doc["property"] == "ky_fan_violation"
         assert doc["verdict"] == "established"
@@ -117,25 +113,25 @@ class TestKyFanViolation:
 
 class TestPremiseAudit:
     def test_sawtooth_premise_fails(self):
-        cert = pseudomonotone_premise_audit(SAW, ZERO, 64)
+        cert = pseudomonotone_premise_audit(sawtooth, ZERO, 64)
         assert cert.verdict == "established"
         assert cert.witness["tail_constant"] == 45
 
     def test_constant_sequence_premise_holds(self, rng):
         w = random_pw_linear(rng)
-        cert = pseudomonotone_premise_audit(ExplicitSequence(lambda k: w), w, 16)
+        cert = pseudomonotone_premise_audit(lambda k: w, w, 16)
         assert cert.verdict == "refuted"
         assert cert.witness["tail_constant"] == 0
 
     def test_l2_unit_sequence_premise_fails(self):
-        cert = pseudomonotone_premise_audit(SequenceSpec("l2unit"), None, 64)
+        cert = pseudomonotone_premise_audit(L2SeqVector, None, 64)
         assert cert.verdict == "established"
         assert cert.witness["tail_constant"] == 1
 
     def test_cauchy_tail_is_approximate(self):
         # exact pairings (1 + 4^-k)^3 that differ by less than CAUCHY_TAIL_TOL
         # over the tail: the limit is a float, and the certificate says so
-        seq = ExplicitSequence(lambda k: scaled_hat(1 + F(1, 4**k)))
+        seq = lambda k: scaled_hat(1 + F(1, 4**k))
         assert pairing_sequence(seq, None, 64).detection == "cauchy-tail"
         cert = pseudomonotone_premise_audit(seq, None, 64)
         assert cert.verdict == "established"
@@ -144,23 +140,41 @@ class TestPremiseAudit:
         assert doc["exactness"] == "approximate"
         assert doc["witness"]["tail_constant"] == {"approx": True, "value": 1.0}
 
+    def test_float_tail_near_zero_is_inconclusive(self):
+        # against the true limit every pairing (1 + 4^-k)^2 4^-k is > 0 and tends
+        # to 0: the premise holds, but a float tail of 2.9e-39 cannot tell
+        seq = lambda k: scaled_hat(1 + F(1, 4**k))
+        limit = scaled_hat(1)
+        premise = pseudomonotone_premise_audit(seq, limit, 64)
+        kyfan = ky_fan_violation_certificate(seq, limit, limit, 64)
+        for cert in (premise, kyfan):
+            assert cert.verdict == "inconclusive"
+            assert cert.exactness == "approximate"
+            assert "float tail limit 2.938735877055719e-39" in cert.witness["note"]
+        assert 0 < premise.witness["tail_constant"].value < 1e-38
+        assert -1e-38 < kyfan.witness["margin"].value < 0
+
+
+def l2_unit_limit(k_max):
+    return l2_unit_limit_certificate(pairing_sequence(L2SeqVector, None, k_max))
+
 
 class TestL2UnitLimit:
     def test_tail_constant_one(self):
-        cert = l2_unit_limit_certificate(64)
+        cert = l2_unit_limit(64)
         assert cert.verdict == "established"
         assert cert.witness["tail_constant"] == 1
         assert cert.witness["conclusion"] == "limit != 0"
 
     def test_window_is_the_checked_tail(self):
         # k_max = 9 checks the tail 6..9 (tail_window = 9 // 2)
-        assert l2_unit_limit_certificate(9).witness["k_window"] == [6, 9]
+        assert l2_unit_limit(9).witness["k_window"] == [6, 9]
 
     def test_certificates_share_one_window(self):
         windows = [
-            ky_fan_violation_certificate(SAW, ZERO, scaled_hat(16), 9).witness["k_window"],
-            pseudomonotone_premise_audit(SAW, ZERO, 9).witness["k_window"],
-            l2_unit_limit_certificate(9).witness["k_window"],
+            ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 9).witness["k_window"],
+            pseudomonotone_premise_audit(sawtooth, ZERO, 9).witness["k_window"],
+            l2_unit_limit(9).witness["k_window"],
         ]
         assert windows == [[6, 9]] * 3
 
@@ -194,7 +208,7 @@ class TestConsistencyInvariant:
         for _ in range(30):
             w = random_pw_linear(rng)
             pool = [random_pw_linear(rng) for _ in range(3)]
-            seq = ExplicitSequence(lambda k, w=w, pool=pool: pool[k % 3] if k < 6 else w)
+            seq = lambda k, w=w, pool=pool: pool[k % 3] if k < 6 else w
             premise = pseudomonotone_premise_audit(seq, w, 16)
             kyfan = ky_fan_violation_certificate(seq, w, w, 16)
             if premise.verdict != "established":
@@ -203,17 +217,17 @@ class TestConsistencyInvariant:
 
 class TestWeakConvergenceEvidence:
     def test_constant_test_function_all_zero(self):
-        report = weak_convergence_evidence(SAW, [PolynomialTest.monomial(0)], 32)
+        report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(0)], 32)
         assert report.entries[0].all_zero
         assert report.entries[0].bound_constant == 0
 
     def test_right_half_support_all_zero(self):
         phi = PolynomialTest.indicator(F(1, 2), F(1))
-        report = weak_convergence_evidence(SAW, [phi], 32)
+        report = weak_convergence_evidence(sawtooth, [phi], 32)
         assert report.entries[0].all_zero
 
     def test_linear_test_function_decay(self):
-        report = weak_convergence_evidence(SAW, [PolynomialTest.monomial(1)], 64)
+        report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 64)
         entry = report.entries[0]
         # the exact sweep constant for t is 1/4, attained at every k
         assert entry.bound_constant == F(1, 4)
@@ -221,17 +235,17 @@ class TestWeakConvergenceEvidence:
             assert abs(v.value) <= entry.bound_constant / k
 
     def test_report_is_labeled_evidence(self):
-        report = weak_convergence_evidence(SAW, [PolynomialTest.monomial(2)], 16)
+        report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(2)], 16)
         assert report.verdict == "consistent with weak null convergence"
         assert "evidence" in report.disclaimer
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
-            weak_convergence_evidence(SAW, [], 16)
+            weak_convergence_evidence(sawtooth, [], 16)
 
     def test_json_round_trip(self):
         fam = [PolynomialTest.monomial(1)] + dyadic_indicators(2)
-        report = weak_convergence_evidence(SAW, fam, 16)
+        report = weak_convergence_evidence(sawtooth, fam, 16)
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["k_max"] == 16
         assert len(doc["entries"]) == len(fam)

@@ -254,6 +254,28 @@ def test_malformed_arguments_exit_parse(argv, capsys):
     assert len(captured.err.splitlines()) == 1 and "error: " in captured.err
 
 
+# {missing} is a path under a directory that does not exist, {dir} a directory
+UNWRITABLE_OUT = [
+    ["reproduce", "--kmax", "2", "--out", "{missing}/x.json"],
+    ["reproduce", "--kmax", "2", "--format", "csv", "--out", "{missing}/x.csv"],
+    ["certify", "--kmax", "8", "--out", "{dir}"],
+    ["weak-evidence", "--kmax", "2", "--out", "{dir}"],
+    ["figure", "--out", "{missing}/fig"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT, ids=" ".join)
+def test_unwritable_out_exit_parse(argv, tmp_path, capsys):
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("cannot write output file") and "Traceback" not in captured.err
+
+
 class TestSolve:
     def test_converged_problem(self, tmp_path):
         problem = tmp_path / "p.json"
@@ -284,10 +306,14 @@ class TestSolve:
             '{"n": 2, "max_iter": 2.7}',
             '{"n": 2, "max_iter": -5}',
             '{"n": 2, "eps": -1}',
+            '{"n": 2, "eps": "1/0"}',
+            '{"n": 2, "forcing": ["1/0", 1]}',
+            '{"n": "1/0"}',
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
-            "fractional-max-iter", "negative-max-iter", "negative-eps",
+            "fractional-max-iter", "negative-max-iter", "negative-eps", "zero-denominator-eps",
+            "zero-denominator-forcing", "zero-denominator-n",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):

@@ -4,7 +4,6 @@ import pytest
 
 from viproplab import (
     L2SeqVector,
-    SequenceSpec,
     derivative,
     gap_negativity_threshold,
     l2_pairing,
@@ -110,21 +109,3 @@ class TestL2UnitVectors:
         with pytest.raises(ValueError):
             L2SeqVector(0)
 
-
-class TestSequenceSpec:
-    def test_kinds(self):
-        assert SequenceSpec("sawtooth").at(3) == sawtooth(3)
-        assert SequenceSpec("hat", (F(5),)).at(9) == scaled_hat(5)
-        assert SequenceSpec("l2unit").at(4) == L2SeqVector(4)
-
-    def test_deterministic(self):
-        spec = SequenceSpec("sawtooth")
-        assert spec.at(6) == spec.at(6)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceSpec("brownian")
-
-    def test_hat_requires_parameter(self):
-        with pytest.raises(ValueError):
-            SequenceSpec("hat")

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from viproplab import (
 )
 
 from conftest import (
+    ReferenceExactReal,
     random_pw_linear,
     reference_abs_pow_integral,
     reference_lin_comb,
@@ -59,7 +61,52 @@ def pw_linear_st(draw, avoid=frozenset()):
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
 
 
+# (tag, raw value): tags "exact" and "approx" wrap the value, the others pass it bare
+real_operand_st = st.one_of(
+    st.tuples(st.just("exact"), st.fractions() | fractions_st),
+    st.tuples(st.just("approx"), st.floats()),
+)
+operand_st = real_operand_st | st.one_of(
+    st.tuples(st.just("int"), st.integers() | st.integers(-3, 3)),
+    st.tuples(st.just("fraction"), st.fractions() | fractions_st),
+    st.tuples(st.just("float"), st.floats()),
+    st.tuples(st.just("bool"), st.booleans()),
+)
+
+
+def build_operand(cls, operand):
+    tag, value = operand
+    if tag == "exact":
+        return cls(value)
+    return cls.approx(value) if tag == "approx" else value
+
+
+def arithmetic_outcome(fn, *args):
+    """Exception type, or (exact, value) with floats by their hex form."""
+    try:
+        r = fn(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    value = r.value.hex() if isinstance(r.value, float) else r.value
+    return r.exact, type(r.value), value
+
+
 class TestExactReal:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        real_operand_st,
+        operand_st,
+        st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+    )
+    def test_matches_reference(self, a, b, op):
+        for pair in ((a, b), (b, a)):
+            new = [build_operand(ExactReal, x) for x in pair]
+            ref = [build_operand(ReferenceExactReal, x) for x in pair]
+            assert arithmetic_outcome(op, *new) == arithmetic_outcome(op, *ref)
+        for unary in (operator.neg, abs):
+            x, y = build_operand(ExactReal, a), build_operand(ReferenceExactReal, a)
+            assert arithmetic_outcome(unary, x) == arithmetic_outcome(unary, y)
+
     def test_exact_arithmetic_stays_exact(self):
         a = ExactReal(F(1, 3))
         b = ExactReal(F(1, 6))

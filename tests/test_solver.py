@@ -352,12 +352,16 @@ class TestProblemIO:
             {"n": 2, "max_iter": 0},
             {"n": 2, "max_iter": False},
             {"n": 2, "eps": -1},
+            {"n": 2, "eps": "1/0"},
+            {"n": 2, "forcing": ["1/0", 0]},
+            {"n": "1/0"},
         ],
         ids=[
             "short-box", "long-box", "short-center", "inf-forcing", "huge-p/q-forcing",
             "inf-bound", "nan-center", "inf-radius", "nan-eps", "inf-n", "inf-max-iter",
             "set-not-object", "fractional-n", "boolean-n", "zero-n", "fractional-max-iter",
             "negative-max-iter", "zero-max-iter", "boolean-max-iter", "negative-eps",
+            "zero-denominator-eps", "zero-denominator-forcing", "zero-denominator-n",
         ],
     )
     def test_malformed_problem_rejected(self, doc):
