@@ -107,8 +107,8 @@ def pairing_sequence(
     """Evaluate <F(x_k), x_k - y> exactly for k = 1..k_max.
 
     For the unit-vector sequence the operator is the identity and y must
-    be the zero element (pass None) or another unit vector.  The tail
-    analysed for a limit is the last k_max // 2 values.
+    be the zero element (pass None).  The tail analysed for a limit is the
+    last k_max // 2 values.
     """
     if k_max < MIN_K_MAX:
         raise ValueError(f"k_max must be >= {MIN_K_MAX}")
@@ -118,12 +118,9 @@ def pairing_sequence(
     for k in range(1, k_max + 1):
         x_k = seq(k)
         if isinstance(x_k, L2SeqVector):
-            if y is None:
-                values.append(l2_pairing(x_k, x_k))
-            elif isinstance(y, L2SeqVector):
-                values.append(l2_pairing(x_k, x_k) - l2_pairing(x_k, y))
-            else:
-                raise TypeError("unit-vector sequences pair only with unit vectors")
+            if y is not None:
+                raise TypeError("unit-vector sequences pair only with y = None")
+            values.append(l2_pairing(x_k, x_k))
         else:
             values.append(equilibrium_gap(x_k, y_fn))
     limit, detection = _detect_tail(values, tail_window)
@@ -150,8 +147,6 @@ class Certificate:
         for key, val in self.witness.items():
             if isinstance(val, ExactReal):
                 witness[key] = _serialize_exact(val)
-            elif isinstance(val, Fraction):
-                witness[key] = _frac_pair(val)
             elif isinstance(val, PiecewiseLinearFn):
                 witness[key] = val.to_json_dict()
             else:
@@ -164,17 +159,26 @@ class Certificate:
         }
 
 
-def _sign_certificate(prop: str, v: ExactReal, witness: dict) -> Certificate:
-    """Established if v > 0, refuted if not; inconclusive if v is a float near 0."""
-    verdict = "established" if v > 0 else "refuted"
+def _tail_certificate(prop: str, v: Optional[ExactReal], witness: dict) -> Certificate:
+    """The one verdict rule for a detected tail: established iff v > 0.
+
+    Inconclusive when no tail was detected (v is None) or when v is a float
+    within CAUCHY_TAIL_TOL of 0, whose sign decides nothing.
+    """
+    if v is None:
+        witness["note"] = (
+            "no tail limit detected; the sequence limit could not be finitely determined"
+        )
+        return Certificate(prop, "inconclusive", witness)
+    exactness = "exact" if v.exact else "approximate"
     if not v.exact and abs(v.value) < CAUCHY_TAIL_TOL:
-        verdict = "inconclusive"
         tail = float(witness["tail_constant"])
         witness["note"] = (
             f"float tail limit {tail!r} leaves a value within {CAUCHY_TAIL_TOL} of 0, "
             "whose sign decides nothing"
         )
-    return Certificate(prop, verdict, witness, "exact" if v.exact else "approximate")
+        return Certificate(prop, "inconclusive", witness, exactness)
+    return Certificate(prop, "established" if v > 0 else "refuted", witness, exactness)
 
 
 def ky_fan_violation_certificate(
@@ -190,22 +194,14 @@ def ky_fan_violation_certificate(
     gap at the limit point strictly exceeds L, with exact margin.
     """
     report = pairing_sequence(seq, y, k_max)
-    if report.limit_candidate is None:
-        return Certificate(
-            PROP_KY_FAN_VIOLATION,
-            "inconclusive",
-            witness={
-                "y": y,
-                "k_window": report.k_window,
-                "note": "no tail limit detected for <F(x_k), x_k - y>; "
-                "the sequence limit could not be finitely determined",
-            },
-        )
-    gap_at_limit = equilibrium_gap(limit, y)
-    margin = gap_at_limit - report.limit_candidate
-    witness = {"y": y, "k_window": report.k_window, "tail_constant": report.limit_candidate,
-               "gap_at_limit": gap_at_limit, "margin": margin}
-    return _sign_certificate(PROP_KY_FAN_VIOLATION, margin, witness)
+    tail = report.limit_candidate
+    witness = {"y": y, "k_window": report.k_window, "tail_constant": tail}
+    margin = None
+    if tail is not None:
+        gap_at_limit = equilibrium_gap(limit, y)
+        margin = gap_at_limit - tail
+        witness.update(gap_at_limit=gap_at_limit, margin=margin)
+    return _tail_certificate(PROP_KY_FAN_VIOLATION, margin, witness)
 
 
 def pseudomonotone_premise_audit(
@@ -220,19 +216,9 @@ def pseudomonotone_premise_audit(
     along this sequence.
     """
     report = pairing_sequence(seq, limit, k_max)
-    if report.limit_candidate is None:
-        return Certificate(
-            PROP_PREMISE_FAILS,
-            "inconclusive",
-            witness={
-                "k_window": report.k_window,
-                "note": "no tail limit detected for <F(x_k), x_k - x>; "
-                "the limsup could not be finitely determined",
-            },
-        )
     tail = report.limit_candidate
     witness = {"k_window": report.k_window, "tail_constant": tail}
-    return _sign_certificate(PROP_PREMISE_FAILS, tail, witness)
+    return _tail_certificate(PROP_PREMISE_FAILS, tail, witness)
 
 
 def l2_unit_limit_certificate(report: PairingSequenceReport) -> Certificate:
@@ -241,19 +227,14 @@ def l2_unit_limit_certificate(report: PairingSequenceReport) -> Certificate:
     ``report`` is ``pairing_sequence(L2SeqVector, None, k_max)``.  The
     sequence converges (it is constant), but its limit is 1, not 0 -- so
     vanishing of the pairing sequence cannot be taken for granted for
-    weakly null sequences.
+    weakly null sequences.  "limit != 0" means |tail| > 0.
     """
     tail = report.limit_candidate
-    established = tail is not None and tail.exact and tail.value != 0
-    return Certificate(
-        PROP_L2_UNIT_LIMIT,
-        "established" if established else "refuted",
-        witness={
-            "tail_constant": tail,
-            "k_window": report.k_window,
-            "conclusion": "limit != 0" if established else "limit = 0",
-        },
-    )
+    witness = {"tail_constant": tail, "k_window": report.k_window}
+    cert = _tail_certificate(PROP_L2_UNIT_LIMIT, None if tail is None else abs(tail), witness)
+    if cert.verdict != "inconclusive":
+        witness["conclusion"] = "limit != 0" if cert.verdict == "established" else "limit = 0"
+    return cert
 
 
 def holder_boundedness_check(

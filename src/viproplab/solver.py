@@ -232,6 +232,8 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
 
 def _number(v) -> float:
     # accept JSON numbers and exact "p/q" strings; JSON reads 1e400 as inf
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"not a number: {v!r}")
     try:
         x = float(Fraction(v)) if isinstance(v, str) else float(v)
     except OverflowError:
@@ -251,8 +253,14 @@ def _count(v, key: str) -> int:
     return int(x)
 
 
+def _numbers(v, key: str) -> List[float]:
+    if not isinstance(v, list):
+        raise ValueError(f"{key} must be a list, got {v!r}")
+    return [_number(x) for x in v]
+
+
 def _vector(spec: dict, key: str, n: int) -> np.ndarray:
-    values = [_number(v) for v in spec[key]]
+    values = _numbers(spec[key], key)
     if len(values) != n:
         raise ValueError(f"{key} must have length n = {n}, got {len(values)}")
     return np.array(values)
@@ -263,8 +271,9 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
 
     Schema: {"n": int, "forcing": [...], "set": {"kind": "box"|"ball", ...},
     "eps": float, "max_iter": int}; numbers may be given as "p/q" strings.
-    n and max_iter are positive integers, eps >= 0, vectors have length n
-    and every number is finite; anything else raises ValueError.
+    n and max_iter are positive integers, eps >= 0, vectors are lists of
+    length n and every number is finite (a boolean is not a number);
+    anything else raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -274,7 +283,7 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     n = _count(doc["n"], "n")
     forcing = doc.get("forcing")
     if forcing is not None:
-        forcing = [_number(v) for v in forcing]
+        forcing = _numbers(forcing, "forcing")
     spec = doc.get("set", {"kind": "box", "lower": [-1.0] * n, "upper": [1.0] * n})
     if not isinstance(spec, dict):
         raise ValueError("set must be an object")

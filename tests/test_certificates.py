@@ -64,6 +64,11 @@ class TestPairingSequence:
         with pytest.raises(ValueError):
             pairing_sequence(sawtooth, ZERO, 4)
 
+    @pytest.mark.parametrize("y", [ZERO, L2SeqVector(1)], ids=["function", "unit-vector"])
+    def test_unit_vectors_pair_only_with_none(self, y):
+        with pytest.raises(TypeError):
+            pairing_sequence(L2SeqVector, y, 8)
+
     def test_no_detection_reported(self):
         # strictly alternating pairing values: no finite limit detectable
         seq = lambda k: sawtooth(1) if k % 2 else sawtooth(2)
@@ -177,6 +182,58 @@ class TestL2UnitLimit:
             l2_unit_limit(9).witness["k_window"],
         ]
         assert windows == [[6, 9]] * 3
+
+
+# (sequence, weak limit, direction y, k_max): pairing reports, one per tail kind
+TAIL_REPORTS = {
+    "no-tail": (lambda k: sawtooth(1) if k % 2 else scaled_hat(1), ZERO, scaled_hat(30), 16),
+    "float-near-0": (lambda k: scaled_hat(1 + F(1, 4**k)), scaled_hat(1), scaled_hat(1), 64),
+    "float-1": (lambda k: scaled_hat(1 + F(1, 4**k)), scaled_hat(1), None, 64),
+    "exact-minus-3": (sawtooth, ZERO, scaled_hat(16), 16),
+    "exact-0": (sawtooth, ZERO, scaled_hat(15), 16),
+}
+
+TAIL_CERTIFICATES = {
+    "premise": lambda seq, limit, y, k_max: pseudomonotone_premise_audit(seq, y, k_max),
+    "ky-fan": lambda seq, limit, y, k_max: ky_fan_violation_certificate(seq, limit, y, k_max),
+    "unit-limit": lambda seq, limit, y, k_max: l2_unit_limit_certificate(
+        pairing_sequence(seq, y, k_max)
+    ),
+}
+
+NO_TAIL = {"note": "could not be finitely determined"}
+NEAR_ZERO = {"note": "float tail limit 2.938735877055719e-39"}
+
+TAIL_VERDICTS = [
+    ("premise", "no-tail", "inconclusive", "exact", NO_TAIL),
+    ("ky-fan", "no-tail", "inconclusive", "exact", NO_TAIL),
+    ("unit-limit", "no-tail", "inconclusive", "exact", NO_TAIL),
+    ("premise", "float-near-0", "inconclusive", "approximate", NEAR_ZERO),
+    ("ky-fan", "float-near-0", "inconclusive", "approximate", NEAR_ZERO),
+    ("unit-limit", "float-near-0", "inconclusive", "approximate", NEAR_ZERO),
+    ("premise", "float-1", "established", "approximate", {}),
+    ("unit-limit", "float-1", "established", "approximate", {"conclusion": "limit != 0"}),
+    ("premise", "exact-minus-3", "refuted", "exact", {}),
+    ("ky-fan", "exact-minus-3", "established", "exact", {}),
+    ("unit-limit", "exact-minus-3", "established", "exact", {"conclusion": "limit != 0"}),
+    ("premise", "exact-0", "refuted", "exact", {}),
+    ("ky-fan", "exact-0", "refuted", "exact", {}),
+    ("unit-limit", "exact-0", "refuted", "exact", {"conclusion": "limit = 0"}),
+]
+
+
+@pytest.mark.parametrize(
+    "cert, report, verdict, exactness, detail",
+    TAIL_VERDICTS,
+    ids=[f"{cert}-{report}" for cert, report, *_ in TAIL_VERDICTS],
+)
+def test_one_verdict_rule_for_every_tail(cert, report, verdict, exactness, detail):
+    # Ky-Fan takes no report against y = None; the unit limit judges |tail|
+    c = TAIL_CERTIFICATES[cert](*TAIL_REPORTS[report])
+    assert (c.verdict, c.exactness) == (verdict, exactness)
+    assert {"note", "conclusion"} & c.witness.keys() == detail.keys()
+    for key, text in detail.items():
+        assert text in c.witness[key]
 
 
 class TestMonotoneGap:

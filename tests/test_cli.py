@@ -229,6 +229,20 @@ class TestRemark32:
         assert len(calls) == 1
         assert capsys.readouterr().out.startswith("k=1: <F(e_k), e_k - 0> = 1\n")
 
+    # SHA-256 of stdout before every tail certificate shared one verdict rule
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "d932df7acfa1bc3100f678689bcfbeab92d61959a17288665174d134fc0ac97a"),
+            (["--kmax", "5"], "1b5a61e1389ec08649a60475a4e464dd9c889512616afb4e24090f3ba73859e2"),
+        ],
+        ids=["defaults", "kmax5"],
+    )
+    def test_stdout_bytes_pinned(self, argv, digest, capsys):
+        assert main(["remark32", *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 MALFORMED_ARGS = [
     ["certify", "--kmax", "4"],
@@ -309,11 +323,17 @@ class TestSolve:
             '{"n": 2, "eps": "1/0"}',
             '{"n": 2, "forcing": ["1/0", 1]}',
             '{"n": "1/0"}',
+            '{"n": 2, "eps": true}',
+            '{"n": 2, "forcing": "12"}',
+            '{"n": 2, "set": {"kind": "box", "lower": "00", "upper": [1, 1]}}',
+            '{"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": {"1": 0, "2": 0}}}',
+            '{"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": true}}',
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
             "fractional-max-iter", "negative-max-iter", "negative-eps", "zero-denominator-eps",
-            "zero-denominator-forcing", "zero-denominator-n",
+            "zero-denominator-forcing", "zero-denominator-n", "boolean-eps", "string-forcing",
+            "string-lower", "object-upper", "boolean-radius",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):

@@ -355,6 +355,12 @@ class TestProblemIO:
             {"n": 2, "eps": "1/0"},
             {"n": 2, "forcing": ["1/0", 0]},
             {"n": "1/0"},
+            {"n": 2, "eps": True},
+            {"n": 2, "forcing": "12"},
+            {"n": 2, "set": {"kind": "box", "lower": "00", "upper": [1, 1]}},
+            {"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": {"1": 0, "2": 0}}},
+            {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": True}},
+            {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": [1]}},
         ],
         ids=[
             "short-box", "long-box", "short-center", "inf-forcing", "huge-p/q-forcing",
@@ -362,6 +368,8 @@ class TestProblemIO:
             "set-not-object", "fractional-n", "boolean-n", "zero-n", "fractional-max-iter",
             "negative-max-iter", "zero-max-iter", "boolean-max-iter", "negative-eps",
             "zero-denominator-eps", "zero-denominator-forcing", "zero-denominator-n",
+            "boolean-eps", "string-forcing", "string-lower", "object-upper", "boolean-radius",
+            "list-radius",
         ],
     )
     def test_malformed_problem_rejected(self, doc):
