@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
 
@@ -255,11 +255,9 @@ class PiecewiseConstFn:
         ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0), and ``sums[j]`` is
         S_j = sum of n_i**j * J_i, grown on demand from ``powers`` = n_i**j.
         """
-        bps, vals = self.breakpoints, self.interval_values
-        d = lcm(*[t.denominator for t in bps])
-        e = lcm(*[c.denominator for c in vals])
-        n = [t.numerator * (d // t.denominator) for t in bps]
-        p = [c.numerator * (e // c.denominator) for c in vals] + [0]
+        d, n = _over_lcm(self.breakpoints)
+        e, p = _over_lcm(self.interval_values)
+        p.append(0)
         return SimpleNamespace(
             d=d, e=e, n=n, p=p,
             primitive=[0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))],
@@ -268,30 +266,65 @@ class PiecewiseConstFn:
         )
 
 
-def _slopes(u: PiecewiseLinearFn) -> list:
-    t, y = u.breakpoints, u.values
-    return [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])]
+def _over_lcm(xs: Sequence[Fraction]) -> tuple:
+    """(L, [x*L for x in xs]): rationals as integers over the lcm L of their denominators."""
+    den = lcm(*[x.denominator for x in xs])
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _grid(u: PiecewiseLinearFn) -> tuple:
+    """Integer grid (D, n, P, Q) of u, built on each call and never stored.
+
+    Breakpoints are t_i = n_i/D with D the lcm of their denominators.  The
+    slope on cell i is P_i/Q_i with Q_i > 0, reduced by one gcd from its
+    two values y = a/b and two breakpoints t = c/e over the cell's own
+    denominators: (y1 - y0)/(t1 - t0) = (a1 b0 - a0 b1) e0 e1 / ((c1 e0 -
+    c0 e1) b0 b1).  Those integers stay as small as the data; over the lcm
+    of all value denominators they would grow with the number of cells.
+    """
+    c, e = [t.numerator for t in u.breakpoints], [t.denominator for t in u.breakpoints]
+    a, b = [y.numerator for y in u.values], [y.denominator for y in u.values]
+    d = lcm(*e)
+    p, q = [], []
+    for a0, a1, b0, b1, c0, c1, e0, e1 in zip(a, a[1:], b, b[1:], c, c[1:], e, e[1:]):
+        num = (a1 * b0 - a0 * b1) * e0 * e1
+        den = (c1 * e0 - c0 * e1) * b0 * b1
+        g = gcd(num, den)
+        p.append(num // g)
+        q.append(den // g)
+    return d, [ci * (d // ei) for ci, ei in zip(c, e)], p, q
 
 
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
     """Weak derivative of a piecewise-linear function: exact slopes."""
-    return PiecewiseConstFn(u.breakpoints, _slopes(u))
+    _, _, p, q = _grid(u)
+    return PiecewiseConstFn(u.breakpoints, [Fraction(a, b) for a, b in zip(p, q)])
 
 
-def _refine(bf: tuple, vf: Sequence, bg: tuple, vg: Sequence):
-    """Yield (a, b, vf value, vg value) per interval of the union of grids bf, bg."""
+def _merge(bf: tuple, df: int, nf: list, bg: tuple, dg: int, ng: list):
+    """Walk the union of two integer grids, n/d for breakpoints b, once.
+
+    Yields (i, j, width, t) per union cell: the cell lies in cell i of the
+    first grid and cell j of the second, width is its length times
+    lcm(df, dg), and t is its right end, taken from bf or bg.
+    """
+    den = lcm(df, dg)
+    if den != df:
+        nf = [x * (den // df) for x in nf]
+    if den != dg:
+        ng = [y * (den // dg) for y in ng]
     i = j = 0
-    a, n = bf[0], len(vf)
-    while i < n:  # both grids end at 1, so the merge ends in both at once
-        x, y = bf[i + 1], bg[j + 1]
+    a, last = 0, len(nf) - 1
+    while i < last:  # both grids end at 1, so the merge ends in both at once
+        x, y = nf[i + 1], ng[j + 1]
         if x < y:
-            yield a, x, vf[i], vg[j]
+            yield i, j, x - a, bf[i + 1]
             a, i = x, i + 1
         elif y < x:
-            yield a, y, vf[i], vg[j]
+            yield i, j, y - a, bg[j + 1]
             a, j = y, j + 1
         else:
-            yield a, x, vf[i], vg[j]
+            yield i, j, x - a, bf[i + 1]
             a, i, j = x, i + 1, j + 1
 
 
@@ -299,9 +332,13 @@ def common_refinement(
     f: PiecewiseConstFn, g: PiecewiseConstFn
 ) -> tuple:
     """Re-express both functions on the union breakpoint grid."""
-    cells = _refine(f.breakpoints, f.interval_values, g.breakpoints, g.interval_values)
-    lo, hi, fv, gv = zip(*cells)
-    return PiecewiseConstFn(lo[:1] + hi, fv), PiecewiseConstFn(lo[:1] + hi, gv)
+    bf, bg = f.breakpoints, g.breakpoints
+    bps, fv, gv = [Fraction(0)], [], []
+    for i, j, _, t in _merge(bf, *_over_lcm(bf), bg, *_over_lcm(bg)):
+        bps.append(t)
+        fv.append(f.interval_values[i])
+        gv.append(g.interval_values[j])
+    return PiecewiseConstFn(bps, fv), PiecewiseConstFn(bps, gv)
 
 
 def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
@@ -318,11 +355,22 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
 
 
 def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> ExactReal:
-    """Exact ∫ term(u', w') dt: term(c, d) * (b - a) summed over the union grid."""
-    total = Fraction(0)
-    for a, b, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
-        total += term(c, d) * (b - a)
-    return ExactReal(total)
+    """Exact ∫ term(u', w') dt: term(c, d) * (b - a) summed over the union grid.
+
+    ``term`` must be a polynomial in (c, d) homogeneous of degree 3, so that
+    term(P/Q, R/S) = term(P*S, R*Q) / (Q*S)**3 for the integer slopes of
+    ``_grid``.  Each union cell adds the integer term(P*S, R*Q) times its
+    width to the sum kept for its key Q*S; one rational is built per key,
+    and the total is divided by the common grid denominator once.
+    """
+    du, nu, p, q = _grid(u)
+    dw, nw, r, s = _grid(w)
+    sums: dict = {}
+    for i, j, width, _ in _merge(u.breakpoints, du, nu, w.breakpoints, dw, nw):
+        key = q[i] * s[j]
+        sums[key] = sums.get(key, 0) + term(p[i] * s[j], r[j] * q[i]) * width
+    total = sum(Fraction(num, key**3) for key, num in sums.items())
+    return ExactReal(total / lcm(du, dw))
 
 
 def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
@@ -347,10 +395,15 @@ def lin_comb(
     if any(isinstance(x, ExactReal) and not x.exact for x in (a, b)):
         raise ValueError("coefficients must be exact")
     a, b = (as_fraction(x.value if isinstance(x, ExactReal) else x) for x in (a, b))
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    du, nu, p, q = _grid(u)
+    dw, nw, r, s = _grid(w)
+    scale = ad * bd * lcm(du, dw)
     bps, vals = [Fraction(0)], [Fraction(0)]
-    for lo, hi, c, d in _refine(u.breakpoints, _slopes(u), w.breakpoints, _slopes(w)):
-        bps.append(hi)
-        vals.append(vals[-1] + (a * c + b * d) * (hi - lo))
+    for i, j, width, t in _merge(u.breakpoints, du, nu, w.breakpoints, dw, nw):
+        bps.append(t)  # (a P/Q + b R/S) width over one denominator
+        step = (an * bd * p[i] * s[j] + bn * ad * r[j] * q[i]) * width
+        vals.append(vals[-1] + Fraction(step, scale * q[i] * s[j]))
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
 
 

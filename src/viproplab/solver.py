@@ -26,6 +26,11 @@ BACKTRACK_FACTOR = 0.5
 STEP_GROWTH = 1.2  # recover after backtracking, up to 10x the initial step
 MIN_STEP = 1e-16
 
+# every key a problem file may hold; any other is a ValueError
+PROBLEM_KEYS = frozenset({"n", "forcing", "set", "eps", "max_iter"})
+BOX_KEYS = frozenset({"kind", "lower", "upper"})
+BALL_KEYS = frozenset({"kind", "center", "radius"})
+
 
 @dataclass(frozen=True)
 class Box:
@@ -266,20 +271,30 @@ def _vector(spec: dict, key: str, n: int) -> np.ndarray:
     return np.array(values)
 
 
+def _known_keys(doc: dict, allowed: frozenset, where: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(map(repr, unknown)))}")
+
+
 def load_problem(source: Union[str, dict]) -> DiscreteVI:
     """Parse a problem description, from a JSON file path or a dict.
 
     Schema: {"n": int, "forcing": [...], "set": {"kind": "box"|"ball", ...},
     "eps": float, "max_iter": int}; numbers may be given as "p/q" strings.
+    A box set has "lower" and "upper", a ball set "center" and "radius".
     n and max_iter are positive integers, eps >= 0, vectors are lists of
     length n and every number is finite (a boolean is not a number);
-    anything else raises ValueError.
+    anything else, an unknown key included, raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = source
+    if not isinstance(doc, dict):
+        raise ValueError("problem must be an object")
+    _known_keys(doc, PROBLEM_KEYS, "problem")
     n = _count(doc["n"], "n")
     forcing = doc.get("forcing")
     if forcing is not None:
@@ -289,8 +304,10 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
         raise ValueError("set must be an object")
     kind = spec.get("kind")
     if kind == "box":
+        _known_keys(spec, BOX_KEYS, "box set")
         feasible: FeasibleSet = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
     elif kind == "ball":
+        _known_keys(spec, BALL_KEYS, "ball set")
         feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
     else:
         raise ValueError(f"unknown feasible-set kind: {kind!r}")

@@ -13,7 +13,6 @@ from viproplab import (
     PiecewiseConstFn,
     PiecewiseLinearFn,
     SolveResult,
-    derivative,
 )
 from viproplab.piecewise import as_fraction
 from viproplab.solver import BACKTRACK_FACTOR, DEFAULT_STEP, MIN_STEP, STEP_GROWTH
@@ -162,9 +161,20 @@ def reference_refinement(f, g):
     return resample(f), resample(g)
 
 
+def reference_slopes(u):
+    """Test-only reference for the slopes of u: three Fraction operations per cell."""
+    t, y = u.breakpoints, u.values
+    return [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(t, t[1:], y, y[1:])]
+
+
+def reference_derivative(u):
+    """Test-only reference for derivative, on the reference slopes."""
+    return PiecewiseConstFn(u.breakpoints, reference_slopes(u))
+
+
 def reference_sum(u, w, term):
     """Sum term(u', w') * width over the reference refinement, one interval at a time."""
-    du, dw = reference_refinement(derivative(u), derivative(w))
+    du, dw = reference_refinement(reference_derivative(u), reference_derivative(w))
     total = Fraction(0)
     for i, (c, d) in enumerate(zip(du.interval_values, dw.interval_values)):
         total += term(c, d) * (du.breakpoints[i + 1] - du.breakpoints[i])
@@ -321,7 +331,7 @@ def gauss_pairing_oracle(u, w, rel_tol=1e-13, max_rounds=12):
     two successive estimates agree, instead of reusing the exact
     piecewise-constant summation.
     """
-    du, dw = derivative(u), derivative(w)
+    du, dw = reference_derivative(u), reference_derivative(w)
     du_bps = [float(t) for t in du.breakpoints]
     dw_bps = [float(t) for t in dw.breakpoints]
     du_vals = [float(c) for c in du.interval_values]

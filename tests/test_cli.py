@@ -328,12 +328,16 @@ class TestSolve:
             '{"n": 2, "set": {"kind": "box", "lower": "00", "upper": [1, 1]}}',
             '{"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": {"1": 0, "2": 0}}}',
             '{"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": true}}',
+            '{"n": 2, "maxiter": 5}',
+            '{"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": [1, 1], "radius": 1}}',
+            '{"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": 1, "lower": [0, 0]}}',
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
             "fractional-max-iter", "negative-max-iter", "negative-eps", "zero-denominator-eps",
             "zero-denominator-forcing", "zero-denominator-n", "boolean-eps", "string-forcing",
-            "string-lower", "object-upper", "boolean-radius",
+            "string-lower", "object-upper", "boolean-radius", "unknown-key", "radius-in-box",
+            "lower-in-ball",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):

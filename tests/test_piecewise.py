@@ -27,6 +27,7 @@ from viproplab import (
     scaled_hat,
     test_integral as integral_against,
 )
+from viproplab.piecewise import _grid
 
 from conftest import (
     ReferenceExactReal,
@@ -35,6 +36,7 @@ from conftest import (
     reference_lin_comb,
     reference_pow_norm,
     reference_refinement,
+    reference_slopes,
     reference_sum,
     reference_test_integral,
 )
@@ -264,28 +266,32 @@ _U = PiecewiseLinearFn((F(0), F(1, 4), F(1)), (F(0), F(1), F(0)))
 _W = PiecewiseLinearFn((F(0), F(1, 3), F(3, 4), F(1)), (F(0), F(-2), F(1), F(0)))
 
 
+# each pairing and its integrand term(u', w'), for the reference sum
+PAIRING_TERMS = {
+    plap_pairing: lambda c, d: abs(c) * c * d,
+    equilibrium_gap: lambda c, d: abs(c) * c * (c - d),
+    monotone_gap_check: lambda c, d: (abs(c) * c - abs(d) * d) * (c - d),
+}
+
+
+def check_union_grid(u, w):
+    """common_refinement and every exact pairing against the sorted-set refinement in conftest."""
+    for u, w in ((u, w), (w, u)):
+        du, dw = derivative(u), derivative(w)
+        assert common_refinement(du, dw) == reference_refinement(du, dw)
+        for fn, term in PAIRING_TERMS.items():
+            got = fn(u, w)
+            assert got.exact and got.value == reference_sum(u, w, term), fn.__name__
+        assert equilibrium_gap(u, w) == plap_pairing(u, lin_comb(1, u, -1, w))
+
+
 class TestUnionGridWalk:
     """Every exact pairing against the sorted-set refinement in conftest."""
-
-    @staticmethod
-    def check(u, w):
-        for u, w in ((u, w), (w, u)):
-            du, dw = derivative(u), derivative(w)
-            assert common_refinement(du, dw) == reference_refinement(du, dw)
-            terms = {
-                plap_pairing: lambda c, d: abs(c) * c * d,
-                equilibrium_gap: lambda c, d: abs(c) * c * (c - d),
-                monotone_gap_check: lambda c, d: (abs(c) * c - abs(d) * d) * (c - d),
-            }
-            for fn, term in terms.items():
-                got = fn(u, w)
-                assert got.exact and got.value == reference_sum(u, w, term), fn.__name__
-            assert equilibrium_gap(u, w) == plap_pairing(u, lin_comb(1, u, -1, w))
 
     @settings(max_examples=100, deadline=None)
     @given(pw_pair_st())
     def test_matches_reference(self, pair):
-        self.check(*pair)
+        check_union_grid(*pair)
 
     @pytest.mark.parametrize(
         "u, w",
@@ -293,7 +299,7 @@ class TestUnionGridWalk:
         ids=["same", "disjoint", "nested"],
     )
     def test_grid_relations(self, u, w):
-        self.check(u, w)
+        check_union_grid(u, w)
 
 
 class TestLinComb:
@@ -463,12 +469,23 @@ class TestCachedIntegerView:
         assert f.to_json_dict() == g.to_json_dict()
 
 
+eighths_st = st.integers(-64, 64).map(lambda j: F(j, 8))
+
+
 @st.composite
 def pw_linear_wide_st(draw):
-    """1..64 intervals, denominators up to 1000; each nodal value repeats its
-    left neighbour, negates it, is zero or is free, so cells with equal ends,
-    zeros at breakpoints and sign changes inside a cell all occur."""
-    interior = draw(st.sets(unit_points_st.filter(lambda t: 0 < t < 1), max_size=63))
+    """1..64 intervals on a grid with denominators up to 1000, whose slopes
+    have about one denominator per cell, or on a uniform dyadic grid with
+    values in eighths, whose slopes share a few; each nodal value repeats
+    its left neighbour, negates it, is zero or is free, so cells with equal
+    ends, zeros at breakpoints and sign changes inside a cell all occur."""
+    if draw(st.booleans()):
+        interior = sorted(draw(st.sets(unit_points_st.filter(lambda t: 0 < t < 1), max_size=63)))
+        free = wide_fractions_st
+    else:
+        level = draw(st.integers(0, 6))
+        interior = [F(j, 2**level) for j in range(1, 2**level)]
+        free = eighths_st
     vals = [F(0)]
     for _ in interior:
         rule = draw(st.sampled_from(["repeat", "negate", "zero", "free"]))
@@ -479,8 +496,25 @@ def pw_linear_wide_st(draw):
         elif rule == "zero":
             vals.append(F(0))
         else:
-            vals.append(draw(wide_fractions_st))
-    return PiecewiseLinearFn((F(0), *sorted(interior), F(1)), (*vals, F(0)))
+            vals.append(draw(free))
+    return PiecewiseLinearFn((F(0), *interior, F(1)), (*vals, F(0)))
+
+
+class TestIntegerGrid:
+    """derivative, the pairings and lin_comb on wide and dyadic grids against the references."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pw_linear_wide_st(), pw_linear_wide_st(), coefficients_st, coefficients_st)
+    def test_matches_reference(self, u, w, a, b):
+        for f in (u, w):
+            slopes = reference_slopes(f)
+            assert derivative(f) == PiecewiseConstFn(f.breakpoints, slopes)
+            # each slope a reduced pair with a positive denominator
+            _, _, p, q = _grid(f)
+            assert list(zip(p, q)) == [(c.numerator, c.denominator) for c in slopes]
+        check_union_grid(u, w)
+        for u, w in ((u, w), (w, u)):
+            assert lin_comb(a, u, b, w) == reference_lin_comb(a, u, b, w)
 
 
 class TestAbsPowIntegral:

@@ -361,6 +361,11 @@ class TestProblemIO:
             {"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": {"1": 0, "2": 0}}},
             {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": True}},
             {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": [1]}},
+            {"n": 2, "maxiter": 5},
+            {"n": 2, "max_iter": 5, "epsilon": 1e-3},
+            {"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": [1, 1], "radius": 1}},
+            {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": 1, "upper": [1, 1]}},
+            [2],
         ],
         ids=[
             "short-box", "long-box", "short-center", "inf-forcing", "huge-p/q-forcing",
@@ -369,7 +374,8 @@ class TestProblemIO:
             "negative-max-iter", "zero-max-iter", "boolean-max-iter", "negative-eps",
             "zero-denominator-eps", "zero-denominator-forcing", "zero-denominator-n",
             "boolean-eps", "string-forcing", "string-lower", "object-upper", "boolean-radius",
-            "list-radius",
+            "list-radius", "unknown-key", "unknown-key-beside-known", "radius-in-box",
+            "upper-in-ball", "not-an-object",
         ],
     )
     def test_malformed_problem_rejected(self, doc):
