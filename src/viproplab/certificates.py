@@ -95,7 +95,7 @@ def _detect_tail(values: Sequence[ExactReal], tail_window: int):
         return tail[0], "eventually-constant"
     floats = [float(v) for v in tail]
     if all(abs(a - b) < CAUCHY_TAIL_TOL for a, b in zip(floats, floats[1:])):
-        return ExactReal.approx(floats[-1]), "cauchy-tail"
+        return ExactReal(floats[-1]), "cauchy-tail"
     return None, "none"
 
 
@@ -178,7 +178,7 @@ def _tail_certificate(prop: str, v: Optional[ExactReal], witness: dict) -> Certi
             "whose sign decides nothing"
         )
         return Certificate(prop, "inconclusive", witness, exactness)
-    return Certificate(prop, "established" if v > 0 else "refuted", witness, exactness)
+    return Certificate(prop, "established" if v.value > 0 else "refuted", witness, exactness)
 
 
 def ky_fan_violation_certificate(
@@ -199,7 +199,7 @@ def ky_fan_violation_certificate(
     margin = None
     if tail is not None:
         gap_at_limit = equilibrium_gap(limit, y)
-        margin = gap_at_limit - tail
+        margin = ExactReal(gap_at_limit.value - tail.value)
         witness.update(gap_at_limit=gap_at_limit, margin=margin)
     return _tail_certificate(PROP_KY_FAN_VIOLATION, margin, witness)
 
@@ -231,7 +231,8 @@ def l2_unit_limit_certificate(report: PairingSequenceReport) -> Certificate:
     """
     tail = report.limit_candidate
     witness = {"tail_constant": tail, "k_window": report.k_window}
-    cert = _tail_certificate(PROP_L2_UNIT_LIMIT, None if tail is None else abs(tail), witness)
+    size = None if tail is None else ExactReal(abs(tail.value))
+    cert = _tail_certificate(PROP_L2_UNIT_LIMIT, size, witness)
     if cert.verdict != "inconclusive":
         witness["conclusion"] = "limit != 0" if cert.verdict == "established" else "limit = 0"
     return cert

@@ -66,6 +66,14 @@ def _positive_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    # str() refuses integers longer than this limit (0 means no limit, and
+    # Python before 3.10.7 has none); alpha/2, 3*alpha and 45 - 3*alpha print
+    # with at most two digits more than alpha
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(value.numerator, value.denominator) >= 10 ** (limit - 2):
+        raise argparse.ArgumentTypeError(
+            f"numerator and denominator must have at most {limit - 2} digits, got {text}"
+        )
     return value
 
 
@@ -212,7 +220,7 @@ def cmd_remark32(kmax: int) -> int:
 def cmd_solve(problem_path: str, out: Optional[str]) -> int:
     try:
         vi = vis.load_problem(problem_path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot parse problem file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     result = vis.extragradient_solve(vi)

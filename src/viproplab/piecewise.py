@@ -9,11 +9,10 @@ checked with zero tolerance.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import accumulate
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -37,94 +36,30 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+@total_ordering
 class ExactReal:
     """A number tagged with its provenance: exact rational or float.
 
-    Arithmetic between two exact values stays exact; any operation that
-    touches an approximate value yields an approximate value.
+    ``exact`` is the type of ``value``: a ``Fraction`` when exact, a
+    ``float`` otherwise.  Arithmetic happens on ``value``, where Python's own
+    rule gives a float as soon as a float takes part.
     """
 
+    # exact is a slot, not a property: serialization reads it once per integral
     __slots__ = ("value", "exact")
 
-    def __init__(self, value, exact: bool | None = None):
-        if exact is None:
-            exact = not isinstance(value, float)
-        if exact:
-            self.value = as_fraction(value)
-        else:
-            self.value = float(value)
-        self.exact = exact
-
-    @classmethod
-    def approx(cls, value: float) -> "ExactReal":
-        return cls(float(value), exact=False)
-
-    def _combine(self, other, op) -> "ExactReal":
-        # Fraction op float is float(a) op float(b) by the numeric tower's own rule
-        if isinstance(other, ExactReal):
-            other = other.value
-        elif isinstance(other, bool) or not isinstance(other, (int, float, Fraction)):
-            return NotImplemented
-        return ExactReal(op(self.value, other))
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return ExactReal(-self.value)
-
-    def __abs__(self):
-        return ExactReal(abs(self.value))
-
-    def root(self, n: int) -> "ExactReal":
-        """n-th root; irrational in general, so always approximate."""
-        return ExactReal.approx(float(self.value) ** (1.0 / n))
+    def __init__(self, value):
+        self.exact = not isinstance(value, float)
+        self.value = as_fraction(value) if self.exact else float(value)
 
     def __float__(self) -> float:
         return float(self.value)
 
-    def _cmp_value(self, other):
-        if isinstance(other, ExactReal):
-            return other.value
-        if isinstance(other, numbers.Real):
-            return other
-        return NotImplemented
-
     def __eq__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value == v
+        return self.value == (other.value if isinstance(other, ExactReal) else other)
 
     def __lt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value < v
-
-    def __le__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value <= v
-
-    def __gt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value > v
-
-    def __ge__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value >= v
+        return self.value < (other.value if isinstance(other, ExactReal) else other)
 
     def __hash__(self):
         return hash(self.value)
@@ -344,8 +279,8 @@ def common_refinement(
 def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
     """Integral of |f|^p over [0,1], exact.
 
-    This is the p-th power of the L^p norm; take ``.root(p)`` for the
-    (approximate) norm itself.
+    This is the p-th power of the L^p norm; take ``float(...) ** (1 / p)``
+    for the (approximate) norm itself.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")

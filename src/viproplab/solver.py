@@ -148,11 +148,14 @@ class GalerkinOperator:
 class DiscreteVI:
     """Finite-dimensional VI: find x in A with <G(x), y - x> >= 0 for y in A."""
 
-    n: int
     operator: GalerkinOperator
     feasible_set: FeasibleSet
     eps: float = DEFAULT_EPS
     max_iter: int = DEFAULT_MAX_ITER
+
+    @property
+    def n(self) -> int:
+        return self.operator.n
 
 
 def assemble_vi(
@@ -165,7 +168,6 @@ def assemble_vi(
     if feasible_set is None:
         feasible_set = Box(-np.ones(n), np.ones(n))
     return DiscreteVI(
-        n=n,
         operator=GalerkinOperator(n, forcing),
         feasible_set=feasible_set,
         eps=eps,

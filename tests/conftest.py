@@ -1,4 +1,3 @@
-import numbers
 import os
 import random
 from bisect import bisect_right
@@ -14,7 +13,6 @@ from viproplab import (
     PiecewiseLinearFn,
     SolveResult,
 )
-from viproplab.piecewise import as_fraction
 from viproplab.solver import BACKTRACK_FACTOR, DEFAULT_STEP, MIN_STEP, STEP_GROWTH
 
 SEED = int(os.environ.get("VIPROPLAB_SEED", "20240817"))
@@ -41,108 +39,6 @@ def random_pw_linear(r, max_interior=5, lo=-8, hi=8, max_den=24):
     bps = [Fraction(0)] + sorted(interior) + [Fraction(1)]
     vals = [Fraction(0)] + [random_fraction(r, lo, hi, max_den) for _ in range(n)] + [Fraction(0)]
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
-
-
-class ReferenceExactReal:
-    """Test-only reference for ExactReal: its own coercion, floats through float()."""
-
-    __slots__ = ("value", "exact")
-
-    def __init__(self, value, exact: bool | None = None):
-        if exact is None:
-            exact = not isinstance(value, float)
-        if exact:
-            self.value = as_fraction(value)
-        else:
-            self.value = float(value)
-        self.exact = exact
-
-    @classmethod
-    def approx(cls, value: float) -> "ReferenceExactReal":
-        return cls(float(value), exact=False)
-
-    def _coerce(self, other) -> "ReferenceExactReal":
-        if isinstance(other, ReferenceExactReal):
-            return other
-        if isinstance(other, float):
-            return ReferenceExactReal.approx(other)
-        if isinstance(other, (int, Fraction)):
-            return ReferenceExactReal(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _combine(self, other, op) -> "ReferenceExactReal":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.exact and other.exact:
-            return ReferenceExactReal(op(self.value, other.value))
-        return ReferenceExactReal.approx(op(float(self.value), float(other.value)))
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._combine(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return ReferenceExactReal(-self.value, exact=self.exact)
-
-    def __abs__(self):
-        return ReferenceExactReal(abs(self.value), exact=self.exact)
-
-    def root(self, n: int) -> "ReferenceExactReal":
-        """n-th root; irrational in general, so always approximate."""
-        return ReferenceExactReal.approx(float(self.value) ** (1.0 / n))
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def _cmp_value(self, other):
-        if isinstance(other, ReferenceExactReal):
-            return other.value
-        if isinstance(other, numbers.Real):
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value == v
-
-    def __lt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value < v
-
-    def __le__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value <= v
-
-    def __gt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value > v
-
-    def __ge__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.value >= v
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        tag = "exact" if self.exact else "approx"
-        return f"ReferenceExactReal({self.value!r}, {tag})"
 
 
 def reference_refinement(f, g):

@@ -248,8 +248,12 @@ MALFORMED_ARGS = [
     ["certify", "--kmax", "4"],
     ["certify", "--alpha", "-1"],
     ["certify", "--alpha", "1/0"],
+    ["certify", "--alpha", "1e5000"],
+    ["certify", "--alpha", "1e-5000"],
     ["reproduce", "--alpha", "0"],
     ["reproduce", "--kmax", "0"],
+    ["reproduce", "--alpha", "1e5000"],
+    ["reproduce", "--alpha", "1e-5000", "--format", "csv"],
     ["weak-evidence", "--kmax", "0"],
     ["weak-evidence", "--indicator-level", "9"],
     ["weak-evidence", "--degree-max", "-1", "--indicator-level", "0"],
@@ -331,13 +335,14 @@ class TestSolve:
             '{"n": 2, "maxiter": 5}',
             '{"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": [1, 1], "radius": 1}}',
             '{"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": 1, "lower": [0, 0]}}',
+            "[" * 200000 + "]" * 200000,
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
             "fractional-max-iter", "negative-max-iter", "negative-eps", "zero-denominator-eps",
             "zero-denominator-forcing", "zero-denominator-n", "boolean-eps", "string-forcing",
             "string-lower", "object-upper", "boolean-radius", "unknown-key", "radius-in-box",
-            "lower-in-ball",
+            "lower-in-ball", "deeply-nested",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):
