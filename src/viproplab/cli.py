@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -59,21 +60,32 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return parse
 
 
+def _echo(text: str) -> str:
+    """An argument for an error line: quoted, and cut after 32 characters."""
+    if len(text) <= 32:
+        return repr(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
+
+
 def _positive_rational(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     # str() refuses integers longer than this limit (0 means no limit, and
     # Python before 3.10.7 has none); alpha/2, 3*alpha and 45 - 3*alpha print
     # with at most two digits more than alpha
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = (
+        f"numerator and denominator must have at most {limit - 2} digits, got {_echo(text)}"
+    )
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        # Fraction reads digits with int(), which the same limit stops
+        if limit and re.search(r"\d{%d}" % (limit - 1), text.replace("_", "")):
+            raise argparse.ArgumentTypeError(too_long) from None
+        raise argparse.ArgumentTypeError(f"not a rational p/q: {_echo(text)}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {_echo(text)}")
     if limit and max(value.numerator, value.denominator) >= 10 ** (limit - 2):
-        raise argparse.ArgumentTypeError(
-            f"numerator and denominator must have at most {limit - 2} digits, got {text}"
-        )
+        raise argparse.ArgumentTypeError(too_long)
     return value
 
 
@@ -191,8 +203,9 @@ def cmd_figure(k: int, out: str) -> int:
     with _open_out(f"{out}_steps.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_left", "t_right", "t_mid", "value"])
+        t = du.breakpoints
         for i, c in enumerate(du.interval_values):
-            a, b = du.breakpoints[i], du.breakpoints[i + 1]
+            a, b = t[i], t[i + 1]
             writer.writerow(
                 [_frac_str(a), _frac_str(b), _frac_str((a + b) / 2), _frac_str(c)]
             )

@@ -30,21 +30,16 @@ def sawtooth(k: int) -> PiecewiseLinearFn:
     """k-tooth sawtooth on [0, 1/2], zero on [1/2, 1].
 
     Tooth i rises from 0 at i/(2k) to 1/k at (3i+1)/(6k), then falls back
-    to 0 at (i+1)/(2k); slopes are 6 and -3 independently of k.
+    to 0 at (i+1)/(2k); slopes are 6 and -3 independently of k.  Built on
+    its integer grid: breakpoints 3i and 3i+1, then 3k and 6k, over 6k.
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
-    bps = []
-    vals = []
-    zero, peak = Fraction(0), Fraction(1, k)
-    for i in range(k):
-        bps.append(Fraction(i, 2 * k))
-        vals.append(zero)
-        bps.append(Fraction(3 * i + 1, 6 * k))
-        vals.append(peak)
-    bps += [Fraction(1, 2), Fraction(1)]
-    vals += [zero, zero]
-    return PiecewiseLinearFn(tuple(bps), tuple(vals))
+    n = [0] * (2 * k)
+    n[0::2] = range(0, 3 * k, 3)
+    n[1::2] = range(1, 3 * k, 3)
+    n += [3 * k, 6 * k]
+    return PiecewiseLinearFn._from_grid(6 * k, n, [6, -3] * k + [0], [1] * (2 * k + 1))
 
 
 def scaled_hat(alpha: RationalLike) -> PiecewiseLinearFn:

@@ -1,9 +1,10 @@
 """Exact calculus for piecewise-linear functions on [0,1].
 
-Functions are stored with rational breakpoints and rational nodal values;
-their weak derivatives are piecewise constant on the same grid.  All
-operations on rational data stay rational (arbitrary-precision via
-``fractions.Fraction``), so identities like a constant cubed-norm can be
+Functions are stored as integer grids: breakpoints over the lcm of their
+denominators, and a reduced rational slope (or value) per cell; their weak
+derivatives are piecewise constant on the same grid.  All operations on
+rational data stay rational (integers, or ``fractions.Fraction`` where a
+rational is built), so identities like a constant cubed-norm can be
 checked with zero tolerance.
 """
 
@@ -12,9 +13,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from itertools import accumulate
 from math import gcd, lcm
+from operator import lt, mul, sub
 from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
 
@@ -79,49 +81,181 @@ def _pair_frac(pair) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def _check_breakpoints(bps: Sequence[Fraction]) -> None:
-    if len(bps) < 2:
+def _over_lcm(xs: Sequence[Fraction]) -> tuple:
+    """(L, (x*L for x in xs)): rationals as integers over the lcm L of their denominators."""
+    den = lcm(*[x.denominator for x in xs])
+    return den, tuple([x.numerator * (den // x.denominator) for x in xs])
+
+
+def _check_points(d: int, n: Sequence[int]) -> None:
+    """Breakpoints n_i/D run from 0 to 1, strictly increasing, over the lcm D of theirs."""
+    if len(n) < 2:
         raise ValueError("need at least the two endpoint breakpoints")
-    if bps[0] != 0 or bps[-1] != 1:
+    if n[0] != 0 or n[-1] != d:
         raise ValueError("breakpoints must start at 0 and end at 1")
-    for a, b in zip(bps, bps[1:]):
-        if not a < b:
-            raise ValueError("breakpoints must be strictly increasing")
+    if not all(map(lt, n, n[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if gcd(*n) != 1:
+        raise ValueError("breakpoints must be over the lcm of their denominators")
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
+def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]) -> tuple:
+    """Integer grid (D, n, P, Q) of the function with these breakpoints and nodal values.
+
+    The slope on cell i is P_i/Q_i with Q_i > 0, reduced by one gcd from its
+    two values y = a/b and two breakpoints t = c/e over the cell's own
+    denominators: (y1 - y0)/(t1 - t0) = (a1 b0 - a0 b1) e0 e1 / ((c1 e0 -
+    c0 e1) b0 b1).  Those integers stay as small as the data; over the lcm
+    of all value denominators they would grow with the number of cells.
+    """
+    # lists, not generators: built at their final size, and faster
+    bps = [as_fraction(t) for t in breakpoints]
+    vals = [as_fraction(v) for v in values]
+    c, e = [t.numerator for t in bps], [t.denominator for t in bps]
+    d = lcm(*e)
+    n = tuple([ci * (d // ei) for ci, ei in zip(c, e)])
+    _check_points(d, n)
+    if len(vals) != len(n):
+        raise ValueError("one value per breakpoint required")
+    if vals[0] != 0 or vals[-1] != 0:
+        raise ValueError("boundary values must be zero")
+    a, b = [y.numerator for y in vals], [y.denominator for y in vals]
+    p, q = [], []
+    for a0, a1, b0, b1, c0, c1, e0, e1 in zip(a, a[1:], b, b[1:], c, c[1:], e, e[1:]):
+        num = (a1 * b0 - a0 * b1) * e0 * e1
+        den = (c1 * e0 - c0 * e1) * b0 * b1
+        g = gcd(num, den)
+        p.append(num // g)
+        q.append(den // g)
+    return d, n, tuple(p), tuple(q)
+
+
+def _checked_linear_grid(d: int, n: Sequence[int], p: Sequence[int], q: Sequence[int]) -> tuple:
+    """(D, n, P, Q) as tuples, once the invariants of the grid form hold in integers."""
+    n, p, q = tuple(n), tuple(p), tuple(q)
+    _check_points(d, n)
+    if not len(p) == len(q) == len(n) - 1:
+        raise ValueError("one slope per cell required")
+    if min(q) < 1 or set(map(gcd, p, q)) != {1}:
+        raise ValueError("slopes must be reduced, with positive denominators")
+    den = lcm(*q)  # D u(1), the sum of P_i (n_{i+1} - n_i) / Q_i, times den
+    if sum(map(mul, map(mul, p, map(sub, n[1:], n)), [den // x for x in q])):
+        raise ValueError("boundary values must be zero")
+    return d, n, p, q
+
+
+def _const_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]) -> tuple:
+    """Integer grid (D, n, E, p) of the step function with these breakpoints and values."""
+    bps = [as_fraction(t) for t in breakpoints]
+    vals = [as_fraction(v) for v in values]
+    d, n = _over_lcm(bps)
+    _check_points(d, n)
+    if len(vals) != len(n) - 1:
+        raise ValueError("one value per interval required")
+    return (d, n, *_over_lcm(vals))
+
+
+def _checked_const_grid(d: int, n: Sequence[int], e: int, p: Sequence[int]) -> tuple:
+    """(D, n, E, p) with tuples, once the invariants of the grid form hold in integers."""
+    n, p = tuple(n), tuple(p)
+    _check_points(d, n)
+    if len(p) != len(n) - 1:
+        raise ValueError("one value per interval required")
+    if e < 1 or gcd(e, *p) != 1:
+        raise ValueError("values must be over the lcm of their denominators")
+    return d, n, e, p
+
+
+class _GridFn:
+    """A function whose one stored form is its integer grid ``_grid``.
+
+    Subclasses are frozen dataclasses with that one field.  The grid is
+    canonical (every denominator is the lcm of the reduced ones), so the
+    generated ``==`` and ``hash`` compare functions by their grids.
+    """
+
+    @classmethod
+    def _from_grid(cls, *grid):
+        f = cls.__new__(cls)
+        f.__post_init__(grid=grid)
+        return f
+
+
+@lru_cache(maxsize=4)
+def _linear_views(grid: tuple) -> tuple:
+    """(breakpoints, values) of a linear grid (D, n, P, Q) as Fraction tuples.
+
+    Breakpoint t_i = c_i/e_i is n_i/D reduced by one gcd.  From y_i = a/b,
+    y_{i+1} = a/b + (P_i/Q_i)(c_{i+1}/e_{i+1} - c_i/e_i) is reduced over the
+    cell's own denominators, which stay as small as the data.  Callers that
+    index a view inside a loop, such as a reference check that interpolates
+    u and w point by point, read it once per step; so the views of the last
+    few grids read are kept here, and nowhere else.
+    """
+    d, n, p, q = grid
+    gs = [gcd(x, d) for x in n]
+    c, e = [x // g for x, g in zip(n, gs)], [d // g for g in gs]
+    a, b = 0, 1
+    vals = [Fraction(0)]
+    for pi, qi, c0, c1, e0, e1 in zip(p, q, c, c[1:], e, e[1:]):
+        num = a * qi * e0 * e1 + b * pi * (c1 * e0 - c0 * e1)
+        den = b * qi * e0 * e1
+        g = gcd(num, den)
+        a, b = num // g, den // g
+        vals.append(Fraction(a, b))
+    return tuple(map(Fraction, c, e)), tuple(vals)
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class PiecewiseLinearFn(_GridFn):
     """Continuous piecewise-linear function on [0,1] vanishing at 0 and 1.
 
     The zero boundary values model membership in the zero-trace Sobolev
-    space the lab works in.
+    space the lab works in.  The one stored form is the integer grid
+    ``_grid = (D, n, P, Q)``: breakpoints t_i = n_i/D over the lcm D of
+    their denominators, and the slope P_i/Q_i on cell i, reduced with
+    Q_i > 0.  The nodal values follow from the slopes and u(0) = 0;
+    ``breakpoints`` and ``values`` are Fraction views of the grid.
     """
 
-    breakpoints: tuple
-    values: tuple
+    _grid: tuple
 
-    def __post_init__(self):
-        # tuple of a list, not of a generator: built at its final size, and faster
-        bps = tuple([as_fraction(t) for t in self.breakpoints])
-        vals = tuple([as_fraction(v) for v in self.values])
-        _check_breakpoints(bps)
-        if len(vals) != len(bps):
-            raise ValueError("one value per breakpoint required")
-        if vals[0] != 0 or vals[-1] != 0:
-            raise ValueError("boundary values must be zero")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]):
+        self.__post_init__(breakpoints, values)
+
+    def __post_init__(self, breakpoints=(), values=(), grid=None):
+        # every construction runs here: from breakpoints and values, or a grid to check
+        if grid is None:
+            grid = _linear_grid(breakpoints, values)
+        else:
+            grid = _checked_linear_grid(*grid)
+        object.__setattr__(self, "_grid", grid)
+
+    @property
+    def breakpoints(self) -> tuple:
+        """The breakpoints n_i/D as reduced rationals."""
+        return _linear_views(self._grid)[0]
+
+    @property
+    def values(self) -> tuple:
+        """The nodal values, summed from the slopes."""
+        return _linear_views(self._grid)[1]
 
     def __call__(self, t: RationalLike) -> Fraction:
         t = as_fraction(t)
         if not 0 <= t <= 1:
             raise ValueError("evaluation point outside [0,1]")
-        i = bisect_right(self.breakpoints, t) - 1
-        if i == len(self.breakpoints) - 1:
-            return self.values[-1]
-        a, b = self.breakpoints[i], self.breakpoints[i + 1]
-        ya, yb = self.values[i], self.values[i + 1]
-        return ya + (yb - ya) * (t - a) / (b - a)
+        d, n, p, q = self._grid
+        a, b = t.numerator, t.denominator
+        i = min(bisect_right(n, a * d // b), len(p)) - 1  # the cell [t_i, t_{i+1}] holding t
+        # D u(t): slope times width over the cells left of t, then the part of cell i
+        y = Fraction(p[i] * (a * d - n[i] * b), q[i] * b)
+        for pj, qj, x0, x1 in zip(p[:i], q, n, n[1:]):
+            y += Fraction(pj * (x1 - x0), qj)
+        return y / d
+
+    def __repr__(self):
+        return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,32 +272,58 @@ class PiecewiseLinearFn:
 
     @classmethod
     def zero(cls) -> "PiecewiseLinearFn":
-        return cls((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+        return cls._from_grid(1, (0, 1), (0,), (1,))
 
 
-@dataclass(frozen=True)
-class PiecewiseConstFn:
-    """Piecewise-constant function on [0,1]: one value per open interval."""
+@dataclass(frozen=True, init=False, repr=False)
+class PiecewiseConstFn(_GridFn):
+    """Piecewise-constant function on [0,1]: one value per open interval.
 
-    breakpoints: tuple
-    interval_values: tuple
+    The one stored form is the integer grid ``_grid = (D, n, E, p)``:
+    breakpoints n_i/D and values p_i/E, each over the lcm of its
+    denominators; ``breakpoints`` and ``interval_values`` are Fraction
+    views of the grid.
+    """
 
-    def __post_init__(self):
-        bps = tuple([as_fraction(t) for t in self.breakpoints])
-        vals = tuple([as_fraction(v) for v in self.interval_values])
-        _check_breakpoints(bps)
-        if len(vals) != len(bps) - 1:
-            raise ValueError("one value per interval required")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "interval_values", vals)
+    _grid: tuple
+
+    def __init__(
+        self, breakpoints: Iterable[RationalLike], interval_values: Iterable[RationalLike]
+    ):
+        self.__post_init__(breakpoints, interval_values)
+
+    def __post_init__(self, breakpoints=(), interval_values=(), grid=None):
+        # every construction runs here: from breakpoints and values, or a grid to check
+        if grid is None:
+            grid = _const_grid(breakpoints, interval_values)
+        else:
+            grid = _checked_const_grid(*grid)
+        object.__setattr__(self, "_grid", grid)
+
+    @property
+    def breakpoints(self) -> tuple:
+        """The breakpoints n_i/D as reduced rationals, built on each read."""
+        d, n = self._grid[:2]
+        return tuple([Fraction(x, d) for x in n])
+
+    @property
+    def interval_values(self) -> tuple:
+        """The values p_i/E as reduced rationals, built on each read."""
+        e, p = self._grid[2:]
+        return tuple([Fraction(x, e) for x in p])
 
     def value_at(self, t: RationalLike) -> Fraction:
         """Value on the interval containing t (left-closed convention)."""
         t = as_fraction(t)
         if not 0 <= t <= 1:
             raise ValueError("evaluation point outside [0,1]")
-        i = min(bisect_right(self.breakpoints, t) - 1, len(self.interval_values) - 1)
-        return self.interval_values[i]
+        d, n, e, p = self._grid
+        i = min(bisect_right(n, t.numerator * d // t.denominator), len(p)) - 1
+        return Fraction(p[i], e)
+
+    def __repr__(self):
+        return (f"PiecewiseConstFn(breakpoints={self.breakpoints!r}, "
+                f"interval_values={self.interval_values!r})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,19 +340,18 @@ class PiecewiseConstFn:
 
     @cached_property
     def _integer_view(self) -> SimpleNamespace:
-        """Integer form of this frozen function, built on first use.
+        """Sums over the grid of this frozen function, built on first use.
 
-        ``pow_norm`` and ``test_integral`` both read it, so every integral of
-        one piecewise-constant function is an integer sum over one grid.
-        Breakpoints are t_i = n_i/D and values c_i = p_i/E, with D and E the
-        lcm of their denominators, and p_m = 0 past the last interval.
-        ``primitive[i]`` is D*E times the integral of f over [0, t_i].
-        ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0), and ``sums[j]`` is
-        S_j = sum of n_i**j * J_i, grown on demand from ``powers`` = n_i**j.
+        ``pow_norm`` reads the grid and ``test_integral`` this view, so every
+        integral of one piecewise-constant function is an integer sum over
+        one grid.  With the grid's t_i = n_i/D and c_i = p_i/E, and p_m = 0
+        past the last interval, ``primitive[i]`` is D*E times the integral
+        of f over [0, t_i].  ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0),
+        and ``sums[j]`` is S_j = sum of n_i**j * J_i, grown on demand from
+        ``powers`` = n_i**j.
         """
-        d, n = _over_lcm(self.breakpoints)
-        e, p = _over_lcm(self.interval_values)
-        p.append(0)
+        d, n, e, p = self._grid
+        p = [*p, 0]
         return SimpleNamespace(
             d=d, e=e, n=n, p=p,
             primitive=[0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))],
@@ -201,47 +360,19 @@ class PiecewiseConstFn:
         )
 
 
-def _over_lcm(xs: Sequence[Fraction]) -> tuple:
-    """(L, [x*L for x in xs]): rationals as integers over the lcm L of their denominators."""
-    den = lcm(*[x.denominator for x in xs])
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
-def _grid(u: PiecewiseLinearFn) -> tuple:
-    """Integer grid (D, n, P, Q) of u, built on each call and never stored.
-
-    Breakpoints are t_i = n_i/D with D the lcm of their denominators.  The
-    slope on cell i is P_i/Q_i with Q_i > 0, reduced by one gcd from its
-    two values y = a/b and two breakpoints t = c/e over the cell's own
-    denominators: (y1 - y0)/(t1 - t0) = (a1 b0 - a0 b1) e0 e1 / ((c1 e0 -
-    c0 e1) b0 b1).  Those integers stay as small as the data; over the lcm
-    of all value denominators they would grow with the number of cells.
-    """
-    c, e = [t.numerator for t in u.breakpoints], [t.denominator for t in u.breakpoints]
-    a, b = [y.numerator for y in u.values], [y.denominator for y in u.values]
-    d = lcm(*e)
-    p, q = [], []
-    for a0, a1, b0, b1, c0, c1, e0, e1 in zip(a, a[1:], b, b[1:], c, c[1:], e, e[1:]):
-        num = (a1 * b0 - a0 * b1) * e0 * e1
-        den = (c1 * e0 - c0 * e1) * b0 * b1
-        g = gcd(num, den)
-        p.append(num // g)
-        q.append(den // g)
-    return d, [ci * (d // ei) for ci, ei in zip(c, e)], p, q
-
-
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
-    """Weak derivative of a piecewise-linear function: exact slopes."""
-    _, _, p, q = _grid(u)
-    return PiecewiseConstFn(u.breakpoints, [Fraction(a, b) for a, b in zip(p, q)])
+    """Weak derivative of a piecewise-linear function: its slopes over E = lcm(Q), on its grid."""
+    d, n, p, q = u._grid
+    e = lcm(*q)
+    return PiecewiseConstFn._from_grid(d, n, e, [pi * (e // qi) for pi, qi in zip(p, q)])
 
 
-def _merge(bf: tuple, df: int, nf: list, bg: tuple, dg: int, ng: list):
-    """Walk the union of two integer grids, n/d for breakpoints b, once.
+def _merge(df: int, nf: Sequence[int], dg: int, ng: Sequence[int]):
+    """Walk the union of two integer grids, breakpoints n/d, once.
 
-    Yields (i, j, width, t) per union cell: the cell lies in cell i of the
-    first grid and cell j of the second, width is its length times
-    lcm(df, dg), and t is its right end, taken from bf or bg.
+    Yields (i, j, width, x) per union cell: the cell lies in cell i of the
+    first grid and cell j of the second, and x and width are its right end
+    and its length, both times lcm(df, dg).
     """
     den = lcm(df, dg)
     if den != df:
@@ -253,13 +384,13 @@ def _merge(bf: tuple, df: int, nf: list, bg: tuple, dg: int, ng: list):
     while i < last:  # both grids end at 1, so the merge ends in both at once
         x, y = nf[i + 1], ng[j + 1]
         if x < y:
-            yield i, j, x - a, bf[i + 1]
+            yield i, j, x - a, x
             a, i = x, i + 1
         elif y < x:
-            yield i, j, y - a, bg[j + 1]
+            yield i, j, y - a, y
             a, j = y, j + 1
         else:
-            yield i, j, x - a, bf[i + 1]
+            yield i, j, x - a, x
             a, i, j = x, i + 1, j + 1
 
 
@@ -267,13 +398,15 @@ def common_refinement(
     f: PiecewiseConstFn, g: PiecewiseConstFn
 ) -> tuple:
     """Re-express both functions on the union breakpoint grid."""
-    bf, bg = f.breakpoints, g.breakpoints
-    bps, fv, gv = [Fraction(0)], [], []
-    for i, j, _, t in _merge(bf, *_over_lcm(bf), bg, *_over_lcm(bg)):
-        bps.append(t)
-        fv.append(f.interval_values[i])
-        gv.append(g.interval_values[j])
-    return PiecewiseConstFn(bps, fv), PiecewiseConstFn(bps, gv)
+    df, nf, ef, pf = f._grid
+    dg, ng, eg, pg = g._grid
+    n, fv, gv = [0], [], []
+    for i, j, _, x in _merge(df, nf, dg, ng):
+        n.append(x)
+        fv.append(pf[i])
+        gv.append(pg[j])
+    d = lcm(df, dg)  # each value of f and g survives, so E stays the lcm of theirs
+    return PiecewiseConstFn._from_grid(d, n, ef, fv), PiecewiseConstFn._from_grid(d, n, eg, gv)
 
 
 def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
@@ -284,9 +417,9 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    v = f._integer_view  # |c_i|^p (t_{i+1} - t_i) = |p_i|^p (n_{i+1} - n_i) / (E^p D)
-    num = sum(abs(q) ** p * (b - a) for q, a, b in zip(v.p, v.n, v.n[1:]))
-    return ExactReal(Fraction(num, v.e**p * v.d))
+    d, n, e, v = f._grid  # |c_i|^p (t_{i+1} - t_i) = |v_i|^p (n_{i+1} - n_i) / (E^p D)
+    num = sum(abs(c) ** p * (b - a) for c, a, b in zip(v, n, n[1:]))
+    return ExactReal(Fraction(num, e**p * d))
 
 
 def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> ExactReal:
@@ -294,14 +427,14 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> ExactReal:
 
     ``term`` must be a polynomial in (c, d) homogeneous of degree 3, so that
     term(P/Q, R/S) = term(P*S, R*Q) / (Q*S)**3 for the integer slopes of
-    ``_grid``.  Each union cell adds the integer term(P*S, R*Q) times its
+    the grids.  Each union cell adds the integer term(P*S, R*Q) times its
     width to the sum kept for its key Q*S; one rational is built per key,
     and the total is divided by the common grid denominator once.
     """
-    du, nu, p, q = _grid(u)
-    dw, nw, r, s = _grid(w)
+    du, nu, p, q = u._grid
+    dw, nw, r, s = w._grid
     sums: dict = {}
-    for i, j, width, _ in _merge(u.breakpoints, du, nu, w.breakpoints, dw, nw):
+    for i, j, width, _ in _merge(du, nu, dw, nw):
         key = q[i] * s[j]
         sums[key] = sums.get(key, 0) + term(p[i] * s[j], r[j] * q[i]) * width
     total = sum(Fraction(num, key**3) for key, num in sums.items())
@@ -325,21 +458,24 @@ def lin_comb(
 ) -> PiecewiseLinearFn:
     """Pointwise a*u + b*w on the union breakpoint grid (a, b exact).
 
-    From v(0) = 0, each cell (t, t') with slopes c, d adds (a*c + b*d)(t' - t).
+    On a union cell where u and w have slopes P/Q and R/S, a*u + b*w has
+    the slope a P/Q + b R/S, reduced by one gcd.
     """
     if any(isinstance(x, ExactReal) and not x.exact for x in (a, b)):
         raise ValueError("coefficients must be exact")
     a, b = (as_fraction(x.value if isinstance(x, ExactReal) else x) for x in (a, b))
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    du, nu, p, q = _grid(u)
-    dw, nw, r, s = _grid(w)
-    scale = ad * bd * lcm(du, dw)
-    bps, vals = [Fraction(0)], [Fraction(0)]
-    for i, j, width, t in _merge(u.breakpoints, du, nu, w.breakpoints, dw, nw):
-        bps.append(t)  # (a P/Q + b R/S) width over one denominator
-        step = (an * bd * p[i] * s[j] + bn * ad * r[j] * q[i]) * width
-        vals.append(vals[-1] + Fraction(step, scale * q[i] * s[j]))
-    return PiecewiseLinearFn(tuple(bps), tuple(vals))
+    du, nu, p, q = u._grid
+    dw, nw, r, s = w._grid
+    n, slope_num, slope_den = [0], [], []
+    for i, j, _, x in _merge(du, nu, dw, nw):
+        num = an * bd * p[i] * s[j] + bn * ad * r[j] * q[i]
+        den = ad * bd * q[i] * s[j]
+        g = gcd(num, den)
+        n.append(x)
+        slope_num.append(num // g)
+        slope_den.append(den // g)
+    return PiecewiseLinearFn._from_grid(lcm(du, dw), n, slope_num, slope_den)
 
 
 @dataclass(frozen=True)

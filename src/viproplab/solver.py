@@ -25,6 +25,9 @@ DEFAULT_STEP = 0.1
 BACKTRACK_FACTOR = 0.5
 STEP_GROWTH = 1.2  # recover after backtracking, up to 10x the initial step
 MIN_STEP = 1e-16
+# largest n a problem file may ask for: 16 times the largest size measured
+# (4096); a larger n would allocate its default box and forcing before failing
+MAX_N = 65_536
 
 # every key a problem file may hold; any other is a ValueError
 PROBLEM_KEYS = frozenset({"n", "forcing", "set", "eps", "max_iter"})
@@ -285,9 +288,10 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     Schema: {"n": int, "forcing": [...], "set": {"kind": "box"|"ball", ...},
     "eps": float, "max_iter": int}; numbers may be given as "p/q" strings.
     A box set has "lower" and "upper", a ball set "center" and "radius".
-    n and max_iter are positive integers, eps >= 0, vectors are lists of
-    length n and every number is finite (a boolean is not a number);
-    anything else, an unknown key included, raises ValueError.
+    n is a positive integer up to MAX_N, max_iter a positive integer,
+    eps >= 0, vectors are lists of length n and every number is finite (a
+    boolean is not a number); anything else, an unknown key included,
+    raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -298,6 +302,8 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
         raise ValueError("problem must be an object")
     _known_keys(doc, PROBLEM_KEYS, "problem")
     n = _count(doc["n"], "n")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {doc['n']!r}")
     forcing = doc.get("forcing")
     if forcing is not None:
         forcing = _numbers(forcing, "forcing")

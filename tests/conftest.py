@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from bisect import bisect_right
@@ -46,15 +47,61 @@ def reference_refinement(f, g):
     merged = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
 
     def resample(h):
+        bps, hv = h.breakpoints, h.interval_values
         vals = []
         j = 0
         for a in merged[:-1]:
-            while j + 1 < len(h.breakpoints) - 1 and h.breakpoints[j + 1] <= a:
+            while j + 1 < len(bps) - 1 and bps[j + 1] <= a:
                 j += 1
-            vals.append(h.interval_values[j])
+            vals.append(hv[j])
         return PiecewiseConstFn(merged, tuple(vals))
 
     return resample(f), resample(g)
+
+
+def reference_check_breakpoints(bps):
+    """Test-only reference for the breakpoint checks, in Fraction comparisons."""
+    if len(bps) < 2:
+        raise ValueError("need at least the two endpoint breakpoints")
+    if bps[0] != 0 or bps[-1] != 1:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    for a, b in zip(bps, bps[1:]):
+        if not a < b:
+            raise ValueError("breakpoints must be strictly increasing")
+
+
+def reference_grid(bps, vals):
+    """Test-only reference for the integer grid (D, n, P, Q) of breakpoints and values.
+
+    D is the lcm of the breakpoint denominators, and each slope is reduced by
+    one gcd from the cell's own numerators and denominators.
+    """
+    c, e = [t.numerator for t in bps], [t.denominator for t in bps]
+    a, b = [y.numerator for y in vals], [y.denominator for y in vals]
+    d = math.lcm(*e)
+    p, q = [], []
+    for a0, a1, b0, b1, c0, c1, e0, e1 in zip(a, a[1:], b, b[1:], c, c[1:], e, e[1:]):
+        num = (a1 * b0 - a0 * b1) * e0 * e1
+        den = (c1 * e0 - c0 * e1) * b0 * b1
+        g = math.gcd(num, den)
+        p.append(num // g)
+        q.append(den // g)
+    return d, tuple(ci * (d // ei) for ci, ei in zip(c, e)), tuple(p), tuple(q)
+
+
+def reference_sawtooth(k):
+    """Test-only reference for sawtooth(k): its breakpoints and nodal values, tooth by tooth."""
+    bps = []
+    vals = []
+    zero, peak = Fraction(0), Fraction(1, k)
+    for i in range(k):
+        bps.append(Fraction(i, 2 * k))
+        vals.append(zero)
+        bps.append(Fraction(3 * i + 1, 6 * k))
+        vals.append(peak)
+    bps += [Fraction(1, 2), Fraction(1)]
+    vals += [zero, zero]
+    return tuple(bps), tuple(vals)
 
 
 def reference_slopes(u):
@@ -71,25 +118,38 @@ def reference_derivative(u):
 def reference_sum(u, w, term):
     """Sum term(u', w') * width over the reference refinement, one interval at a time."""
     du, dw = reference_refinement(reference_derivative(u), reference_derivative(w))
+    t = du.breakpoints
     total = Fraction(0)
     for i, (c, d) in enumerate(zip(du.interval_values, dw.interval_values)):
-        total += term(c, d) * (du.breakpoints[i + 1] - du.breakpoints[i])
+        total += term(c, d) * (t[i + 1] - t[i])
     return total
 
 
 def reference_pow_norm(f, p):
     """Test-only reference for pow_norm: one Fraction term per interval."""
+    t = f.breakpoints
     total = Fraction(0)
     for i, c in enumerate(f.interval_values):
-        total += abs(c) ** p * (f.breakpoints[i + 1] - f.breakpoints[i])
+        total += abs(c) ** p * (t[i + 1] - t[i])
     return ExactReal(total)
+
+
+def reference_evaluate(bps, vals, t):
+    """Test-only reference for u(t): interpolate between the nodal values around t."""
+    i = bisect_right(bps, t) - 1
+    if i == len(bps) - 1:
+        return vals[-1]
+    a, b = bps[i], bps[i + 1]
+    return vals[i] + (vals[i + 1] - vals[i]) * (t - a) / (b - a)
 
 
 def reference_lin_comb(a, u, b, w):
     """Test-only reference for lin_comb: sorted-set grid, then a*u(t) + b*w(t) at every point."""
     a, b = (x.value if isinstance(x, ExactReal) else Fraction(x) for x in (a, b))
-    merged = tuple(sorted(set(u.breakpoints) | set(w.breakpoints)))
-    return PiecewiseLinearFn(merged, tuple(a * u(t) + b * w(t) for t in merged))
+    (ub, uv), (wb, wv) = (u.breakpoints, u.values), (w.breakpoints, w.values)
+    merged = tuple(sorted(set(ub) | set(wb)))
+    return PiecewiseLinearFn(merged, tuple(
+        a * reference_evaluate(ub, uv, t) + b * reference_evaluate(wb, wv, t) for t in merged))
 
 
 def reference_abs_pow_integral(u, p):
@@ -103,10 +163,11 @@ def reference_abs_pow_integral(u, p):
             return z0**p * length
         return length * (z1 ** (p + 1) - z0 ** (p + 1)) / ((p + 1) * (z1 - z0))
 
+    t, y = u.breakpoints, u.values
     total = Fraction(0)
-    for i in range(len(u.breakpoints) - 1):
-        a, b = u.breakpoints[i], u.breakpoints[i + 1]
-        y0, y1 = u.values[i], u.values[i + 1]
+    for i in range(len(t) - 1):
+        a, b = t[i], t[i + 1]
+        y0, y1 = y[i], y[i + 1]
         if y0 * y1 < 0:
             r = a + (b - a) * y0 / (y0 - y1)
             total += seg(abs(y0), Fraction(0), r - a)
@@ -118,15 +179,16 @@ def reference_abs_pow_integral(u, p):
 
 def reference_test_integral(f, phi):
     """Test-only reference for test_integral: walk the intervals, Horner per breakpoint."""
+    t, c = f.breakpoints, f.interval_values
     if phi.kind == "indicator":
         lo, hi = phi.support
         total = Fraction(0)
-        i = max(bisect_right(f.breakpoints, lo) - 1, 0)
-        while i < len(f.interval_values) and f.breakpoints[i] < hi:
-            a = max(f.breakpoints[i], lo)
-            b = min(f.breakpoints[i + 1], hi)
+        i = max(bisect_right(t, lo) - 1, 0)
+        while i < len(c) and t[i] < hi:
+            a = max(t[i], lo)
+            b = min(t[i + 1], hi)
             if b > a:
-                total += f.interval_values[i] * (b - a)
+                total += c[i] * (b - a)
             i += 1
         return ExactReal(total)
 
@@ -140,11 +202,11 @@ def reference_test_integral(f, phi):
         return acc * t
 
     total = Fraction(0)
-    right = big_phi(f.breakpoints[0])
-    for i, c in enumerate(f.interval_values):
+    right = big_phi(t[0])
+    for i, ci in enumerate(c):
         left = right
-        right = big_phi(f.breakpoints[i + 1])
-        total += c * (right - left)
+        right = big_phi(t[i + 1])
+        total += ci * (right - left)
     return ExactReal(total)
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,22 @@ def test_malformed_arguments_exit_parse(argv, capsys):
     assert len(captured.err.splitlines()) == 1 and "error: " in captured.err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python reads integers of any length",
+)
+@pytest.mark.parametrize("command", ["reproduce", "certify"])
+def test_alpha_over_digit_limit_gives_that_reason(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alpha", "1" * 4400])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "error: " in captured.err
+    assert "digits" in captured.err and "not a rational" not in captured.err
+    assert "(4400 characters)" in captured.err and len(captured.err) < 200
+
+
 # {missing} is a path under a directory that does not exist, {dir} a directory
 UNWRITABLE_OUT = [
     ["reproduce", "--kmax", "2", "--out", "{missing}/x.json"],
@@ -336,13 +353,15 @@ class TestSolve:
             '{"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": [1, 1], "radius": 1}}',
             '{"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": 1, "lower": [0, 0]}}',
             "[" * 200000 + "]" * 200000,
+            '{"n": 1e300}',
+            '{"n": 1000000000000}',
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
             "fractional-max-iter", "negative-max-iter", "negative-eps", "zero-denominator-eps",
             "zero-denominator-forcing", "zero-denominator-n", "boolean-eps", "string-forcing",
             "string-lower", "object-upper", "boolean-radius", "unknown-key", "radius-in-box",
-            "lower-in-ball", "deeply-nested",
+            "lower-in-ball", "deeply-nested", "huge-float-n", "huge-int-n",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):

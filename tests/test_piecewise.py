@@ -1,7 +1,12 @@
+import copy
 import json
 import math
+import pickle
 import random
+from bisect import bisect_right
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,14 +31,17 @@ from viproplab import (
     scaled_hat,
     test_integral as integral_against,
 )
-from viproplab.piecewise import _grid
 
 from conftest import (
     random_pw_linear,
     reference_abs_pow_integral,
+    reference_check_breakpoints,
+    reference_evaluate,
+    reference_grid,
     reference_lin_comb,
     reference_pow_norm,
     reference_refinement,
+    reference_sawtooth,
     reference_slopes,
     reference_sum,
     reference_test_integral,
@@ -414,12 +422,13 @@ eighths_st = st.integers(-64, 64).map(lambda j: F(j, 8))
 
 
 @st.composite
-def pw_linear_wide_st(draw):
-    """1..64 intervals on a grid with denominators up to 1000, whose slopes
-    have about one denominator per cell, or on a uniform dyadic grid with
-    values in eighths, whose slopes share a few; each nodal value repeats
-    its left neighbour, negates it, is zero or is free, so cells with equal
-    ends, zeros at breakpoints and sign changes inside a cell all occur."""
+def linear_input_st(draw):
+    """Breakpoints and nodal values of a function with 1..64 intervals, on a grid
+    with denominators up to 1000, whose slopes have about one denominator per
+    cell, or on a uniform dyadic grid with values in eighths, whose slopes
+    share a few; each nodal value repeats its left neighbour, negates it, is
+    zero or is free, so cells with equal ends, zeros at breakpoints and sign
+    changes inside a cell all occur."""
     if draw(st.booleans()):
         interior = sorted(draw(st.sets(unit_points_st.filter(lambda t: 0 < t < 1), max_size=63)))
         free = wide_fractions_st
@@ -438,7 +447,11 @@ def pw_linear_wide_st(draw):
             vals.append(F(0))
         else:
             vals.append(draw(free))
-    return PiecewiseLinearFn((F(0), *interior, F(1)), (*vals, F(0)))
+    return (F(0), *interior, F(1)), (*vals, F(0))
+
+
+def pw_linear_wide_st():
+    return linear_input_st().map(lambda bv: PiecewiseLinearFn(*bv))
 
 
 class TestIntegerGrid:
@@ -451,11 +464,121 @@ class TestIntegerGrid:
             slopes = reference_slopes(f)
             assert derivative(f) == PiecewiseConstFn(f.breakpoints, slopes)
             # each slope a reduced pair with a positive denominator
-            _, _, p, q = _grid(f)
+            _, _, p, q = f._grid
             assert list(zip(p, q)) == [(c.numerator, c.denominator) for c in slopes]
         check_union_grid(u, w)
         for u, w in ((u, w), (w, u)):
             assert lin_comb(a, u, b, w) == reference_lin_comb(a, u, b, w)
+
+
+def reference_nodes(d, n, p, q):
+    """Breakpoints n_i/D and nodal values (slope times width, summed) of any linear grid."""
+    bps = tuple(F(x, d) for x in n)
+    vals = [F(0)]
+    for pi, qi, t0, t1 in zip(p, q, bps, bps[1:]):
+        vals.append(vals[-1] + F(pi, qi) * (t1 - t0))
+    return bps, tuple(vals)
+
+
+def raised(build):
+    """The message of the ValueError build() raises (it must raise one)."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+class TestGridForm:
+    """The stored integer grid against the Fraction bodies it replaced (conftest)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(linear_input_st(), st.data())
+    def test_fraction_input_matches_reference(self, bv, data):
+        bps, vals = bv
+        grid = reference_grid(bps, vals)
+        u = PiecewiseLinearFn(bps, vals)
+        v = PiecewiseLinearFn._from_grid(*grid)
+        assert u._grid == grid
+        assert u.breakpoints == v.breakpoints == bps and u.values == v.values == vals
+        assert u == v and hash(u) == hash(v)
+        # the same function from other exact inputs is the same grid
+        w = PiecewiseLinearFn([str(t) for t in bps], [str(y) for y in vals])
+        assert w == u and hash(w) == hash(u)
+        assert u.to_json_dict() == {
+            "breakpoints": [[str(t.numerator), str(t.denominator)] for t in bps],
+            "values": [[str(y.numerator), str(y.denominator)] for y in vals],
+        }
+        slopes = tuple(reference_slopes(SimpleNamespace(breakpoints=bps, values=vals)))
+        du = derivative(u)
+        assert du.breakpoints == bps and du.interval_values == slopes
+        g = PiecewiseConstFn(bps, slopes)
+        assert du == g and hash(du) == hash(g)
+        assert du.to_json_dict() == {
+            "breakpoints": [[str(t.numerator), str(t.denominator)] for t in bps],
+            "values": [[str(c.numerator), str(c.denominator)] for c in slopes],
+        }
+        for t in data.draw(st.lists(unit_points_st, min_size=1, max_size=8)) + [F(0), F(1)]:
+            assert u(t) == reference_evaluate(bps, vals, t)
+            i = min(bisect_right(bps, t) - 1, len(slopes) - 1)
+            assert du.value_at(t) == slopes[i]
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_sawtooth_matches_reference(self, k):
+        bps, vals = reference_sawtooth(k)
+        u = sawtooth(k)
+        assert u == PiecewiseLinearFn(bps, vals) and u._grid == reference_grid(bps, vals)
+        assert u.breakpoints == bps and u.values == vals
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        linear_input_st(), st.sampled_from(["unsorted", "start", "end", "value-at-1"]), st.data()
+    )
+    def test_invalid_grid_same_error(self, bv, kind, data):
+        d, n, p, q = (list(x) if isinstance(x, tuple) else x for x in reference_grid(*bv))
+        if kind == "unsorted":
+            i = data.draw(st.integers(1, len(n) - 2)) if len(n) > 2 else 0
+            n[i], n[i + 1] = n[i + 1], n[i]
+        elif kind == "start":
+            n[0] = -data.draw(st.integers(1, d))
+        elif kind == "end":
+            n[-1] += data.draw(st.integers(1, d))
+        else:  # a steeper last cell leaves a nonzero value at 1
+            p[-1] += q[-1]
+        bps, vals = reference_nodes(d, n, p, q)
+        message = raised(lambda: PiecewiseLinearFn._from_grid(d, n, p, q))
+        assert raised(lambda: PiecewiseLinearFn(bps, vals)) == message
+        if kind == "value-at-1":
+            assert message == "boundary values must be zero"
+        else:
+            assert raised(lambda: reference_check_breakpoints(bps)) == message
+
+    @settings(max_examples=50, deadline=None)
+    @given(linear_input_st(), st.integers(2, 9), st.data())
+    def test_unreduced_slope_rejected(self, bv, factor, data):
+        d, n, p, q = (list(x) if isinstance(x, tuple) else x for x in reference_grid(*bv))
+        i = data.draw(st.integers(0, len(p) - 1))
+        p[i], q[i] = p[i] * factor, q[i] * factor
+        assert "reduced" in raised(lambda: PiecewiseLinearFn._from_grid(d, n, p, q))
+        # from breakpoints and values the same function reduces to the canonical grid
+        assert PiecewiseLinearFn(*reference_nodes(d, n, p, q)) == PiecewiseLinearFn(*bv)
+
+    def test_const_grid_checks(self):
+        f = PiecewiseConstFn((F(0), F(1, 3), F(1)), (F(1, 2), F(-3, 4)))
+        assert f._grid == (3, (0, 1, 3), 4, (2, -3))
+        assert PiecewiseConstFn._from_grid(*f._grid) == f
+        for grid, words in [
+            ((3, (0, 1, 3), 8, (4, -6)), "lcm"),  # values over twice their lcm
+            ((6, (0, 2, 6), 4, (2, -3)), "lcm"),  # breakpoints over twice their lcm
+            ((3, (0, 2, 1, 3), 4, (2, -3, 1)), "increasing"),
+            ((3, (0, 1, 3), 4, (2,)), "one value per interval"),
+        ]:
+            assert words in raised(lambda: PiecewiseConstFn._from_grid(*grid))
+
+    def test_immutable_and_copyable(self):
+        u = sawtooth(3)
+        with pytest.raises(FrozenInstanceError):
+            u._grid = PiecewiseLinearFn.zero()._grid
+        for f in (u, derivative(u)):
+            assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
 
 
 class TestAbsPowIntegral:

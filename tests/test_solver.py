@@ -16,6 +16,7 @@ from viproplab import (
     load_problem,
     residual,
 )
+from viproplab.solver import MAX_N
 
 from conftest import (
     reference_ball_project,
@@ -386,6 +387,13 @@ class TestProblemIO:
         vi = load_problem({"n": 2.0, "max_iter": "12", "eps": 0})
         assert (vi.n, vi.max_iter, vi.eps) == (2, 12, 0.0)
         assert type(vi.n) is int and type(vi.max_iter) is int
+
+    def test_size_cap(self):
+        for n in (4096, MAX_N):
+            assert load_problem({"n": n}).n == n
+        for n in (MAX_N + 1, 1e300, 10**12):
+            with pytest.raises(ValueError, match="at most"):
+                load_problem({"n": n})
 
     def test_literal_1e400_rejected(self, tmp_path):
         path = tmp_path / "problem.json"
