@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -279,8 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process; argparse finds sys.stdout/sys.stderr when it writes
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "reproduce":
         return cmd_reproduce(args.kmax, args.alpha, args.out, args.format)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import lt, mul, sub
 from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
@@ -53,6 +53,8 @@ class ExactReal:
     def __init__(self, value):
         self.exact = not isinstance(value, float)
         self.value = as_fraction(value) if self.exact else float(value)
+        if not self.exact and not isfinite(self.value):  # NaN > 0 reads True here
+            raise ValueError(f"ExactReal needs a finite float, got {value!r}")
 
     def __float__(self) -> float:
         return float(self.value)

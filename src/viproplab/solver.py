@@ -9,15 +9,24 @@ constant.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
 from .piecewise import PiecewiseLinearFn, plap_pairing
+
+# numpy loads on its first attribute access, so exact commands never pay for it
+_spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
+if _spec is None:
+    import numpy as np  # the loaded module, or the usual ModuleNotFoundError
+else:
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 DEFAULT_EPS = 1e-8
 DEFAULT_MAX_ITER = 100_000

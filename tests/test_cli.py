@@ -1,18 +1,22 @@
 import csv
+import functools
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from viproplab import PiecewiseLinearFn, sawtooth
+from viproplab import PiecewiseLinearFn, cli, sawtooth
 from viproplab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
 from viproplab.certificates import Certificate
@@ -409,3 +413,103 @@ class TestSolve:
             )
         )
         assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
+
+
+# one call of each kind the parser handles: usage error, --out, stdout, the
+# error main() raises itself after parsing, and --help; {out} is a file path
+PARSER_SEQUENCE = [
+    ["reproduce", "--kmax", "0"],
+    ["reproduce", "--format", "csv", "--out", "{out}"],
+    ["reproduce"],
+    ["certify"],
+    ["weak-evidence", "--degree-max", "-1", "--indicator-level", "0"],
+    ["--help"],
+]
+
+
+def run_captured(argv, capsys):
+    """Exit code, stdout bytes and stderr bytes of one in-process main() call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode("utf-8"), captured.err.encode("utf-8")
+
+
+class TestCachedParser:
+    def test_same_bytes_as_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "rep.csv"
+
+        def run_sequence():
+            results = []
+            for argv in PARSER_SEQUENCE:
+                out.unlink(missing_ok=True)
+                result = run_captured([a.format(out=out) for a in argv], capsys)
+                results.append((*result, out.read_bytes() if out.exists() else None))
+            return results
+
+        cached = run_sequence()
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert run_sequence() == cached
+        codes = [EXIT_PARSE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK]
+        assert [r[0] for r in cached] == codes
+        assert len(cached[0][2].splitlines()) == 1 and len(cached[4][2].splitlines()) == 1
+        assert cached[1][3].startswith(b"k,grad_norm_cubed,gap\n")
+        assert cached[5][1].startswith(b"usage: viproplab")
+
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
+        for argv in (["reproduce", "--kmax", "2"], ["certify", "--kmax", "8"],
+                     ["weak-evidence", "--kmax", "2"], ["remark32", "--kmax", "2"],
+                     ["reproduce", "--kmax", "3", "--format", "csv"]):
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert len(built) == 1
+
+
+# run in a fresh interpreter: an exact command, then solve, reporting the
+# numpy submodules loaded in between and what solve printed
+NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[2] == "numpy-first":
+    import numpy
+from viproplab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    reproduce_code = cli.main(["reproduce", "--kmax", "8"])
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+solve_out = io.StringIO()
+with contextlib.redirect_stdout(solve_out):
+    solve_code = cli.main(["solve", sys.argv[1]])
+json.dump({"reproduce": reproduce_code, "loaded": loaded, "solve": solve_code,
+           "out": solve_out.getvalue()}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("order", ["viproplab-first", "numpy-first"])
+def test_exact_commands_do_not_load_numpy(order, tmp_path, capsys):
+    n = 16
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "n": n, "forcing": [1 + j % 5 for j in range(n)],
+        "set": {"kind": "box", "lower": [-1] * n, "upper": [1] * n},
+    }))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_SCRIPT, str(problem), order],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["reproduce"] == EXIT_OK
+    if order == "viproplab-first":
+        assert report["loaded"] == []
+    assert report["solve"] == EXIT_OK
+    assert main(["solve", str(problem)]) == EXIT_OK
+    assert report["out"] == capsys.readouterr().out

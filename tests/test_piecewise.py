@@ -80,6 +80,12 @@ class TestExactReal:
             with pytest.raises(TypeError):
                 ExactReal(bad)
 
+    # a NaN would read > 0 and >= 0 under total_ordering
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ExactReal(value)
+
 
 class TestInvariants:
     def test_breakpoints_must_cover_unit_interval(self):
