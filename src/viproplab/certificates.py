@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, ClassVar, List, Optional, Sequence, Union
 
 from .families import L2SeqVector, l2_pairing
 from .piecewise import (
@@ -281,7 +281,7 @@ class WeakConvergenceReport:
     k_max: int
     verdict: str
 
-    disclaimer: str = (
+    disclaimer: ClassVar[str] = (
         "evidence only: finitely many test integrals cannot prove weak convergence"
     )
 

@@ -113,10 +113,6 @@ def _emit(doc, out: Optional[str]) -> None:
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> int:
     """Tabulate the derivative cubed-norm and the equilibrium gap per index."""
     v = scaled_hat(alpha)
@@ -132,18 +128,18 @@ def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> i
             bad_k = k
     if fmt == "csv":
         lines = ["k,grad_norm_cubed,gap"]
-        lines += [f"{k},{_frac_str(n)},{_frac_str(g)}" for k, n, g in rows]
+        lines += [f"{k},{n},{g}" for k, n, g in rows]
         _write("\n".join(lines) + "\n", out)
     else:
         _emit(
             {
-                "alpha": _frac_str(alpha),
+                "alpha": str(alpha),
                 "expected": {
-                    "grad_norm_cubed": _frac_str(SAWTOOTH_ENERGY),
-                    "gap": _frac_str(expected_gap),
+                    "grad_norm_cubed": str(SAWTOOTH_ENERGY),
+                    "gap": str(expected_gap),
                 },
                 "rows": [
-                    {"k": k, "grad_norm_cubed": _frac_str(n), "gap": _frac_str(g)}
+                    {"k": k, "grad_norm_cubed": str(n), "gap": str(g)}
                     for k, n, g in rows
                 ],
                 "all_match": bad_k is None,
@@ -164,8 +160,8 @@ def cmd_certify(kmax: int, alpha: Fraction, out: Optional[str]) -> int:
     premise = certs.pseudomonotone_premise_audit(sawtooth, limit, k_max=kmax)
     _emit(
         {
-            "alpha": _frac_str(alpha),
-            "negativity_threshold": _frac_str(gap_negativity_threshold()),
+            "alpha": str(alpha),
+            "negativity_threshold": str(gap_negativity_threshold()),
             "ky_fan_violation": kyfan.to_json_dict(),
             "premise_audit": premise.to_json_dict(),
         },
@@ -200,16 +196,13 @@ def cmd_figure(k: int, out: str) -> int:
         writer = csv.writer(fh)
         writer.writerow(["t", "value"])
         for t, v in zip(u.breakpoints, u.values):
-            writer.writerow([_frac_str(t), _frac_str(v)])
+            writer.writerow([t, v])
     with _open_out(f"{out}_steps.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_left", "t_right", "t_mid", "value"])
         t = du.breakpoints
-        for i, c in enumerate(du.interval_values):
-            a, b = t[i], t[i + 1]
-            writer.writerow(
-                [_frac_str(a), _frac_str(b), _frac_str((a + b) / 2), _frac_str(c)]
-            )
+        for a, b, c in zip(t, t[1:], du.interval_values):
+            writer.writerow([a, b, (a + b) / 2, c])
     return EXIT_OK
 
 
@@ -220,9 +213,9 @@ def cmd_remark32(kmax: int) -> int:
     for k, v in zip(report.indices, report.values):
         if k > kmax:
             break
-        print(f"k={k}: <F(e_k), e_k - 0> = {_frac_str(v.value)}")
+        print(f"k={k}: <F(e_k), e_k - 0> = {v.value}")
     tail = cert.witness["tail_constant"]
-    print(f"detected limit: {_frac_str(tail.value)}")
+    print(f"detected limit: {tail.value}")
     print(
         "verdict: limit not zero"
         if cert.verdict == "established"

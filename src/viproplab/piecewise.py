@@ -113,15 +113,14 @@ def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalL
     # lists, not generators: built at their final size, and faster
     bps = [as_fraction(t) for t in breakpoints]
     vals = [as_fraction(v) for v in values]
-    c, e = [t.numerator for t in bps], [t.denominator for t in bps]
-    d = lcm(*e)
-    n = tuple([ci * (d // ei) for ci, ei in zip(c, e)])
+    d, n = _over_lcm(bps)
     _check_points(d, n)
     if len(vals) != len(n):
         raise ValueError("one value per breakpoint required")
     if vals[0] != 0 or vals[-1] != 0:
         raise ValueError("boundary values must be zero")
     a, b = [y.numerator for y in vals], [y.denominator for y in vals]
+    c, e = [t.numerator for t in bps], [t.denominator for t in bps]
     p, q = [], []
     for a0, a1, b0, b1, c0, c1, e0, e1 in zip(a, a[1:], b, b[1:], c, c[1:], e, e[1:]):
         num = (a1 * b0 - a0 * b1) * e0 * e1
@@ -150,11 +149,7 @@ def _const_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLi
     """Integer grid (D, n, E, p) of the step function with these breakpoints and values."""
     bps = [as_fraction(t) for t in breakpoints]
     vals = [as_fraction(v) for v in values]
-    d, n = _over_lcm(bps)
-    _check_points(d, n)
-    if len(vals) != len(n) - 1:
-        raise ValueError("one value per interval required")
-    return (d, n, *_over_lcm(vals))
+    return _checked_const_grid(*_over_lcm(bps), *_over_lcm(vals))
 
 
 def _checked_const_grid(d: int, n: Sequence[int], e: int, p: Sequence[int]) -> tuple:
@@ -189,10 +184,10 @@ def _linear_views(grid: tuple) -> tuple:
 
     Breakpoint t_i = c_i/e_i is n_i/D reduced by one gcd.  From y_i = a/b,
     y_{i+1} = a/b + (P_i/Q_i)(c_{i+1}/e_{i+1} - c_i/e_i) is reduced over the
-    cell's own denominators, which stay as small as the data.  Callers that
-    index a view inside a loop, such as a reference check that interpolates
-    u and w point by point, read it once per step; so the views of the last
-    few grids read are kept here, and nowhere else.
+    cell's own denominators, which stay as small as the data.  u(t) reads
+    them on every call, and callers that index a view inside a loop read
+    them once per step; so the views of the last few grids read are kept
+    here, and nowhere else.
     """
     d, n, p, q = grid
     gs = [gcd(x, d) for x in n]
@@ -248,13 +243,9 @@ class PiecewiseLinearFn(_GridFn):
         if not 0 <= t <= 1:
             raise ValueError("evaluation point outside [0,1]")
         d, n, p, q = self._grid
-        a, b = t.numerator, t.denominator
-        i = min(bisect_right(n, a * d // b), len(p)) - 1  # the cell [t_i, t_{i+1}] holding t
-        # D u(t): slope times width over the cells left of t, then the part of cell i
-        y = Fraction(p[i] * (a * d - n[i] * b), q[i] * b)
-        for pj, qj, x0, x1 in zip(p[:i], q, n, n[1:]):
-            y += Fraction(pj * (x1 - x0), qj)
-        return y / d
+        i = min(bisect_right(n, t.numerator * d // t.denominator), len(p)) - 1  # t's cell
+        bps, vals = _linear_views(self._grid)
+        return vals[i] + Fraction(p[i], q[i]) * (t - bps[i])
 
     def __repr__(self):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
@@ -463,9 +454,7 @@ def lin_comb(
     On a union cell where u and w have slopes P/Q and R/S, a*u + b*w has
     the slope a P/Q + b R/S, reduced by one gcd.
     """
-    if any(isinstance(x, ExactReal) and not x.exact for x in (a, b)):
-        raise ValueError("coefficients must be exact")
-    a, b = (as_fraction(x.value if isinstance(x, ExactReal) else x) for x in (a, b))
+    a, b = as_fraction(a), as_fraction(b)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     du, nu, p, q = u._grid
     dw, nw, r, s = w._grid
@@ -583,21 +572,19 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
 def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> ExactReal:
     """Integral of |u|^p for piecewise-linear u, exact.
 
-    On a cell of length L where |u| runs linearly from z0 to z1 the
-    integral is L (z1^(p+1) - z0^(p+1)) / ((p+1)(z1 - z0)), or L z0^p when
-    z0 = z1; where u changes sign inside the cell it is
-    L (z0^(p+1) + z1^(p+1)) / ((p+1)(z0 + z1)).
+    G(y) = |y|^p y is a primitive of (p+1)|y|^p, so on a cell with slope
+    P/Q != 0 the integral is (G(y1) - G(y0)) Q / ((p+1) P), whether or not
+    u changes sign there; on a flat cell of length L it is L |y0|^p.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    t, y = u.breakpoints, u.values
+    d, n, sp, sq = u._grid
+    y = u.values
+    g = [abs(v) ** p * v for v in y]
     total = Fraction(0)  # (p+1) times the integral
-    for a, b, y0, y1 in zip(t, t[1:], y, y[1:]):
-        z0, z1 = abs(y0), abs(y1)
-        if y0 * y1 < 0:
-            total += (b - a) * (z0 ** (p + 1) + z1 ** (p + 1)) / (z0 + z1)
-        elif z0 == z1:
-            total += (b - a) * (p + 1) * z0**p
+    for pi, qi, g0, g1, y0, a, b in zip(sp, sq, g, g[1:], y, n, n[1:]):
+        if pi:
+            total += (g1 - g0) * qi / pi
         else:
-            total += (b - a) * (z1 ** (p + 1) - z0 ** (p + 1)) / (z1 - z0)
+            total += (p + 1) * (b - a) * abs(y0) ** p / d
     return ExactReal(total / (p + 1))

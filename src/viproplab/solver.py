@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from .piecewise import PiecewiseLinearFn, plap_pairing
-
 # numpy loads on its first attribute access, so exact commands never pay for it
 _spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
 if _spec is None:
@@ -126,34 +124,6 @@ class GalerkinOperator:
         g = a[:-1] - a[1:]
         g -= self.forcing
         return g
-
-    def apply_exact(self, x: Sequence[Fraction]) -> List[Fraction]:
-        """Same operator over exact rationals, assembled from pairings.
-
-        Used to validate the fast evaluator: at rational points both
-        routes must agree exactly (forcing excluded here unless rational).
-        """
-        if len(x) != self.n:
-            raise ValueError("x must have length n")
-        u = self._nodal_function([Fraction(v) for v in x])
-        out = []
-        for j in range(1, self.n + 1):
-            phi = self._hat_basis(j)
-            out.append(plap_pairing(u, phi).value)
-        return out
-
-    def _grid(self) -> List[Fraction]:
-        return [Fraction(i, self.n + 1) for i in range(self.n + 2)]
-
-    def _nodal_function(self, x: List[Fraction]) -> PiecewiseLinearFn:
-        return PiecewiseLinearFn(
-            tuple(self._grid()), (Fraction(0), *x, Fraction(0))
-        )
-
-    def _hat_basis(self, j: int) -> PiecewiseLinearFn:
-        vals = [Fraction(0)] * (self.n + 2)
-        vals[j] = Fraction(1)
-        return PiecewiseLinearFn(tuple(self._grid()), tuple(vals))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from viproplab import (
     PiecewiseConstFn,
     PiecewiseLinearFn,
     SolveResult,
+    plap_pairing,
 )
 from viproplab.solver import BACKTRACK_FACTOR, DEFAULT_STEP, MIN_STEP, STEP_GROWTH
 
@@ -145,7 +146,7 @@ def reference_evaluate(bps, vals, t):
 
 def reference_lin_comb(a, u, b, w):
     """Test-only reference for lin_comb: sorted-set grid, then a*u(t) + b*w(t) at every point."""
-    a, b = (x.value if isinstance(x, ExactReal) else Fraction(x) for x in (a, b))
+    a, b = Fraction(a), Fraction(b)
     (ub, uv), (wb, wv) = (u.breakpoints, u.values), (w.breakpoints, w.values)
     merged = tuple(sorted(set(ub) | set(wb)))
     return PiecewiseLinearFn(merged, tuple(
@@ -216,6 +217,25 @@ def reference_operator(op, x):
     s = np.diff(padded) / op.h
     a = np.abs(s) * s
     return a[:-1] - a[1:] - op.forcing
+
+
+def reference_nodal_function(n, x):
+    """Test-only: the function with interior nodal values x on the uniform grid i/(n+1)."""
+    return PiecewiseLinearFn([Fraction(i, n + 1) for i in range(n + 2)], (0, *x, 0))
+
+
+def reference_apply_exact(op, x):
+    """Test-only reference for GalerkinOperator over exact rationals, forcing excluded.
+
+    G(x)_j is the pairing of u_x with the hat function at node j, assembled
+    with the exact pairing; at rational points it must match the fast
+    evaluator's closed formula.
+    """
+    if len(x) != op.n:
+        raise ValueError("x must have length n")
+    u = reference_nodal_function(op.n, [Fraction(v) for v in x])
+    hats = (reference_nodal_function(op.n, [int(i == j) for i in range(op.n)]) for j in range(op.n))
+    return [plap_pairing(u, phi).value for phi in hats]
 
 
 def reference_box_project(box, x):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,9 @@ class TestWeakConvergenceEvidence:
         report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(2)], 16)
         assert report.verdict == "consistent with weak null convergence"
         assert "evidence" in report.disclaimer
+        # one fixed text for every report, not a field a caller could set
+        assert "disclaimer" not in {f.name for f in fields(report)}
+        assert report.to_json_dict()["disclaimer"] == report.disclaimer
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,25 @@ class TestFigure:
             vals = tuple(F(r[1]) for r in rows)
             assert PiecewiseLinearFn(bps, vals) == sawtooth(k)
 
+    # SHA-256 of both files before the CLI printed rationals with str(Fraction)
+    @pytest.mark.parametrize(
+        "k, nodes_digest, steps_digest",
+        [
+            (1, "cae1d82b4295ec51a8295681be0182279b5c06361e7ec563fb7e08658f915232",
+             "688a55c251803c72674519fd72f0ecaca758221d04ba8f020d4671663c628108"),
+            (4, "dd32c0f6c664b5622d77bb62e5a8cc12078a3d63717befa22d244e71aa20b946",
+             "af06d39620a21424d8f33f496ebc07443703fe67d3da0498d85c7deb652c8ccf"),
+            (9, "711b486b2508e61273247d75c0858f0d5c043290f2614905c4640a83130ec196",
+             "dae2d1f04ef5b01290e68caf13dcc42588d3aa4179bf5d91860dc40cef3474f3"),
+        ],
+    )
+    def test_file_bytes_pinned(self, k, nodes_digest, steps_digest, tmp_path):
+        prefix = tmp_path / "fig"
+        assert main(["figure", "--k", str(k), "--out", str(prefix)]) == EXIT_OK
+        for suffix, digest in (("_nodes.csv", nodes_digest), ("_steps.csv", steps_digest)):
+            data = (tmp_path / f"fig{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
+
 
 class TestRemark32:
     def test_constant_ones_and_verdict(self, capsys):

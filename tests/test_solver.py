@@ -19,9 +19,11 @@ from viproplab import (
 from viproplab.solver import MAX_N
 
 from conftest import (
+    reference_apply_exact,
     reference_ball_project,
     reference_box_project,
     reference_extragradient_solve,
+    reference_nodal_function,
     reference_operator,
 )
 
@@ -75,7 +77,7 @@ class TestOperator:
         for n in (1, 3, 5):
             op = GalerkinOperator(n)
             x = [F(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(n)]
-            exact = op.apply_exact(x)
+            exact = reference_apply_exact(op, x)
             fast = op(np.array([float(v) for v in x]))
             for a, b in zip(exact, fast):
                 assert math.isclose(float(a), b, rel_tol=1e-12, abs_tol=1e-12)
@@ -89,7 +91,7 @@ class TestOperator:
         op = GalerkinOperator(n, forcing=f)
         x = [F(rng.randint(-8, 8), 4) for _ in range(n)]
         xf = np.array([float(v) for v in x])
-        u = op._nodal_function(list(x))
+        u = reference_nodal_function(n, x)
         lhs = float(np.dot(op(xf), xf))
         rhs = float(pow_norm(derivative(u), 3)) - float(np.dot(f, xf))
         assert lhs == pytest.approx(rhs, rel=1e-10)
