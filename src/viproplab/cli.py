@@ -38,6 +38,12 @@ EXIT_PARSE = 3
 EXIT_NO_CONVERGENCE = 4
 
 
+def _verdict_exit(*certificates: certs.Certificate) -> int:
+    """The exit code of the certificates: that of the worst verdict among them."""
+    codes = {"established": EXIT_OK, "refuted": EXIT_MISMATCH, "inconclusive": EXIT_INCONCLUSIVE}
+    return max(codes[c.verdict] for c in certificates)
+
+
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors print one line and exit with EXIT_PARSE."""
 
@@ -167,11 +173,7 @@ def cmd_certify(kmax: int, alpha: Fraction, out: Optional[str]) -> int:
         },
         out,
     )
-    if "inconclusive" in (kyfan.verdict, premise.verdict):
-        return EXIT_INCONCLUSIVE
-    if kyfan.verdict == "established" and premise.verdict == "established":
-        return EXIT_OK
-    return EXIT_MISMATCH
+    return _verdict_exit(kyfan, premise)
 
 
 def cmd_weak_evidence(
@@ -215,13 +217,11 @@ def cmd_remark32(kmax: int) -> int:
             break
         print(f"k={k}: <F(e_k), e_k - 0> = {v.value}")
     tail = cert.witness["tail_constant"]
-    print(f"detected limit: {tail.value}")
-    print(
-        "verdict: limit not zero"
-        if cert.verdict == "established"
-        else "verdict: limit zero"
-    )
-    return EXIT_OK
+    if tail is not None:
+        print(f"detected limit: {tail.value}")
+    verdict = {"established": "limit not zero", "refuted": "limit zero"}.get(cert.verdict)
+    print(f"verdict: {verdict or cert.verdict}")
+    return _verdict_exit(cert)
 
 
 def cmd_solve(problem_path: str, out: Optional[str]) -> int:

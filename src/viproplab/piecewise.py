@@ -78,9 +78,15 @@ def _frac_pair(q: Fraction) -> list:
     return [str(q.numerator), str(q.denominator)]
 
 
-def _pair_frac(pair) -> Fraction:
-    num, den = pair
-    return Fraction(int(num), int(den))
+def _pairs_json(breakpoints: Sequence[Fraction], values: Sequence[Fraction]) -> dict:
+    """The JSON layout of both grid classes; ``_json_pairs`` reads it back."""
+    return {"breakpoints": [*map(_frac_pair, breakpoints)], "values": [*map(_frac_pair, values)]}
+
+
+def _json_pairs(d: dict) -> tuple:
+    """(breakpoints, values) as Fraction tuples, from the layout of ``_pairs_json``."""
+    pairs = d["breakpoints"], d["values"]
+    return tuple(tuple(Fraction(int(num), int(den)) for num, den in p) for p in pairs)
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> tuple:
@@ -177,6 +183,14 @@ class _GridFn:
         f.__post_init__(grid=grid)
         return f
 
+    def _cell(self, t: RationalLike) -> tuple:
+        """(i, t): t as a rational in [0, 1] and its cell i, left-closed, t = 1 in the last."""
+        t = as_fraction(t)
+        if not 0 <= t <= 1:
+            raise ValueError("evaluation point outside [0,1]")
+        d, n = self._grid[:2]
+        return min(bisect_right(n, t.numerator * d // t.denominator), len(n) - 1) - 1, t
+
 
 @lru_cache(maxsize=4)
 def _linear_views(grid: tuple) -> tuple:
@@ -239,11 +253,8 @@ class PiecewiseLinearFn(_GridFn):
         return _linear_views(self._grid)[1]
 
     def __call__(self, t: RationalLike) -> Fraction:
-        t = as_fraction(t)
-        if not 0 <= t <= 1:
-            raise ValueError("evaluation point outside [0,1]")
-        d, n, p, q = self._grid
-        i = min(bisect_right(n, t.numerator * d // t.denominator), len(p)) - 1  # t's cell
+        i, t = self._cell(t)
+        p, q = self._grid[2:]
         bps, vals = _linear_views(self._grid)
         return vals[i] + Fraction(p[i], q[i]) * (t - bps[i])
 
@@ -251,17 +262,11 @@ class PiecewiseLinearFn(_GridFn):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [_frac_pair(t) for t in self.breakpoints],
-            "values": [_frac_pair(v) for v in self.values],
-        }
+        return _pairs_json(self.breakpoints, self.values)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseLinearFn":
-        return cls(
-            tuple(_pair_frac(p) for p in d["breakpoints"]),
-            tuple(_pair_frac(p) for p in d["values"]),
-        )
+        return cls(*_json_pairs(d))
 
     @classmethod
     def zero(cls) -> "PiecewiseLinearFn":
@@ -307,29 +312,19 @@ class PiecewiseConstFn(_GridFn):
 
     def value_at(self, t: RationalLike) -> Fraction:
         """Value on the interval containing t (left-closed convention)."""
-        t = as_fraction(t)
-        if not 0 <= t <= 1:
-            raise ValueError("evaluation point outside [0,1]")
-        d, n, e, p = self._grid
-        i = min(bisect_right(n, t.numerator * d // t.denominator), len(p)) - 1
-        return Fraction(p[i], e)
+        e, p = self._grid[2:]
+        return Fraction(p[self._cell(t)[0]], e)
 
     def __repr__(self):
         return (f"PiecewiseConstFn(breakpoints={self.breakpoints!r}, "
                 f"interval_values={self.interval_values!r})")
 
     def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [_frac_pair(t) for t in self.breakpoints],
-            "values": [_frac_pair(v) for v in self.interval_values],
-        }
+        return _pairs_json(self.breakpoints, self.interval_values)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseConstFn":
-        return cls(
-            tuple(_pair_frac(p) for p in d["breakpoints"]),
-            tuple(_pair_frac(p) for p in d["values"]),
-        )
+        return cls(*_json_pairs(d))
 
     @cached_property
     def _integer_view(self) -> SimpleNamespace:

@@ -132,8 +132,8 @@ class DiscreteVI:
 
     operator: GalerkinOperator
     feasible_set: FeasibleSet
-    eps: float = DEFAULT_EPS
-    max_iter: int = DEFAULT_MAX_ITER
+    eps: float
+    max_iter: int
 
     @property
     def n(self) -> int:
@@ -192,15 +192,17 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
     eps = vi.eps
     x = P(np.zeros(vi.n))
     lam = step
-    best_x, best_r = x, residual(vi, x)
-    for m in range(vi.max_iter):
+    best_x, best_r = x, math.inf
+    for m in range(vi.max_iter + 1):  # iterate m is judged here, and only here
         g = vi.operator(x)
         v = x - P(x - g)
         r = math.sqrt(v.dot(v))
-        if r < best_r:
+        if m == 0 or r < best_r:  # a NaN residual at the start stays the best
             best_x, best_r = x, r
         if r <= eps:
             return SolveResult(x=x, residual=r, iterations=m, converged=True)
+        if m == vi.max_iter:
+            break
         y = P(x - lam * g)
         gy = vi.operator(y)
         d = x - y
@@ -211,12 +213,7 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
             d = x - y
         x = P(x - lam * gy)
         lam = min(lam * STEP_GROWTH, 10.0 * step)
-    r = residual(vi, x)
-    if r < best_r:
-        best_x, best_r = x, r
-    # the last iterate may be the one that meets eps
-    converged = bool(best_r <= eps)
-    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=converged)
+    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 
 
 def _number(v) -> float:
@@ -286,18 +283,20 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     forcing = doc.get("forcing")
     if forcing is not None:
         forcing = _numbers(forcing, "forcing")
-    spec = doc.get("set", {"kind": "box", "lower": [-1.0] * n, "upper": [1.0] * n})
-    if not isinstance(spec, dict):
-        raise ValueError("set must be an object")
-    kind = spec.get("kind")
-    if kind == "box":
-        _known_keys(spec, BOX_KEYS, "box set")
-        feasible: FeasibleSet = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
-    elif kind == "ball":
-        _known_keys(spec, BALL_KEYS, "ball set")
-        feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
-    else:
-        raise ValueError(f"unknown feasible-set kind: {kind!r}")
+    feasible: Optional[FeasibleSet] = None  # no "set": assemble_vi's default box
+    if "set" in doc:
+        spec = doc["set"]
+        if not isinstance(spec, dict):
+            raise ValueError("set must be an object")
+        kind = spec.get("kind")
+        if kind == "box":
+            _known_keys(spec, BOX_KEYS, "box set")
+            feasible = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
+        elif kind == "ball":
+            _known_keys(spec, BALL_KEYS, "ball set")
+            feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
+        else:
+            raise ValueError(f"unknown feasible-set kind: {kind!r}")
     eps = _number(doc.get("eps", DEFAULT_EPS))
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")

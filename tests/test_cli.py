@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from viproplab import PiecewiseLinearFn, cli, sawtooth
+from viproplab import ExactReal, PiecewiseLinearFn, cli, sawtooth
 from viproplab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -267,6 +267,26 @@ class TestRemark32:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # a faulty pairing: the exit code follows the certificate, as for certify
+    def test_zero_limit_exits_mismatch(self, monkeypatch, capsys):
+        import viproplab.certificates as certs_mod
+
+        monkeypatch.setattr(certs_mod, "l2_pairing", lambda a, b: ExactReal(0))
+        assert main(["remark32", "--kmax", "12"]) == EXIT_MISMATCH
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["detected limit: 0", "verdict: limit zero"]
+
+    def test_undetected_limit_exits_inconclusive(self, monkeypatch, capsys):
+        import viproplab.certificates as certs_mod
+
+        monkeypatch.setattr(certs_mod, "l2_pairing", lambda a, b: ExactReal(a.index % 2))
+        assert main(["remark32", "--kmax", "12"]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[:2] == ["k=1: <F(e_k), e_k - 0> = 1", "k=2: <F(e_k), e_k - 0> = 0"]
+        assert lines[12:] == ["verdict: inconclusive"]
+        assert "detected limit" not in captured.out and captured.err == ""
+
 
 MALFORMED_ARGS = [
     ["certify", "--kmax", "4"],
@@ -378,13 +398,14 @@ class TestSolve:
             "[" * 200000 + "]" * 200000,
             '{"n": 1e300}',
             '{"n": 1000000000000}',
+            '{"n": 2, "set": null}',
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
             "fractional-max-iter", "negative-max-iter", "negative-eps", "zero-denominator-eps",
             "zero-denominator-forcing", "zero-denominator-n", "boolean-eps", "string-forcing",
             "string-lower", "object-upper", "boolean-radius", "unknown-key", "radius-in-box",
-            "lower-in-ball", "deeply-nested", "huge-float-n", "huge-int-n",
+            "lower-in-ball", "deeply-nested", "huge-float-n", "huge-int-n", "null-set",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):
@@ -415,6 +436,17 @@ class TestSolve:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
         check_out_file(["solve", str(problem)], EXIT_OK, digest, tmp_path / "s.json", capsys)
+
+    def test_default_set_same_bytes_as_explicit_box(self, tmp_path, capsys):
+        n = 32
+        doc = {"n": n, "forcing": [1 + j % 5 for j in range(n)]}
+        outs = []
+        for problem in (doc, {**doc, "set": {"kind": "box", "lower": [-1] * n, "upper": [1] * n}}):
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(problem))
+            assert main(["solve", str(path)]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_PARSE

@@ -662,3 +662,21 @@ class TestSerialization:
         doc = u.to_json_dict()
         assert doc["breakpoints"][1] == ["1", "2"]
         assert doc["values"][1] == ["-1", "2"]
+
+
+class TestPointLookup:
+    """u(t) and f.value_at(t) find t's cell one way: exact t in [0, 1],
+    left-closed cells, and t = 1 in the last cell."""
+
+    def test_both_classes_read_points_alike(self):
+        u = sawtooth(3)  # up with slope 6 on [0, 1/18), down with slope -3 to 1/6
+        du = derivative(u)
+        for read in (u, du.value_at):
+            for bad in (F(-1, 7), F(8, 7), 2, "3/2"):
+                with pytest.raises(ValueError, match="outside"):
+                    read(bad)
+            with pytest.raises(TypeError):
+                read(0.5)
+        assert (u(0), u(F(1, 36)), u(F(1, 18)), u("1/6"), u(1)) == (0, F(1, 6), F(1, 3), 0, 0)
+        assert [du.value_at(t) for t in (0, F(1, 36), F(1, 18), "1/6", F(1, 2), 1)] == [
+            6, 6, -3, 6, 0, 0]

@@ -1,6 +1,9 @@
 import json
 import math
+from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from viproplab import (
 )
 from viproplab.solver import MAX_N
 
+import conftest
 from conftest import (
     reference_apply_exact,
     reference_ball_project,
@@ -284,6 +288,68 @@ class TestAgainstReference:
         assert got.converged == (ref.converged or ref.residual <= vi.eps)
 
 
+def counted_solve(solve, vi, step):
+    """(result, operator calls, projections) of one solve, fast or reference."""
+    calls = Counter()
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    hooks = [
+        ("operator", GalerkinOperator, "__call__"),
+        ("operator", conftest, "reference_operator"),
+        ("project", Box, "project"),
+        ("project", Ball, "project"),
+        ("project", conftest, "reference_box_project"),
+        ("project", conftest, "reference_ball_project"),
+    ]
+    with ExitStack() as stack:
+        for key, owner, name in hooks:
+            stack.enter_context(mock.patch.object(owner, name, counting(key, getattr(owner, name))))
+        result = solve(vi, step=step)
+    return result, calls["operator"], calls["project"]
+
+
+BUDGET_CASES = {
+    "solution-at-start": (assemble_vi(3), 0.1),
+    "box-converges": (assemble_vi(8, forcing=[2.0] * 8), 0.1),
+    "ball-converges": (
+        assemble_vi(6, forcing=[3, -1, 4, -1, 5, -9], feasible_set=Ball(np.zeros(6), 0.5)), 0.1),
+    "cap-reached": (assemble_vi(4, forcing=[2.0] * 4, max_iter=2), 0.1),
+    "backtracks-to-cap": (assemble_vi(5, forcing=[4.0] * 5, max_iter=40), 1000.0),
+}
+
+
+class TestCallBudget:
+    """Each iterate is judged once, in the loop.
+
+    The reference judges the start before its loop and again as iterate 0,
+    so the solver makes exactly one operator call and one projection fewer
+    per solve, on the same iterates.
+    """
+
+    @pytest.mark.parametrize("vi, step", BUDGET_CASES.values(), ids=BUDGET_CASES.keys())
+    def test_one_call_fewer_than_reference(self, vi, step):
+        got, ops, projections = counted_solve(extragradient_solve, vi, step)
+        ref, ref_ops, ref_projections = counted_solve(reference_extragradient_solve, vi, step)
+        assert (ops, projections) == (ref_ops - 1, ref_projections - 1)
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert (got.residual, got.iterations, got.converged) == (
+            ref.residual, ref.iterations, ref.converged)
+
+    @settings(max_examples=60, deadline=None)
+    @given(solve_input_st())
+    def test_one_call_fewer_on_random_problems(self, case):
+        vi, step = case
+        got, ops, projections = counted_solve(extragradient_solve, vi, step)
+        ref, ref_ops, ref_projections = counted_solve(reference_extragradient_solve, vi, step)
+        assert (ops, projections) == (ref_ops - 1, ref_projections - 1)
+        assert got.x.tobytes() == ref.x.tobytes()
+
+
 class TestResidual:
     def test_positive_away_from_solution(self):
         vi = assemble_vi(3, forcing=[1.0, 1.0, 1.0])
@@ -389,6 +455,14 @@ class TestProblemIO:
         vi = load_problem({"n": 2.0, "max_iter": "12", "eps": 0})
         assert (vi.n, vi.max_iter, vi.eps) == (2, 12, 0.0)
         assert type(vi.n) is int and type(vi.max_iter) is int
+
+    def test_default_set_is_the_unit_box(self):
+        # without "set", assemble_vi's box [-1, 1]^n, also at the largest n
+        for n in (1, 7, MAX_N):
+            box = load_problem({"n": n}).feasible_set
+            assert isinstance(box, Box)
+            assert box.lower.tobytes() == np.full(n, -1.0).tobytes()
+            assert box.upper.tobytes() == np.full(n, 1.0).tobytes()
 
     def test_size_cap(self):
         for n in (4096, MAX_N):
