@@ -314,17 +314,25 @@ def weak_convergence_evidence(
     """
     if not test_family:
         raise ValueError("test family must be nonempty")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     gradients = [derivative(seq(k)) for k in range(1, k_max + 1)]
     entries = []
     for phi in test_family:
         integrals = [test_integral(g, phi) for g in gradients]
-        c = max(abs(v.value) * k for k, v in enumerate(integrals, start=1))
+        # C_φ as top/den, compared by cross-multiplying k * |p| / q in integers
+        top, den = 0, 1
+        for k, v in enumerate(integrals, start=1):
+            q = v.value
+            num = k * abs(q.numerator)
+            if num * den > top * q.denominator:
+                top, den = num, q.denominator
         entries.append(
             WeakConvergenceEntry(
                 phi=phi,
                 integrals=integrals,
-                bound_constant=c,
-                all_zero=all(v.value == 0 for v in integrals),
+                bound_constant=Fraction(top, den),
+                all_zero=top == 0,
             )
         )
     # a fixed label, not a test: every sweep constant is a finite rational

@@ -115,8 +115,54 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# the C escaper behind json.dumps's default ensure_ascii=True
+_escape = json.encoder.encode_basestring_ascii
+# json.dumps's words for the floats whose repr is nan, inf or -inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2), built with one join per container.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writes the same bytes for str-keyed dicts, lists, tuples, str, int,
+    float, bool and None, and hands anything else to json.dumps.  nl is a
+    newline plus the indent of obj's own level.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        items = [_escape(v) if type(v) is str else _json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [
+            _escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    # the nested text of json.dumps is its top-level text indented at every newline
+    return json.dumps(obj, indent=2).replace("\n", nl)
+
+
 def _emit(doc, out: Optional[str]) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", out)
+    _write(_json_text(doc) + "\n", out)
 
 
 def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> int:

@@ -147,6 +147,15 @@ def assemble_vi(
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DiscreteVI:
+    """The VI of the Galerkin operator on a feasible set, [-1, 1]^n by default.
+
+    eps must be >= 0 and max_iter an integer >= 1; anything else, NaN
+    included, raises ValueError.
+    """
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     if feasible_set is None:
         feasible_set = Box(-np.ones(n), np.ones(n))
     return DiscreteVI(
@@ -297,13 +306,10 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
             feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
         else:
             raise ValueError(f"unknown feasible-set kind: {kind!r}")
-    eps = _number(doc.get("eps", DEFAULT_EPS))
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
     return assemble_vi(
         n,
         forcing=forcing,
         feasible_set=feasible,
-        eps=eps,
+        eps=_number(doc.get("eps", DEFAULT_EPS)),
         max_iter=_count(doc.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
     )

@@ -3,6 +3,8 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viproplab import (
     L2SeqVector,
@@ -310,6 +312,61 @@ class TestWeakConvergenceEvidence:
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["k_max"] == 16
         assert len(doc["entries"]) == len(fam)
+
+    def test_nonpositive_k_max_rejected(self):
+        with pytest.raises(ValueError):
+            weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sweep_constant_is_the_fraction_rule(self, data):
+        """bound_constant and all_zero equal max_k k*|I_k| and all(I_k == 0) in Fractions."""
+        xs = data.draw(sweep_st())
+        family = data.draw(st.lists(test_function_st, min_size=1, max_size=4))
+        report = weak_convergence_evidence(lambda k: xs[k - 1], family, len(xs))
+        for entry in report.entries:
+            values = [v.value for v in entry.integrals]
+            assert entry.bound_constant == max(abs(q) * k for k, q in enumerate(values, start=1))
+            assert type(entry.bound_constant) is Fraction
+            assert entry.all_zero == all(q == 0 for q in values)
+
+
+fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=24)
+
+test_function_st = st.one_of(
+    st.integers(0, 4).map(PolynomialTest.monomial),
+    st.lists(fractions_st, min_size=1, max_size=4).map(PolynomialTest.polynomial),
+    st.integers(1, 3).flatmap(lambda level: st.sampled_from(dyadic_indicators(level))),
+)
+
+
+@st.composite
+def pw_linear_st(draw):
+    interior = sorted(draw(st.sets(st.integers(1, 63), max_size=5)))
+    bps = [F(0)] + [F(j, 64) for j in interior] + [F(1)]
+    vals = [F(0)] + [draw(fractions_st) for _ in interior] + [F(0)]
+    return PiecewiseLinearFn(tuple(bps), tuple(vals))
+
+
+@st.composite
+def sweep_st(draw):
+    """x_1..x_k as a list: random functions, zeros among them or all zero, or
+    (1/k) g for one g, so that k * |I_k| ties at every k; each x_k takes a
+    random sign."""
+    k_max = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(["random", "some-zero", "all-zero", "tie"]))
+    if mode == "tie":
+        g = draw(pw_linear_st())
+        xs = [PiecewiseLinearFn(g.breakpoints, tuple(v / k for v in g.values))
+              for k in range(1, k_max + 1)]
+    elif mode == "all-zero":
+        xs = [ZERO] * k_max
+    else:
+        xs = [draw(pw_linear_st()) for _ in range(k_max)]
+        if mode == "some-zero":
+            xs = [ZERO if draw(st.booleans()) else x for x in xs]
+    return [x if draw(st.booleans()) else PiecewiseLinearFn(x.breakpoints, tuple(-v for v in x.values))
+            for x in xs]
 
 
 class TestHolderBoundedness:

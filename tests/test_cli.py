@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viproplab import ExactReal, PiecewiseLinearFn, cli, sawtooth
 from viproplab.cli import (
@@ -414,6 +416,24 @@ class TestSolve:
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("cannot parse problem file")
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"n": 2, "eps": -1}', "eps must be >= 0, got -1.0"),
+            ('{"n": 2, "eps": "-1/3", "forcing": [1]}', "eps must be >= 0, got -0.3333333333333333"),
+            ('{"n": 2, "max_iter": -5}', "max_iter must be a positive integer, got -5"),
+            ('{"n": 2, "max_iter": "1/2"}', "max_iter must be a positive integer, got '1/2'"),
+            ('{"n": 2, "max_iter": 0, "forcing": [1]}', "max_iter must be a positive integer, got 0"),
+        ],
+        ids=["negative-eps", "negative-eps-short-forcing", "negative-max-iter", "half-max-iter",
+             "zero-max-iter-short-forcing"],
+    )
+    def test_eps_and_max_iter_reasons(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"cannot parse problem file: {reason}\n"
+
     # SHA-256 of stdout before the solver kernel dropped np.linalg.norm, np.clip and np.diff
     @pytest.mark.parametrize(
         "kind, n, digest",
@@ -564,3 +584,66 @@ def test_exact_commands_do_not_load_numpy(order, tmp_path, capsys):
     assert report["solve"] == EXIT_OK
     assert main(["solve", str(problem)]) == EXIT_OK
     assert report["out"] == capsys.readouterr().out
+
+
+# scalars the writer encodes itself, and the strings and floats json.dumps
+# treats specially: non-ASCII, control characters, astral code points,
+# lone surrogates, -0.0 and the non-finite floats
+json_scalar_st = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**256), 2**256),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300]),
+    st.text(),
+    st.text(st.characters(codec=None)),
+    st.sampled_from(["é", "\u00a0", "\u2028", "\x00", "\x1f", "\x7f", '"\\/', "\U0001f600"]),
+)
+# containers: str-keyed dicts, lists, tuples, and dicts whose other keys
+# json.dumps accepts, which the writer hands over to it
+json_doc_st = st.recursive(
+    json_scalar_st,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                        kids, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+def writes_like_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+class TestJsonWriter:
+    """cli._json_text writes the bytes of json.dumps(doc, indent=2)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_doc_st)
+    def test_same_text_as_dumps(self, doc):
+        writes_like_dumps(doc)
+
+    def test_skipped_ascii_escaping_is_caught(self, monkeypatch):
+        # the same property with an escaper that leaves non-ASCII text as it is
+        monkeypatch.setattr(cli, "_escape", json.encoder.encode_basestring)
+        check = settings(
+            max_examples=400, deadline=None, database=None, report_multiple_bugs=False
+        )(given(json_doc_st)(writes_like_dumps))
+        with pytest.raises(AssertionError):
+            check()
+
+    def test_unserializable_value_raises_like_dumps(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"a": [1, object()]})
+
+    def test_emit_writes_the_text_and_a_newline(self, tmp_path, capsys):
+        doc = {"a": [1, 2.5, None, {"b": ()}], "é": {}}
+        text = json.dumps(doc, indent=2) + "\n"
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == text
+        cli._emit(doc, str(tmp_path / "doc.json"))
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == text

@@ -182,6 +182,28 @@ class TestExtragradient:
         assert res.converged
         assert not extragradient_solve(assemble_vi(8, forcing=[2.0] * 8, max_iter=610)).converged
 
+    @pytest.mark.parametrize(
+        "settings_kw, reason",
+        [
+            ({"eps": -1.0}, "eps must be >= 0"),
+            ({"eps": -1e-300}, "eps must be >= 0"),
+            ({"eps": math.nan}, "eps must be >= 0"),
+            ({"max_iter": -3}, "max_iter must be a positive integer"),
+            ({"max_iter": 0}, "max_iter must be a positive integer"),
+            ({"max_iter": 2.0}, "max_iter must be a positive integer"),
+            ({"max_iter": True}, "max_iter must be a positive integer"),
+        ],
+        ids=["negative-eps", "tiny-negative-eps", "nan-eps", "negative-max-iter",
+             "zero-max-iter", "float-max-iter", "boolean-max-iter"],
+    )
+    def test_assemble_rejects_bad_settings(self, settings_kw, reason):
+        with pytest.raises(ValueError, match=reason):
+            assemble_vi(2, **settings_kw)
+
+    def test_assemble_accepts_the_edge_settings(self):
+        res = extragradient_solve(assemble_vi(2, forcing=[1.0, 1.0], eps=0, max_iter=1))
+        assert (res.iterations, res.converged) == (1, False)
+
     def test_perturbation_closedness(self):
         # solutions of perturbed problems accumulate at a solution of the
         # unperturbed one (solution set is closed under such limits)
