@@ -14,7 +14,6 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Union
 
 from .families import L2SeqVector, l2_pairing
 from .piecewise import (
-    ExactReal,
     PiecewiseLinearFn,
     PolynomialTest,
     _frac_pair,
@@ -31,7 +30,6 @@ HOLDER_REL_TOL = 1e-9
 
 PROP_KY_FAN_VIOLATION = "ky_fan_violation"
 PROP_PREMISE_FAILS = "pseudomonotone_premise_fails"
-PROP_MONOTONE_GAP = "monotone_gap_nonneg"
 PROP_BOUNDED_HOLDER = "bounded_holder"
 PROP_L2_UNIT_LIMIT = "l2_unit_limit"
 
@@ -39,7 +37,7 @@ PROP_L2_UNIT_LIMIT = "l2_unit_limit"
 FunctionSequence = Callable[[int], Union[PiecewiseLinearFn, L2SeqVector]]
 
 
-def equilibrium_gap(x: PiecewiseLinearFn, y: PiecewiseLinearFn) -> ExactReal:
+def equilibrium_gap(x: PiecewiseLinearFn, y: PiecewiseLinearFn) -> Fraction:
     """Gap functional <F(x), x - y> of the equilibrium reformulation.
 
     Computed as ∫ |x'| x' (x' - y') in one pass over the union grid; the
@@ -49,7 +47,7 @@ def equilibrium_gap(x: PiecewiseLinearFn, y: PiecewiseLinearFn) -> ExactReal:
     return _union_sum(x, y, lambda c, d: abs(c) * c * (c - d))
 
 
-def monotone_gap_check(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
+def monotone_gap_check(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> Fraction:
     """<F(u) - F(w), u - w>, exact; nonnegative for this operator."""
     return _union_sum(u, w, lambda c, d: (abs(c) * c - abs(d) * d) * (c - d))
 
@@ -59,8 +57,8 @@ class PairingSequenceReport:
     """The sequence <F(x_k), x_k - y> for k = 1..k_max, with tail analysis."""
 
     indices: List[int]
-    values: List[ExactReal]
-    limit_candidate: Optional[ExactReal]
+    values: List[Fraction]
+    limit_candidate: Union[Fraction, float, None]  # a float for a Cauchy tail
     detection: str  # "eventually-constant" | "cauchy-tail" | "none"
     tail_window: int
 
@@ -83,19 +81,19 @@ class PairingSequenceReport:
         }
 
 
-def _serialize_exact(v: ExactReal):
-    if v.exact:
-        return _frac_pair(v.value)
-    return {"approx": True, "value": float(v.value)}
+def _serialize_exact(v: Union[Fraction, float]):
+    if isinstance(v, float):
+        return {"approx": True, "value": v}
+    return _frac_pair(v)
 
 
-def _detect_tail(values: Sequence[ExactReal], tail_window: int):
+def _detect_tail(values: Sequence[Fraction], tail_window: int):
     tail = values[-tail_window:]
-    if all(v.exact for v in tail) and all(v.value == tail[0].value for v in tail):
+    if all(v == tail[0] for v in tail):
         return tail[0], "eventually-constant"
     floats = [float(v) for v in tail]
     if all(abs(a - b) < CAUCHY_TAIL_TOL for a, b in zip(floats, floats[1:])):
-        return ExactReal(floats[-1]), "cauchy-tail"
+        return floats[-1], "cauchy-tail"
     return None, "none"
 
 
@@ -114,7 +112,7 @@ def pairing_sequence(
         raise ValueError(f"k_max must be >= {MIN_K_MAX}")
     tail_window = k_max // 2
     y_fn = PiecewiseLinearFn.zero() if y is None else y
-    values: List[ExactReal] = []
+    values: List[Fraction] = []
     for k in range(1, k_max + 1):
         x_k = seq(k)
         if isinstance(x_k, L2SeqVector):
@@ -145,7 +143,7 @@ class Certificate:
     def to_json_dict(self) -> dict:
         witness = {}
         for key, val in self.witness.items():
-            if isinstance(val, ExactReal):
+            if isinstance(val, (Fraction, float)):
                 witness[key] = _serialize_exact(val)
             elif isinstance(val, PiecewiseLinearFn):
                 witness[key] = val.to_json_dict()
@@ -159,7 +157,7 @@ class Certificate:
         }
 
 
-def _tail_certificate(prop: str, v: Optional[ExactReal], witness: dict) -> Certificate:
+def _tail_certificate(prop: str, v: Union[Fraction, float, None], witness: dict) -> Certificate:
     """The one verdict rule for a detected tail: established iff v > 0.
 
     Inconclusive when no tail was detected (v is None) or when v is a float
@@ -170,15 +168,14 @@ def _tail_certificate(prop: str, v: Optional[ExactReal], witness: dict) -> Certi
             "no tail limit detected; the sequence limit could not be finitely determined"
         )
         return Certificate(prop, "inconclusive", witness)
-    exactness = "exact" if v.exact else "approximate"
-    if not v.exact and abs(v.value) < CAUCHY_TAIL_TOL:
-        tail = float(witness["tail_constant"])
+    exactness = "approximate" if isinstance(v, float) else "exact"
+    if isinstance(v, float) and abs(v) < CAUCHY_TAIL_TOL:
         witness["note"] = (
-            f"float tail limit {tail!r} leaves a value within {CAUCHY_TAIL_TOL} of 0, "
-            "whose sign decides nothing"
+            f"float tail limit {witness['tail_constant']!r} leaves a value within "
+            f"{CAUCHY_TAIL_TOL} of 0, whose sign decides nothing"
         )
         return Certificate(prop, "inconclusive", witness, exactness)
-    return Certificate(prop, "established" if v.value > 0 else "refuted", witness, exactness)
+    return Certificate(prop, "established" if v > 0 else "refuted", witness, exactness)
 
 
 def ky_fan_violation_certificate(
@@ -199,7 +196,7 @@ def ky_fan_violation_certificate(
     margin = None
     if tail is not None:
         gap_at_limit = equilibrium_gap(limit, y)
-        margin = ExactReal(gap_at_limit.value - tail.value)
+        margin = gap_at_limit - tail
         witness.update(gap_at_limit=gap_at_limit, margin=margin)
     return _tail_certificate(PROP_KY_FAN_VIOLATION, margin, witness)
 
@@ -231,7 +228,7 @@ def l2_unit_limit_certificate(report: PairingSequenceReport) -> Certificate:
     """
     tail = report.limit_candidate
     witness = {"tail_constant": tail, "k_window": report.k_window}
-    size = None if tail is None else ExactReal(abs(tail.value))
+    size = None if tail is None else abs(tail)
     cert = _tail_certificate(PROP_L2_UNIT_LIMIT, size, witness)
     if cert.verdict != "inconclusive":
         witness["conclusion"] = "limit != 0" if cert.verdict == "established" else "limit = 0"
@@ -263,7 +260,7 @@ def holder_boundedness_check(
 @dataclass
 class WeakConvergenceEntry:
     phi: PolynomialTest
-    integrals: List[ExactReal]
+    integrals: List[Fraction]
     bound_constant: Fraction  # smallest C with |integral_k| <= C/k on the sweep
     all_zero: bool
 
@@ -279,8 +276,9 @@ class WeakConvergenceReport:
 
     entries: List[WeakConvergenceEntry]
     k_max: int
-    verdict: str
 
+    # a fixed label, not a test: every sweep constant is a finite rational
+    verdict: ClassVar[str] = "consistent with weak null convergence"
     disclaimer: ClassVar[str] = (
         "evidence only: finitely many test integrals cannot prove weak convergence"
     )
@@ -322,8 +320,7 @@ def weak_convergence_evidence(
         integrals = [test_integral(g, phi) for g in gradients]
         # C_φ as top/den, compared by cross-multiplying k * |p| / q in integers
         top, den = 0, 1
-        for k, v in enumerate(integrals, start=1):
-            q = v.value
+        for k, q in enumerate(integrals, start=1):
             num = k * abs(q.numerator)
             if num * den > top * q.denominator:
                 top, den = num, q.denominator
@@ -335,6 +332,4 @@ def weak_convergence_evidence(
                 all_zero=top == 0,
             )
         )
-    # a fixed label, not a test: every sweep constant is a finite rational
-    verdict = "consistent with weak null convergence"
-    return WeakConvergenceReport(entries=entries, k_max=k_max, verdict=verdict)
+    return WeakConvergenceReport(entries=entries, k_max=k_max)

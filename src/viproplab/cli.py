@@ -173,8 +173,8 @@ def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> i
     bad_k = None
     for k in range(1, kmax + 1):
         u = sawtooth(k)
-        norm3 = pow_norm(derivative(u), 3).value
-        gap = certs.equilibrium_gap(u, v).value
+        norm3 = pow_norm(derivative(u), 3)
+        gap = certs.equilibrium_gap(u, v)
         rows.append((k, norm3, gap))
         if bad_k is None and (norm3 != SAWTOOTH_ENERGY or gap != expected_gap):
             bad_k = k
@@ -261,10 +261,10 @@ def cmd_remark32(kmax: int) -> int:
     for k, v in zip(report.indices, report.values):
         if k > kmax:
             break
-        print(f"k={k}: <F(e_k), e_k - 0> = {v.value}")
+        print(f"k={k}: <F(e_k), e_k - 0> = {v}")
     tail = cert.witness["tail_constant"]
     if tail is not None:
-        print(f"detected limit: {tail.value}")
+        print(f"detected limit: {tail}")
     verdict = {"established": "limit not zero", "refuted": "limit zero"}.get(cert.verdict)
     print(f"verdict: {verdict or cert.verdict}")
     return _verdict_exit(cert)

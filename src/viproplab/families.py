@@ -62,7 +62,7 @@ def gap_negativity_threshold() -> Fraction:
     """
     norm_const = pow_norm(derivative(sawtooth(1)), 3)
     slope = plap_pairing(sawtooth(1), scaled_hat(1))
-    return norm_const.value / slope.value
+    return norm_const / slope
 
 
 @dataclass(frozen=True)

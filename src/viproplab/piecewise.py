@@ -13,9 +13,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd, isfinite, lcm
+from math import gcd, lcm
 from operator import lt, mul, sub
 from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
@@ -38,39 +38,16 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@total_ordering
-class ExactReal:
-    """A number tagged with its provenance: exact rational or float.
+class ExactReal(Fraction):
+    """A kernel's exact result: a ``Fraction`` that also reads as ``.exact``
+    (always True) and ``.value`` (itself); arithmetic on it gives ``Fraction``s."""
 
-    ``exact`` is the type of ``value``: a ``Fraction`` when exact, a
-    ``float`` otherwise.  Arithmetic happens on ``value``, where Python's own
-    rule gives a float as soon as a float takes part.
-    """
+    __slots__ = ()
+    exact = True
 
-    # exact is a slot, not a property: serialization reads it once per integral
-    __slots__ = ("value", "exact")
-
-    def __init__(self, value):
-        self.exact = not isinstance(value, float)
-        self.value = as_fraction(value) if self.exact else float(value)
-        if not self.exact and not isfinite(self.value):  # NaN > 0 reads True here
-            raise ValueError(f"ExactReal needs a finite float, got {value!r}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __eq__(self, other):
-        return self.value == (other.value if isinstance(other, ExactReal) else other)
-
-    def __lt__(self, other):
-        return self.value < (other.value if isinstance(other, ExactReal) else other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        tag = "exact" if self.exact else "approx"
-        return f"ExactReal({self.value!r}, {tag})"
+    @property
+    def value(self):
+        return self
 
 
 def _frac_pair(q: Fraction) -> list:
@@ -397,7 +374,7 @@ def common_refinement(
     return PiecewiseConstFn._from_grid(d, n, ef, fv), PiecewiseConstFn._from_grid(d, n, eg, gv)
 
 
-def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
+def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     """Integral of |f|^p over [0,1], exact.
 
     This is the p-th power of the L^p norm; take ``float(...) ** (1 / p)``
@@ -407,10 +384,10 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> ExactReal:
         raise ValueError("p must be a positive integer")
     d, n, e, v = f._grid  # |c_i|^p (t_{i+1} - t_i) = |v_i|^p (n_{i+1} - n_i) / (E^p D)
     num = sum(abs(c) ** p * (b - a) for c, a, b in zip(v, n, n[1:]))
-    return ExactReal(Fraction(num, e**p * d))
+    return ExactReal(num, e**p * d)
 
 
-def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> ExactReal:
+def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     """Exact ∫ term(u', w') dt: term(c, d) * (b - a) summed over the union grid.
 
     ``term`` must be a polynomial in (c, d) homogeneous of degree 3, so that
@@ -429,7 +406,7 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> ExactReal:
     return ExactReal(total / lcm(du, dw))
 
 
-def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> ExactReal:
+def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> Fraction:
     """Degenerate third-power duality pairing ∫ |u'| u' w' dt, exact.
 
     The integrand is piecewise constant on the union of the two grids,
@@ -535,7 +512,7 @@ def _jump_sums(v: SimpleNamespace, j: int) -> list:
     return sums
 
 
-def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
+def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
     """Exact integral ∫ f(t) φ(t) dt over [0,1].
 
     An indicator of (a, b) gives F(b) - F(a), with F the primitive of f.
@@ -549,10 +526,10 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
         lo, hi = phi.support
         b0, b1 = lo.denominator, hi.denominator
         num = _primitive(v, hi) * b0 - _primitive(v, lo) * b1
-        return ExactReal(Fraction(num, v.d * v.e * b0 * b1))
+        return ExactReal(num, v.d * v.e * b0 * b1)
     terms = [(deg + 1, c) for deg, c in enumerate(phi.coeffs) if c]
     if not terms:
-        return ExactReal(Fraction(0))
+        return ExactReal(0)
     top = terms[-1][0]
     sums = _jump_sums(v, top)
     # every term over the one denominator common * E * D**top
@@ -561,10 +538,10 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> ExactReal:
         c.numerator * (common // (j * c.denominator)) * sums[j] * v.d ** (top - j)
         for j, c in terms
     )
-    return ExactReal(Fraction(num, common * v.e * v.d**top))
+    return ExactReal(num, common * v.e * v.d**top)
 
 
-def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> ExactReal:
+def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
     """Integral of |u|^p for piecewise-linear u, exact.
 
     G(y) = |y|^p y is a primitive of (p+1)|y|^p, so on a cell with slope

@@ -289,9 +289,7 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     n = _count(doc["n"], "n")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {doc['n']!r}")
-    forcing = doc.get("forcing")
-    if forcing is not None:
-        forcing = _numbers(forcing, "forcing")
+    forcing = _numbers(doc["forcing"], "forcing") if "forcing" in doc else None
     feasible: Optional[FeasibleSet] = None  # no "set": assemble_vi's default box
     if "set" in doc:
         spec = doc["set"]

@@ -86,7 +86,7 @@ def test_counterexample_certificates(tmp_path):
 def test_l2_unit_sequence_limit():
     cert = l2_unit_limit_certificate(pairing_sequence(L2SeqVector, None, 64))
     assert cert.verdict == "established"
-    assert cert.witness["tail_constant"].exact
+    assert isinstance(cert.witness["tail_constant"], F)
     assert cert.witness["tail_constant"] == 1
     assert cert.witness["conclusion"] == "limit != 0"
     report("sequence-space unit vectors: tail constant exactly 1, limit != 0")
@@ -98,7 +98,7 @@ def test_monotonicity_suite():
         u = random_pw_linear(rng)
         w = random_pw_linear(rng)
         gap = monotone_gap_check(u, w)
-        assert gap.exact, i
+        assert isinstance(gap, F), i
         assert gap >= 0, i
     report("monotone gap >= 0 on 1000 seeded random rational pairs, exact")
 
@@ -124,7 +124,7 @@ def test_weak_convergence_evidence_sweep():
         family += dyadic_indicators(level)
     gradients = [derivative(sawtooth(k)) for k in range(1, k_max + 1)]
     for phi in family:
-        integrals = [integral_against(g, phi).value for g in gradients]
+        integrals = [integral_against(g, phi) for g in gradients]
         c_phi = max(F(k) * abs(v) for k, v in enumerate(integrals, start=1))
         for k, v in enumerate(integrals, start=1):
             assert abs(v) <= c_phi / k, (phi.describe(), k)

@@ -3,16 +3,21 @@
 perfbench/tracer.py patches each entry of SPAN_NAMES where it is defined,
 through ``owner.__dict__``, and perfbench/run.py records
 ``piecewise._make_rational`` as the rational backend. A method moved into a
-base class, or a renamed function, would break the benchmark; these tests
-read perfbench/ and change nothing there.
+base class, or a renamed function, would break the benchmark; so would a
+timed kernel whose result stopped reading as ``ExactReal`` (a Fraction with
+``.exact`` and ``.value``). These tests read perfbench/ and change nothing
+there.
 """
 
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+from viproplab import PiecewiseLinearFn, PolynomialTest, certificates, piecewise, scaled_hat
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +57,32 @@ def test_every_module_attribute_the_bench_reads_exists():
     missing = [r for r in sorted(reads)
                if not hasattr(importlib.import_module(f"viproplab.{r[1]}"), r[2])]
     assert missing == []
+
+
+def timed_kernel_calls() -> dict:
+    """One call per kernel that perfbench/ times, each test_integral branch apart."""
+    u = PiecewiseLinearFn((0, F(1, 3), F(5, 7), 1), (0, F(2, 5), F(-3, 4), 0))
+    w = scaled_hat(F(7, 2))
+    du = piecewise.derivative(u)
+    return {
+        "plap_pairing": lambda: piecewise.plap_pairing(u, w),
+        "equilibrium_gap": lambda: certificates.equilibrium_gap(u, w),
+        "monotone_gap_check": lambda: certificates.monotone_gap_check(u, w),
+        "pow_norm": lambda: piecewise.pow_norm(du, 3),
+        "abs_pow_integral": lambda: piecewise.abs_pow_integral(u, 3),
+        "test_integral-poly": lambda: piecewise.test_integral(du, PolynomialTest.monomial(2)),
+        "test_integral-zero": lambda: piecewise.test_integral(du, PolynomialTest.polynomial([0])),
+        "test_integral-indicator": lambda: piecewise.test_integral(
+            du, PolynomialTest.indicator(F(1, 4), F(1, 2))
+        ),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(timed_kernel_calls()))
+def test_timed_kernel_results_read_as_exact_real(kernel):
+    # perfbench/workloads.py checks isinstance(r, ExactReal), r.exact and r.value, and
+    # perfbench/selftest.py wraps a kernel as ExactReal(r.value + 1)
+    r = timed_kernel_calls()[kernel]()
+    assert isinstance(r, piecewise.ExactReal) and isinstance(r, F)
+    assert r.exact is True and r.value == r
+    assert piecewise.ExactReal(r.value + 1) == r + 1

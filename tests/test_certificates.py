@@ -61,7 +61,7 @@ class TestPairingSequence:
     def test_none_direction_means_zero_element(self):
         a = pairing_sequence(sawtooth, None, 16)
         b = pairing_sequence(sawtooth, ZERO, 16)
-        assert [v.value for v in a.values] == [v.value for v in b.values]
+        assert a.values == b.values
 
     def test_small_kmax_rejected(self):
         with pytest.raises(ValueError):
@@ -159,8 +159,9 @@ class TestPremiseAudit:
             assert cert.verdict == "inconclusive"
             assert cert.exactness == "approximate"
             assert "float tail limit 2.938735877055719e-39" in cert.witness["note"]
-        assert 0 < premise.witness["tail_constant"].value < 1e-38
-        assert -1e-38 < kyfan.witness["margin"].value < 0
+        assert type(premise.witness["tail_constant"]) is float is type(kyfan.witness["margin"])
+        assert 0 < premise.witness["tail_constant"] < 1e-38
+        assert -1e-38 < kyfan.witness["margin"] < 0
 
 
 def l2_unit_limit(k_max):
@@ -239,6 +240,47 @@ def test_one_verdict_rule_for_every_tail(cert, report, verdict, exactness, detai
         assert text in c.witness[key]
 
 
+def assert_floats_tagged(doc):
+    """Every float in a JSON document sits alone in an {"approx": true, "value": ...} tag."""
+    if isinstance(doc, dict) and "approx" in doc:
+        assert doc.keys() == {"approx", "value"} and doc["approx"] is True
+        assert type(doc["value"]) is float
+    elif isinstance(doc, dict):
+        for v in doc.values():
+            assert_floats_tagged(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            assert_floats_tagged(v)
+    else:
+        assert type(doc) is not float
+
+
+CAUCHY_SEQ = TAIL_REPORTS["float-1"][0]
+
+JSON_CERTIFICATES = {
+    "holder": lambda: holder_boundedness_check(sawtooth(3), scaled_hat(F(7, 2))),
+    "premise-cauchy-tail": lambda: pseudomonotone_premise_audit(CAUCHY_SEQ, None, 64),
+    "ky-fan-exact": lambda: ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 16),
+    "ky-fan-cauchy-tail": lambda: ky_fan_violation_certificate(
+        CAUCHY_SEQ, scaled_hat(1), scaled_hat(1), 64
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CERTIFICATES))
+def test_json_tags_every_float_and_pairs_every_rational(name):
+    cert = JSON_CERTIFICATES[name]()
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert_floats_tagged(doc)
+    numbers = {k: v for k, v in cert.witness.items() if isinstance(v, (F, float))}
+    assert numbers
+    for key, v in numbers.items():
+        if isinstance(v, float):
+            assert doc["witness"][key] == {"approx": True, "value": v}
+        else:
+            assert doc["witness"][key] == [str(v.numerator), str(v.denominator)]
+
+
 class TestMonotoneGap:
     def test_diagonal_zero(self, rng):
         u = random_pw_linear(rng)
@@ -258,7 +300,7 @@ class TestMonotoneGap:
         for _ in range(200):
             u, w = random_pw_linear(rng), random_pw_linear(rng)
             gap = monotone_gap_check(u, w)
-            assert gap.exact and gap >= 0
+            assert isinstance(gap, F) and gap >= 0
 
 
 class TestConsistencyInvariant:
@@ -292,14 +334,14 @@ class TestWeakConvergenceEvidence:
         # the exact sweep constant for t is 1/4, attained at every k
         assert entry.bound_constant == F(1, 4)
         for k, v in enumerate(entry.integrals, start=1):
-            assert abs(v.value) <= entry.bound_constant / k
+            assert abs(v) <= entry.bound_constant / k
 
     def test_report_is_labeled_evidence(self):
         report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(2)], 16)
         assert report.verdict == "consistent with weak null convergence"
         assert "evidence" in report.disclaimer
-        # one fixed text for every report, not a field a caller could set
-        assert "disclaimer" not in {f.name for f in fields(report)}
+        # fixed texts for every report, not fields a caller could set
+        assert {"verdict", "disclaimer"}.isdisjoint(f.name for f in fields(report))
         assert report.to_json_dict()["disclaimer"] == report.disclaimer
 
     def test_empty_family_rejected(self):
@@ -325,7 +367,7 @@ class TestWeakConvergenceEvidence:
         family = data.draw(st.lists(test_function_st, min_size=1, max_size=4))
         report = weak_convergence_evidence(lambda k: xs[k - 1], family, len(xs))
         for entry in report.entries:
-            values = [v.value for v in entry.integrals]
+            values = entry.integrals
             assert entry.bound_constant == max(abs(q) * k for k, q in enumerate(values, start=1))
             assert type(entry.bound_constant) is Fraction
             assert entry.all_zero == all(q == 0 for q in values)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viproplab import ExactReal, PiecewiseLinearFn, cli, sawtooth
+from viproplab import PiecewiseLinearFn, cli, sawtooth
 from viproplab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -273,7 +273,7 @@ class TestRemark32:
     def test_zero_limit_exits_mismatch(self, monkeypatch, capsys):
         import viproplab.certificates as certs_mod
 
-        monkeypatch.setattr(certs_mod, "l2_pairing", lambda a, b: ExactReal(0))
+        monkeypatch.setattr(certs_mod, "l2_pairing", lambda a, b: Fraction(0))
         assert main(["remark32", "--kmax", "12"]) == EXIT_MISMATCH
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2:] == ["detected limit: 0", "verdict: limit zero"]
@@ -281,7 +281,7 @@ class TestRemark32:
     def test_undetected_limit_exits_inconclusive(self, monkeypatch, capsys):
         import viproplab.certificates as certs_mod
 
-        monkeypatch.setattr(certs_mod, "l2_pairing", lambda a, b: ExactReal(a.index % 2))
+        monkeypatch.setattr(certs_mod, "l2_pairing", lambda a, b: Fraction(a.index % 2))
         assert main(["remark32", "--kmax", "12"]) == EXIT_INCONCLUSIVE
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
@@ -401,6 +401,7 @@ class TestSolve:
             '{"n": 1e300}',
             '{"n": 1000000000000}',
             '{"n": 2, "set": null}',
+            '{"n": 4, "forcing": null}',
         ],
         ids=[
             "infinite-forcing", "short-box", "long-center", "fractional-n", "boolean-n",
@@ -408,6 +409,7 @@ class TestSolve:
             "zero-denominator-forcing", "zero-denominator-n", "boolean-eps", "string-forcing",
             "string-lower", "object-upper", "boolean-radius", "unknown-key", "radius-in-box",
             "lower-in-ball", "deeply-nested", "huge-float-n", "huge-int-n", "null-set",
+            "null-forcing",
         ],
     )
     def test_malformed_problem_exit_code(self, tmp_path, capsys, text):

@@ -74,16 +74,27 @@ class TestExactReal:
         assert ExactReal(F(45)) == 45
         assert ExactReal(F(-3)) < 0 <= ExactReal(F(0))
         assert ExactReal(F(1, 3)).exact and ExactReal(2).exact and ExactReal("1/2").exact
-        assert ExactReal("1/2") == F(1, 2)
-        assert not ExactReal(0.5).exact and ExactReal(0.5) == 0.5
-        for bad in (True, 1j):
+        assert ExactReal("1/2") == F(1, 2) and ExactReal(3, 6) == F(1, 2)
+        # Fraction semantics: a finite float converts exactly, a bool is an integer
+        assert ExactReal(0.5).exact and ExactReal(0.5) == F(1, 2)
+        assert ExactReal(0.1) == F(0.1) != F(1, 10)
+        assert ExactReal(True) == 1
+        for bad in (1j, None, [1]):
             with pytest.raises(TypeError):
                 ExactReal(bad)
 
-    # a NaN would read > 0 and >= 0 under total_ordering
+    def test_arithmetic_gives_plain_fractions(self):
+        x = ExactReal(2, 3)
+        assert x.value is x and hash(x) == hash(F(2, 3))
+        for y in (x + 1, 1 - x, x * x, x / 2, -x, abs(x), x**2):
+            assert type(y) is Fraction
+        assert type(x + 0.5) is float
+
+    # Fraction refuses a NaN, which would read > 0 and >= 0, and both infinities
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
     def test_non_finite_float_rejected(self, value):
-        with pytest.raises(ValueError, match="finite"):
+        error = ValueError if math.isnan(value) else OverflowError
+        with pytest.raises(error, match="integer ratio"):
             ExactReal(value)
 
 
@@ -159,7 +170,7 @@ class TestPowNorm:
         assert pow_norm(f, 3) == 8
 
     def test_result_exact(self):
-        assert pow_norm(derivative(sawtooth(3)), 3).exact
+        assert isinstance(pow_norm(derivative(sawtooth(3)), 3), Fraction)
 
 
 class TestPairing:
@@ -179,15 +190,15 @@ class TestPairing:
             p = plap_pairing(sawtooth(k), scaled_hat(alpha))
             assert p == 3 * alpha
             self_p = plap_pairing(sawtooth(k), sawtooth(k))
-            assert self_p.value - p.value == 45 - 3 * alpha
+            assert self_p - p == 45 - 3 * alpha
 
     @settings(max_examples=60, deadline=None)
     @given(pw_linear_st(), pw_linear_st(), pw_linear_st(), fractions_st, fractions_st)
     def test_linear_in_second_argument(self, u, w1, w2, a, b):
         combo = lin_comb(a, w1, b, w2)
         lhs = plap_pairing(u, combo)
-        rhs = a * plap_pairing(u, w1).value + b * plap_pairing(u, w2).value
-        assert lhs.exact and lhs.value == rhs
+        rhs = a * plap_pairing(u, w1) + b * plap_pairing(u, w2)
+        assert isinstance(lhs, Fraction) and lhs == rhs
 
     @settings(max_examples=60, deadline=None)
     @given(pw_linear_st(), pw_linear_st())
@@ -234,7 +245,7 @@ def check_union_grid(u, w):
         assert common_refinement(du, dw) == reference_refinement(du, dw)
         for fn, term in PAIRING_TERMS.items():
             got = fn(u, w)
-            assert got.exact and got.value == reference_sum(u, w, term), fn.__name__
+            assert isinstance(got, Fraction) and got == reference_sum(u, w, term), fn.__name__
         assert equilibrium_gap(u, w) == plap_pairing(u, lin_comb(1, u, -1, w))
 
 
@@ -274,11 +285,15 @@ class TestLinComb:
 
     def test_inexact_coefficient_rejected(self):
         u = sawtooth(2)
-        for bad in (0.5, ExactReal(0.5), ExactReal(F(1, 2))):
+        for bad in (0.5, np.float64(0.5)):
             with pytest.raises(TypeError):
                 lin_comb(bad, u, 1, u)
             with pytest.raises(TypeError):
                 lin_comb(1, u, bad, u)
+        # an ExactReal is a Fraction: an exact rational, whatever it was built from
+        half = lin_comb(F(1, 2), u, 1, u)
+        for exact in (ExactReal(0.5), ExactReal(F(1, 2))):
+            assert lin_comb(exact, u, 1, u) == half == lin_comb(1, u, exact, u)
 
     @settings(max_examples=100, deadline=None)
     @given(pw_pair_st(), coefficients_st, coefficients_st)
@@ -399,17 +414,17 @@ class TestCachedIntegerView:
         order = data.draw(st.permutations(list(range(len(phis))) * 2))
         for i in order:
             got = integral_against(f, phis[i])
-            assert got.exact and got.value == expected[i].value, phis[i].describe()
+            assert isinstance(got, Fraction) and got == expected[i], phis[i].describe()
         fresh = PiecewiseConstFn(f.breakpoints, f.interval_values)
         for i in reversed(order):
-            assert integral_against(fresh, phis[i]).value == expected[i].value
+            assert integral_against(fresh, phis[i]) == expected[i]
 
     @settings(max_examples=100, deadline=None)
     @given(pw_const_st(), st.lists(st.integers(1, 5), min_size=1, max_size=5))
     def test_pow_norm_matches_reference(self, f, powers):
         for p in powers:
             got = pow_norm(f, p)
-            assert got.exact and got.value == reference_pow_norm(f, p).value, p
+            assert isinstance(got, Fraction) and got == reference_pow_norm(f, p), p
 
     def test_cache_leaves_identity_alone(self):
         f = derivative(sawtooth(5))
@@ -609,7 +624,7 @@ class TestEdgeCells:
             assert u == scaled_hat(F(7, 3))
         for p in range(1, 9):
             got = abs_pow_integral(u, p)
-            assert got.exact and got.value == reference_abs_pow_integral(u, p).value, p
+            assert isinstance(got, Fraction) and got == reference_abs_pow_integral(u, p), p
 
     def test_evaluate_matches_reference(self):
         # more functions alive than the nodal views cached, read in turn, so
@@ -628,7 +643,7 @@ class TestAbsPowIntegral:
     def test_matches_reference(self, u, powers):
         for p in powers:
             got = abs_pow_integral(u, p)
-            assert got.exact and got.value == reference_abs_pow_integral(u, p).value, p
+            assert isinstance(got, Fraction) and got == reference_abs_pow_integral(u, p), p
 
     def test_hat_cubed(self):
         # |min(t,1-t)|^3 integrates to 2 * (1/2)^4 / 4 = 1/32
@@ -642,7 +657,7 @@ class TestAbsPowIntegral:
 
     @pytest.mark.parametrize("k", [1, 2, 8, 64])
     def test_sawtooth_cube_decay(self, k):
-        assert abs_pow_integral(sawtooth(k), 3).value <= F(1, k**3)
+        assert abs_pow_integral(sawtooth(k), 3) <= F(1, k**3)
 
 
 class TestSerialization:

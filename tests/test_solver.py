@@ -457,6 +457,7 @@ class TestProblemIO:
             {"n": 2, "set": {"kind": "box", "lower": [0, 0], "upper": [1, 1], "radius": 1}},
             {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": 1, "upper": [1, 1]}},
             [2],
+            {"n": 4, "forcing": None},
         ],
         ids=[
             "short-box", "long-box", "short-center", "inf-forcing", "huge-p/q-forcing",
@@ -466,7 +467,7 @@ class TestProblemIO:
             "zero-denominator-eps", "zero-denominator-forcing", "zero-denominator-n",
             "boolean-eps", "string-forcing", "string-lower", "object-upper", "boolean-radius",
             "list-radius", "unknown-key", "unknown-key-beside-known", "radius-in-box",
-            "upper-in-ball", "not-an-object",
+            "upper-in-ball", "not-an-object", "null-forcing",
         ],
     )
     def test_malformed_problem_rejected(self, doc):
