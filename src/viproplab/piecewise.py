@@ -151,7 +151,8 @@ class _GridFn:
 
     Subclasses are frozen dataclasses with that one field.  The grid is
     canonical (every denominator is the lcm of the reduced ones), so the
-    generated ``==`` and ``hash`` compare functions by their grids.
+    generated ``==`` and ``hash`` compare functions by their grids;
+    ``PiecewiseLinearFn`` keeps its hash once taken.
     """
 
     @classmethod
@@ -170,17 +171,18 @@ class _GridFn:
 
 
 @lru_cache(maxsize=4)
-def _linear_views(grid: tuple) -> tuple:
-    """(breakpoints, values) of a linear grid (D, n, P, Q) as Fraction tuples.
+def _linear_views(u: "PiecewiseLinearFn") -> tuple:
+    """(breakpoints, values) of u's grid (D, n, P, Q) as Fraction tuples.
 
     Breakpoint t_i = c_i/e_i is n_i/D reduced by one gcd.  From y_i = a/b,
     y_{i+1} = a/b + (P_i/Q_i)(c_{i+1}/e_{i+1} - c_i/e_i) is reduced over the
     cell's own denominators, which stay as small as the data.  u(t) reads
     them on every call, and callers that index a view inside a loop read
-    them once per step; so the views of the last few grids read are kept
-    here, and nowhere else.
+    them once per step; so the views of the last few functions read are
+    kept here, and nowhere else.  The cache finds u by its kept hash and
+    by identity, so a hit costs O(1), not a pass over the grid.
     """
-    d, n, p, q = grid
+    d, n, p, q = u._grid
     gs = [gcd(x, d) for x in n]
     c, e = [x // g for x, g in zip(n, gs)], [d // g for g in gs]
     a, b = 0, 1
@@ -219,20 +221,29 @@ class PiecewiseLinearFn(_GridFn):
             grid = _checked_linear_grid(*grid)
         object.__setattr__(self, "_grid", grid)
 
+    @cached_property
+    def _hash(self) -> int:
+        """The generated hash, taken on first use and kept, so a lookup of the
+        views costs O(1); a function never hashed never pays its O(n)."""
+        return hash((self._grid,))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def breakpoints(self) -> tuple:
         """The breakpoints n_i/D as reduced rationals."""
-        return _linear_views(self._grid)[0]
+        return _linear_views(self)[0]
 
     @property
     def values(self) -> tuple:
         """The nodal values, summed from the slopes."""
-        return _linear_views(self._grid)[1]
+        return _linear_views(self)[1]
 
     def __call__(self, t: RationalLike) -> Fraction:
         i, t = self._cell(t)
         p, q = self._grid[2:]
-        bps, vals = _linear_views(self._grid)
+        bps, vals = _linear_views(self)
         return vals[i] + Fraction(p[i], q[i]) * (t - bps[i])
 
     def __repr__(self):

@@ -52,14 +52,16 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails too
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         # the same bits as np.clip, without its per-call dispatch overhead
-        return np.minimum(np.maximum(x, self.lower), self.upper)
+        t = np.maximum(x, self.lower)
+        np.minimum(t, self.upper, out=t)
+        return t
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class Ball:
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN included
             raise ValueError("ball radius must be positive")
         object.__setattr__(self, "center", c)
 
@@ -80,7 +82,9 @@ class Ball:
         norm = math.sqrt(d.dot(d))  # what np.linalg.norm computes for 1-D input
         if norm <= self.radius:
             return x.copy()
-        return self.center + d * (self.radius / norm)
+        d *= self.radius / norm
+        np.add(self.center, d, out=d)  # center + d, in that operand order
+        return d
 
 
 FeasibleSet = Union[Box, Ball]
@@ -107,21 +111,26 @@ class GalerkinOperator:
             self.forcing = np.asarray([float(f) for f in forcing], dtype=float)
             if self.forcing.shape != (n,):
                 raise ValueError("forcing must have length n")
-        # zero boundary values around x; a scratch buffer, so one call at a time
-        self._padded = np.zeros(n + 2)
+        # scratch buffers and their views, built once, so one call at a time:
+        # x between zero boundary values, the slopes s and a = |s| s
+        padded = np.zeros(n + 2)
+        self._slot, self._right, self._left = padded[1:-1], padded[1:], padded[:-1]
+        self._s = np.empty(n + 1)
+        a = np.empty(n + 1)
+        self._a, self._a_left, self._a_right = a, a[:-1], a[1:]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if len(x) != self.n:  # the slice assignment below would broadcast a length-1 x
+        if len(x) != self.n:  # the slot assignment below would broadcast a length-1 x
             raise ValueError("x must have length n")
-        # np.diff, abs and the subtractions of the formula, done in place on
-        # fresh arrays: callers keep the result across calls
-        padded = self._padded
-        padded[1:-1] = x
-        s = padded[1:] - padded[:-1]
-        s /= self.h
-        a = np.abs(s)
-        a *= s
-        g = a[:-1] - a[1:]
+        # np.diff, abs and the subtractions of the formula, on the scratch
+        # buffers; g is a fresh array, since callers keep it across calls
+        self._slot[...] = x
+        s, a = self._s, self._a
+        np.subtract(self._right, self._left, s)
+        np.true_divide(s, self.h, s)
+        np.absolute(s, a)
+        np.multiply(a, s, a)
+        g = np.subtract(self._a_left, self._a_right)
         g -= self.forcing
         return g
 
@@ -149,8 +158,8 @@ def assemble_vi(
 ) -> DiscreteVI:
     """The VI of the Galerkin operator on a feasible set, [-1, 1]^n by default.
 
-    eps must be >= 0 and max_iter an integer >= 1; anything else, NaN
-    included, raises ValueError.
+    eps must be >= 0, max_iter an integer >= 1 and the set's vectors of
+    shape (n,); anything else, NaN included, raises ValueError.
     """
     if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
@@ -158,6 +167,10 @@ def assemble_vi(
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     if feasible_set is None:
         feasible_set = Box(-np.ones(n), np.ones(n))
+    # a set of another length would broadcast against x, or fail mid-solve
+    shape = (feasible_set.lower if isinstance(feasible_set, Box) else feasible_set.center).shape
+    if shape != (n,):
+        raise ValueError(f"feasible set vectors must have shape ({n},), got {shape}")
     return DiscreteVI(
         operator=GalerkinOperator(n, forcing),
         feasible_set=feasible_set,
@@ -197,14 +210,19 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    P = vi.feasible_set.project
+    G, P, sub = vi.operator, vi.feasible_set.project, np.subtract
     eps = vi.eps
     x = P(np.zeros(vi.n))
+    # scratch for x - g and then d = x - y, and for g - gy; x - P(x - g) and
+    # x - lam * g(y) overwrite the temporaries they came from, never x, g or
+    # gy, which outlive them
+    d, dg = np.empty(vi.n), np.empty(vi.n)
     lam = step
     best_x, best_r = x, math.inf
     for m in range(vi.max_iter + 1):  # iterate m is judged here, and only here
-        g = vi.operator(x)
-        v = x - P(x - g)
+        g = G(x)
+        v = P(sub(x, g, d))
+        sub(x, v, v)
         r = math.sqrt(v.dot(v))
         if m == 0 or r < best_r:  # a NaN residual at the start stays the best
             best_x, best_r = x, r
@@ -212,15 +230,18 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
             return SolveResult(x=x, residual=r, iterations=m, converged=True)
         if m == vi.max_iter:
             break
-        y = P(x - lam * g)
-        gy = vi.operator(y)
-        d = x - y
-        while lam > MIN_STEP and (g - gy).dot(d) > d.dot(d) / (2.0 * lam):
+        t = lam * g
+        y = P(sub(x, t, t))
+        gy = G(y)
+        sub(x, y, d)
+        while lam > MIN_STEP and sub(g, gy, dg).dot(d) > d.dot(d) / (2.0 * lam):
             lam *= BACKTRACK_FACTOR
-            y = P(x - lam * g)
-            gy = vi.operator(y)
-            d = x - y
-        x = P(x - lam * gy)
+            t = lam * g
+            y = P(sub(x, t, t))
+            gy = G(y)
+            sub(x, y, d)
+        t = lam * gy
+        x = P(sub(x, t, t))
         lam = min(lam * STEP_GROWTH, 10.0 * step)
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 

@@ -442,8 +442,11 @@ class TestSolve:
         [
             ("box", 32, "42e0c6083ea9cd8d25fe8bc313b2ad0cf0bcd64baa386e23bf05df298add4ae2"),
             ("ball", 64, "62df97d785d5ab906976eae8c3e89fa92fa7486715b3a00203b33b5d64f63359"),
+            # the largest n the benchmark solves, pinned before the kernel's scratch buffers
+            ("box", 64, "6284d8418e0e59ef1c90170d970bf496be2b1b2fc3149021c19e257855497b37"),
+            ("ball", 256, "c7bfc2d8545c82b8352ea8a47aed5d24a76f69da7d739739a9efba3e78007cb1"),
         ],
-        ids=["box-n32", "ball-n64"],
+        ids=["box-n32", "ball-n64", "box-n64", "ball-n256"],
     )
     def test_stdout_bytes_pinned(self, tmp_path, capsys, kind, n, digest):
         if kind == "box":

@@ -695,3 +695,37 @@ class TestPointLookup:
         assert (u(0), u(F(1, 36)), u(F(1, 18)), u("1/6"), u(1)) == (0, F(1, 6), F(1, 3), 0, 0)
         assert [du.value_at(t) for t in (0, F(1, 36), F(1, 18), "1/6", F(1, 2), 1)] == [
             6, 6, -3, 6, 0, 0]
+
+
+class CountingInt(int):
+    """An int that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        CountingInt.hashed += 1
+        return int.__hash__(self)
+
+
+class TestKeptHash:
+    """A linear function hashes its grid at most once; u(t) finds its views by that hash."""
+
+    def test_equal_functions_built_two_ways(self):
+        bps, vals = reference_sawtooth(4)
+        u, v = sawtooth(4), PiecewiseLinearFn(bps, vals)  # from the grid, and from nodes
+        assert u is not v and u == v
+        assert hash(u) == hash(v) == hash((u._grid,))  # the hash the dataclass generates
+        points = [*bps, F(1, 7), F(5, 9), F(999, 1000)]
+        assert [u(t) for t in points] == [v(t) for t in points]
+        assert [u(t) for t in points] == [reference_evaluate(bps, vals, t) for t in points]
+
+    def test_grid_hashed_once_per_function(self):
+        d, n, p, q = sawtooth(5)._grid
+        CountingInt.hashed = 0
+        u = PiecewiseLinearFn._from_grid(CountingInt(d), n, p, q)
+        assert CountingInt.hashed == 0  # a function never hashed never pays for it
+        bps, vals = reference_sawtooth(5)
+        for t in bps * 10:
+            assert u(t) == reference_evaluate(bps, vals, t)
+        assert (u.breakpoints, u.values, {u}) == (bps, vals, {sawtooth(5)})
+        assert CountingInt.hashed == 1

@@ -60,6 +60,20 @@ class TestProjection:
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Ball(np.zeros(2), math.nan),
+            lambda: Box(np.array([math.nan, 0.0]), np.ones(2)),
+            lambda: Box(np.zeros(2), np.array([1.0, math.nan])),
+        ],
+        ids=["nan-radius", "nan-lower", "nan-upper"],
+    )
+    def test_nan_parameters_rejected(self, make):
+        # a NaN compares False both ways, so only "not (lower <= upper)" catches it
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestOperator:
     def test_n1_closed_form(self):
@@ -200,6 +214,25 @@ class TestExtragradient:
         with pytest.raises(ValueError, match=reason):
             assemble_vi(2, **settings_kw)
 
+    @pytest.mark.parametrize(
+        "feasible",
+        [
+            Box(-np.ones(1), np.ones(1)),
+            Box(-np.ones(3), np.ones(3)),
+            Box(-1.0, 1.0),
+            Box(-np.ones((1, 4)), np.ones((1, 4))),
+            Ball(np.zeros(1), 1.0),
+            Ball(np.zeros(5), 1.0),
+        ],
+        ids=["box-length-1", "box-length-3", "box-scalar", "box-row", "ball-length-1",
+             "ball-length-5"],
+    )
+    def test_assemble_rejects_a_set_of_another_shape(self, feasible):
+        # without the check a length-1 set broadcasts and "converges" to another
+        # problem's answer, and a length-3 one fails inside numpy mid-solve
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            assemble_vi(4, forcing=[1.0] * 4, feasible_set=feasible)
+
     def test_assemble_accepts_the_edge_settings(self):
         res = extragradient_solve(assemble_vi(2, forcing=[1.0, 1.0], eps=0, max_iter=1))
         assert (res.iterations, res.converged) == (1, False)
@@ -308,6 +341,51 @@ class TestAgainstReference:
         assert got.residual == ref.residual
         assert got.iterations == ref.iterations
         assert got.converged == (ref.converged or ref.residual <= vi.eps)
+
+
+class TestFreshResults:
+    """The in-place kernel writes only its own scratch: inputs keep their bytes,
+    and every result is a fresh array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(box_point_st(), ball_point_st()))
+    def test_projection_leaves_input_alone(self, case):
+        feasible, x = case
+        vectors = [v for v in vars(feasible).values() if isinstance(v, np.ndarray)]
+        before = [v.tobytes() for v in (x, *vectors)]
+        with np.errstate(invalid="ignore"):
+            p = feasible.project(x)
+        assert [v.tobytes() for v in (x, *vectors)] == before
+        assert not any(np.shares_memory(p, v) for v in (x, *vectors))
+
+    @settings(max_examples=60, deadline=None)
+    @given(solve_input_st())
+    def test_solution_outlives_later_calls(self, case):
+        vi, step = case
+        x = extragradient_solve(vi, step=step).x
+        before = x.tobytes()
+        vi.operator(np.full(vi.n, 0.5))
+        vi.feasible_set.project(np.full(vi.n, 3.0))
+        again = extragradient_solve(vi, step=step).x
+        assert x.tobytes() == before and again.tobytes() == before
+        assert not np.shares_memory(again, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(solve_input_st())
+    def test_iterates_are_never_overwritten(self, case):
+        # every point the solver evaluates the operator at keeps its bytes to
+        # the end of the solve, since the best iterate may be any of them
+        vi, step = case
+        seen = []
+        real = GalerkinOperator.__call__
+
+        def recording(op, x):
+            seen.append((x, x.tobytes()))
+            return real(op, x)
+
+        with mock.patch.object(GalerkinOperator, "__call__", recording):
+            extragradient_solve(vi, step=step)
+        assert all(x.tobytes() == b for x, b in seen)
 
 
 def counted_solve(solve, vi, step):
