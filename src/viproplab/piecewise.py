@@ -66,10 +66,16 @@ def _json_pairs(d: dict) -> tuple:
     return tuple(tuple(Fraction(int(num), int(den)) for num, den in p) for p in pairs)
 
 
-def _over_lcm(xs: Sequence[Fraction]) -> tuple:
-    """(L, (x*L for x in xs)): rationals as integers over the lcm L of their denominators."""
-    den = lcm(*[x.denominator for x in xs])
-    return den, tuple([x.numerator * (den // x.denominator) for x in xs])
+def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple:
+    """(L, (x*L/y for x/y)): rationals x/y as integers over the lcm L of their denominators."""
+    den = lcm(*dens)
+    return den, tuple([x * (den // y) for x, y in zip(nums, dens)])
+
+
+def _pairs(xs: Iterable[RationalLike]) -> tuple:
+    """The numerators and the denominators of exact rationals, as two lists."""
+    fs = [as_fraction(x) for x in xs]  # lists, not generators: built at their final size
+    return [x.numerator for x in fs], [x.denominator for x in fs]
 
 
 def _check_points(d: int, n: Sequence[int]) -> None:
@@ -84,6 +90,17 @@ def _check_points(d: int, n: Sequence[int]) -> None:
         raise ValueError("breakpoints must be over the lcm of their denominators")
 
 
+def _checked_grid(d: int, n: Sequence[int], p: Sequence[int], q: Sequence[int]) -> tuple:
+    """(D, n, P, Q) as tuples, once the invariants of the grid form hold in integers."""
+    n, p, q = tuple(n), tuple(p), tuple(q)
+    _check_points(d, n)
+    if not len(p) == len(q) == len(n) - 1:
+        raise ValueError("one value per interval required")
+    if min(q) < 1 or set(map(gcd, p, q)) != {1}:
+        raise ValueError("values must be reduced, with positive denominators")
+    return d, n, p, q
+
+
 def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]) -> tuple:
     """Integer grid (D, n, P, Q) of the function with these breakpoints and nodal values.
 
@@ -93,17 +110,14 @@ def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalL
     c0 e1) b0 b1).  Those integers stay as small as the data; over the lcm
     of all value denominators they would grow with the number of cells.
     """
-    # lists, not generators: built at their final size, and faster
-    bps = [as_fraction(t) for t in breakpoints]
-    vals = [as_fraction(v) for v in values]
-    d, n = _over_lcm(bps)
+    c, e = _pairs(breakpoints)
+    a, b = _pairs(values)
+    d, n = _over_lcm(c, e)
     _check_points(d, n)
-    if len(vals) != len(n):
+    if len(a) != len(n):
         raise ValueError("one value per breakpoint required")
-    if vals[0] != 0 or vals[-1] != 0:
+    if a[0] or a[-1]:
         raise ValueError("boundary values must be zero")
-    a, b = [y.numerator for y in vals], [y.denominator for y in vals]
-    c, e = [t.numerator for t in bps], [t.denominator for t in bps]
     p, q = [], []
     for a0, a1, b0, b1, c0, c1, e0, e1 in zip(a, a[1:], b, b[1:], c, c[1:], e, e[1:]):
         num = (a1 * b0 - a0 * b1) * e0 * e1
@@ -115,42 +129,21 @@ def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalL
 
 
 def _checked_linear_grid(d: int, n: Sequence[int], p: Sequence[int], q: Sequence[int]) -> tuple:
-    """(D, n, P, Q) as tuples, once the invariants of the grid form hold in integers."""
-    n, p, q = tuple(n), tuple(p), tuple(q)
-    _check_points(d, n)
-    if not len(p) == len(q) == len(n) - 1:
-        raise ValueError("one slope per cell required")
-    if min(q) < 1 or set(map(gcd, p, q)) != {1}:
-        raise ValueError("slopes must be reduced, with positive denominators")
-    den = lcm(*q)  # D u(1), the sum of P_i (n_{i+1} - n_i) / Q_i, times den
-    if sum(map(mul, map(mul, p, map(sub, n[1:], n)), [den // x for x in q])):
+    """``_checked_grid``, and u(1) = 0: the sum of P_i (n_{i+1} - n_i) / Q_i is zero."""
+    d, n, p, q = _checked_grid(d, n, p, q)
+    if sum(map(mul, _over_lcm(p, q)[1], map(sub, n[1:], n))):
         raise ValueError("boundary values must be zero")
     return d, n, p, q
 
 
-def _const_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]) -> tuple:
-    """Integer grid (D, n, E, p) of the step function with these breakpoints and values."""
-    bps = [as_fraction(t) for t in breakpoints]
-    vals = [as_fraction(v) for v in values]
-    return _checked_const_grid(*_over_lcm(bps), *_over_lcm(vals))
-
-
-def _checked_const_grid(d: int, n: Sequence[int], e: int, p: Sequence[int]) -> tuple:
-    """(D, n, E, p) with tuples, once the invariants of the grid form hold in integers."""
-    n, p = tuple(n), tuple(p)
-    _check_points(d, n)
-    if len(p) != len(n) - 1:
-        raise ValueError("one value per interval required")
-    if e < 1 or gcd(e, *p) != 1:
-        raise ValueError("values must be over the lcm of their denominators")
-    return d, n, e, p
-
-
 class _GridFn:
-    """A function whose one stored form is its integer grid ``_grid``.
+    """A function whose one stored form is its integer grid ``_grid = (D, n, P, Q)``.
 
-    Subclasses are frozen dataclasses with that one field.  The grid is
-    canonical (every denominator is the lcm of the reduced ones), so the
+    Breakpoints t_i = n_i/D run over the lcm D of their denominators, and
+    each cell i holds one reduced rational P_i/Q_i with Q_i > 0: the slope
+    of a ``PiecewiseLinearFn``, the value of a ``PiecewiseConstFn``; so a
+    function and its derivative have one grid.  Subclasses are frozen
+    dataclasses with that one field.  The grid is canonical, so the
     generated ``==`` and ``hash`` compare functions by their grids;
     ``PiecewiseLinearFn`` keeps its hash once taken.
     """
@@ -201,10 +194,8 @@ class PiecewiseLinearFn(_GridFn):
     """Continuous piecewise-linear function on [0,1] vanishing at 0 and 1.
 
     The zero boundary values model membership in the zero-trace Sobolev
-    space the lab works in.  The one stored form is the integer grid
-    ``_grid = (D, n, P, Q)``: breakpoints t_i = n_i/D over the lcm D of
-    their denominators, and the slope P_i/Q_i on cell i, reduced with
-    Q_i > 0.  The nodal values follow from the slopes and u(0) = 0;
+    space the lab works in.  The grid holds the slope P_i/Q_i of each
+    cell; the nodal values follow from the slopes and u(0) = 0, and
     ``breakpoints`` and ``values`` are Fraction views of the grid.
     """
 
@@ -265,10 +256,8 @@ class PiecewiseLinearFn(_GridFn):
 class PiecewiseConstFn(_GridFn):
     """Piecewise-constant function on [0,1]: one value per open interval.
 
-    The one stored form is the integer grid ``_grid = (D, n, E, p)``:
-    breakpoints n_i/D and values p_i/E, each over the lcm of its
-    denominators; ``breakpoints`` and ``interval_values`` are Fraction
-    views of the grid.
+    The grid holds the value P_i/Q_i of each cell; ``breakpoints`` and
+    ``interval_values`` are Fraction views of the grid.
     """
 
     _grid: tuple
@@ -281,10 +270,8 @@ class PiecewiseConstFn(_GridFn):
     def __post_init__(self, breakpoints=(), interval_values=(), grid=None):
         # every construction runs here: from breakpoints and values, or a grid to check
         if grid is None:
-            grid = _const_grid(breakpoints, interval_values)
-        else:
-            grid = _checked_const_grid(*grid)
-        object.__setattr__(self, "_grid", grid)
+            grid = *_over_lcm(*_pairs(breakpoints)), *_pairs(interval_values)
+        object.__setattr__(self, "_grid", _checked_grid(*grid))
 
     @property
     def breakpoints(self) -> tuple:
@@ -294,14 +281,14 @@ class PiecewiseConstFn(_GridFn):
 
     @property
     def interval_values(self) -> tuple:
-        """The values p_i/E as reduced rationals, built on each read."""
-        e, p = self._grid[2:]
-        return tuple([Fraction(x, e) for x in p])
+        """The values P_i/Q_i as reduced rationals, built on each read."""
+        return tuple(map(Fraction, *self._grid[2:]))
 
     def value_at(self, t: RationalLike) -> Fraction:
         """Value on the interval containing t (left-closed convention)."""
-        e, p = self._grid[2:]
-        return Fraction(p[self._cell(t)[0]], e)
+        i = self._cell(t)[0]
+        p, q = self._grid[2:]
+        return Fraction(p[i], q[i])
 
     def __repr__(self):
         return (f"PiecewiseConstFn(breakpoints={self.breakpoints!r}, "
@@ -320,13 +307,14 @@ class PiecewiseConstFn(_GridFn):
 
         ``pow_norm`` reads the grid and ``test_integral`` this view, so every
         integral of one piecewise-constant function is an integer sum over
-        one grid.  With the grid's t_i = n_i/D and c_i = p_i/E, and p_m = 0
-        past the last interval, ``primitive[i]`` is D*E times the integral
-        of f over [0, t_i].  ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0),
+        one grid.  With the grid's t_i = n_i/D, its values c_i = p_i/E over
+        E = lcm(Q), and p_m = 0 past the last interval, ``primitive[i]`` is
+        D*E times the integral of f over [0, t_i].  ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0),
         and ``sums[j]`` is S_j = sum of n_i**j * J_i, grown on demand from
         ``powers`` = n_i**j.
         """
-        d, n, e, p = self._grid
+        d, n, p, q = self._grid
+        e, p = _over_lcm(p, q)
         p = [*p, 0]
         return SimpleNamespace(
             d=d, e=e, n=n, p=p,
@@ -337,10 +325,8 @@ class PiecewiseConstFn(_GridFn):
 
 
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
-    """Weak derivative of a piecewise-linear function: its slopes over E = lcm(Q), on its grid."""
-    d, n, p, q = u._grid
-    e = lcm(*q)
-    return PiecewiseConstFn._from_grid(d, n, e, [pi * (e // qi) for pi, qi in zip(p, q)])
+    """Weak derivative of a piecewise-linear function: its own grid, slopes read as values."""
+    return PiecewiseConstFn._from_grid(*u._grid)
 
 
 def _merge(df: int, nf: Sequence[int], dg: int, ng: Sequence[int]):
@@ -374,15 +360,16 @@ def common_refinement(
     f: PiecewiseConstFn, g: PiecewiseConstFn
 ) -> tuple:
     """Re-express both functions on the union breakpoint grid."""
-    df, nf, ef, pf = f._grid
-    dg, ng, eg, pg = g._grid
-    n, fv, gv = [0], [], []
+    df, nf, pf, qf = f._grid
+    dg, ng, pg, qg = g._grid
+    n, fi, gj = [0], [], []
     for i, j, _, x in _merge(df, nf, dg, ng):
         n.append(x)
-        fv.append(pf[i])
-        gv.append(pg[j])
-    d = lcm(df, dg)  # each value of f and g survives, so E stays the lcm of theirs
-    return PiecewiseConstFn._from_grid(d, n, ef, fv), PiecewiseConstFn._from_grid(d, n, eg, gv)
+        fi.append(i)
+        gj.append(j)
+    d = lcm(df, dg)
+    return (PiecewiseConstFn._from_grid(d, n, [pf[i] for i in fi], [qf[i] for i in fi]),
+            PiecewiseConstFn._from_grid(d, n, [pg[j] for j in gj], [qg[j] for j in gj]))
 
 
 def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
@@ -393,7 +380,8 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    d, n, e, v = f._grid  # |c_i|^p (t_{i+1} - t_i) = |v_i|^p (n_{i+1} - n_i) / (E^p D)
+    d, n = f._grid[:2]
+    e, v = _over_lcm(*f._grid[2:])  # |c_i|^p (t_{i+1} - t_i) = |v_i|^p (n_{i+1} - n_i) / (E^p D)
     num = sum(abs(c) ** p * (b - a) for c, a, b in zip(v, n, n[1:]))
     return ExactReal(num, e**p * d)
 

@@ -42,7 +42,8 @@ BOX_KEYS = frozenset({"kind", "lower", "upper"})
 BALL_KEYS = frozenset({"kind", "center", "radius"})
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, since the generated ones would compare arrays
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box with componentwise clamp projection."""
 
@@ -50,10 +51,12 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        # read-only copies, so a caller's later writes cannot move the set
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails too
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -64,7 +67,7 @@ class Box:
         return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Euclidean ball; projection rescales radially when outside."""
 
@@ -72,9 +75,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
+        c = np.array(self.center, dtype=float)  # a read-only copy, as in Box
         if not self.radius > 0:  # NaN included
             raise ValueError("ball radius must be positive")
+        c.flags.writeable = False
         object.__setattr__(self, "center", c)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -230,16 +234,14 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
             return SolveResult(x=x, residual=r, iterations=m, converged=True)
         if m == vi.max_iter:
             break
-        t = lam * g
-        y = P(sub(x, t, t))
-        gy = G(y)
-        sub(x, y, d)
-        while lam > MIN_STEP and sub(g, gy, dg).dot(d) > d.dot(d) / (2.0 * lam):
-            lam *= BACKTRACK_FACTOR
+        while True:  # the trial step, halved until the contraction test passes
             t = lam * g
             y = P(sub(x, t, t))
             gy = G(y)
             sub(x, y, d)
+            if not (lam > MIN_STEP and sub(g, gy, dg).dot(d) > d.dot(d) / (2.0 * lam)):
+                break
+            lam *= BACKTRACK_FACTOR
         t = lam * gy
         x = P(sub(x, t, t))
         lam = min(lam * STEP_GROWTH, 10.0 * step)

@@ -583,15 +583,27 @@ class TestGridForm:
 
     def test_const_grid_checks(self):
         f = PiecewiseConstFn((F(0), F(1, 3), F(1)), (F(1, 2), F(-3, 4)))
-        assert f._grid == (3, (0, 1, 3), 4, (2, -3))
+        assert f._grid == (3, (0, 1, 3), (1, -3), (2, 4))
         assert PiecewiseConstFn._from_grid(*f._grid) == f
         for grid, words in [
-            ((3, (0, 1, 3), 8, (4, -6)), "lcm"),  # values over twice their lcm
-            ((6, (0, 2, 6), 4, (2, -3)), "lcm"),  # breakpoints over twice their lcm
-            ((3, (0, 2, 1, 3), 4, (2, -3, 1)), "increasing"),
-            ((3, (0, 1, 3), 4, (2,)), "one value per interval"),
+            ((3, (0, 1, 3), (2, -3), (4, 4)), "reduced"),  # 2/4 not reduced
+            ((6, (0, 2, 6), (1, -3), (2, 4)), "lcm"),  # breakpoints over twice their lcm
+            ((3, (0, 2, 1, 3), (1, -3, 1), (2, 4, 1)), "increasing"),
+            ((3, (0, 1, 3), (1,), (2,)), "one value per interval"),
+            ((3, (0, 1, 3), (1, -3), (0, 4)), "positive denominators"),
+            ((3, (0, 1, 3), (-1, -3), (-2, 4)), "positive denominators"),
         ]:
             assert words in raised(lambda: PiecewiseConstFn._from_grid(*grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(linear_input_st(), linear_input_st())
+    def test_derivative_shares_the_grid(self, bv, bw):
+        u, w = PiecewiseLinearFn(*bv), PiecewiseLinearFn(*bw)
+        du, dw = derivative(u), derivative(w)
+        assert du._grid == u._grid and dw._grid == w._grid
+        g = PiecewiseConstFn(u.breakpoints, reference_slopes(u))
+        assert g == du and hash(g) == hash(du) and g.to_json_dict() == du.to_json_dict()
+        assert common_refinement(du, dw) == reference_refinement(du, dw)
 
     def test_immutable_and_copyable(self):
         u = sawtooth(3)

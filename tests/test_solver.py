@@ -74,6 +74,33 @@ class TestProjection:
         with pytest.raises(ValueError):
             make()
 
+    def test_sets_keep_their_own_copies(self):
+        # the caller's arrays may change after construction; the sets and solves may not
+        lo, hi, center = -np.ones(2), np.ones(2), np.zeros(2)
+        box, ball = Box(lo, hi), Ball(center, 0.5)
+        solves = [extragradient_solve(assemble_vi(2, forcing=[1, 1], feasible_set=s)).x
+                  for s in (box, ball)]
+        lo[0], hi[1], center[0] = 5.0, -3.0, 4.0
+        assert np.array_equal(box.lower, [-1, -1]) and np.array_equal(box.upper, [1, 1])
+        assert np.array_equal(ball.center, [0, 0])
+        assert np.array_equal(box.project(np.zeros(2)), [0, 0])
+        for s, x in zip((box, ball), solves):
+            again = extragradient_solve(assemble_vi(2, forcing=[1, 1], feasible_set=s)).x
+            assert again.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("name", ["lower", "upper", "center"])
+    def test_set_arrays_are_read_only(self, name):
+        feasible = Ball(np.zeros(2), 1.0) if name == "center" else Box(-np.ones(2), np.ones(2))
+        with pytest.raises(ValueError):
+            getattr(feasible, name)[0] = 5.0
+
+    def test_eq_and_hash_do_not_raise(self):
+        sets = [Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0)]
+        for s in sets:
+            assert s == s and hash(s) == hash(s)
+            assert s != Box(-np.ones(2), np.ones(2)) and s != Ball(np.zeros(2), 1.0)
+        assert len(set(sets)) == 2
+
 
 class TestOperator:
     def test_n1_closed_form(self):
