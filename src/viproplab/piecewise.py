@@ -72,6 +72,39 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple:
     return den, tuple([x * (den // y) for x, y in zip(nums, dens)])
 
 
+def _rational_sum(pairs: Iterable[tuple]) -> Fraction:
+    """The reduced sum of the rationals num/den, den > 0, of integer pairs (num, den).
+
+    Each leaf is reduced by one gcd; neighbours are then added level by
+    level as a balanced tree, the odd last pair of a level moving up as
+    it is, each node by the gcd-trick addition of ``Fraction._add``
+    (Knuth, TAOCP 2, §4.5.1) on bare ints.  A sequential sum would carry
+    the running denominator, of up to thousands of bits, through every
+    addition; the tree keeps most additions on small operands.
+    """
+    level = []
+    for num, den in pairs:
+        g = gcd(num, den)
+        level.append((num // g, den // g))
+    if not level:
+        return Fraction(0)
+    while len(level) > 1:
+        up = []
+        for (na, da), (nb, db) in zip(level[::2], level[1::2]):
+            g = gcd(da, db)
+            if g == 1:
+                up.append((na * db + nb * da, da * db))
+            else:
+                s = da // g
+                t = na * (db // g) + nb * s
+                g2 = gcd(t, g)
+                up.append((t // g2, s * (db // g2)))
+        if len(level) % 2:
+            up.append(level[-1])
+        level = up
+    return Fraction(*level[0])
+
+
 def _pairs(xs: Iterable[RationalLike]) -> tuple:
     """The numerators and the denominators of exact rationals, as two lists."""
     fs = [as_fraction(x) for x in xs]  # lists, not generators: built at their final size
@@ -325,8 +358,14 @@ class PiecewiseConstFn(_GridFn):
 
 
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
-    """Weak derivative of a piecewise-linear function: its own grid, slopes read as values."""
-    return PiecewiseConstFn._from_grid(*u._grid)
+    """Weak derivative of a piecewise-linear function: its own grid, slopes read as values.
+
+    The grid was checked when u was built, and a linear grid passes every
+    check of a constant one, so it is shared as it is, not checked again.
+    """
+    f = PiecewiseConstFn.__new__(PiecewiseConstFn)
+    object.__setattr__(f, "_grid", u._grid)
+    return f
 
 
 def _merge(df: int, nf: Sequence[int], dg: int, ng: Sequence[int]):
@@ -392,8 +431,9 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     ``term`` must be a polynomial in (c, d) homogeneous of degree 3, so that
     term(P/Q, R/S) = term(P*S, R*Q) / (Q*S)**3 for the integer slopes of
     the grids.  Each union cell adds the integer term(P*S, R*Q) times its
-    width to the sum kept for its key Q*S; one rational is built per key,
-    and the total is divided by the common grid denominator once.
+    width to the sum kept for its key Q*S; the pairs (sum, key**3) are
+    added by ``_rational_sum``, and the total is divided by the common grid
+    denominator once.
     """
     du, nu, p, q = u._grid
     dw, nw, r, s = w._grid
@@ -401,7 +441,7 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     for i, j, width, _ in _merge(du, nu, dw, nw):
         key = q[i] * s[j]
         sums[key] = sums.get(key, 0) + term(p[i] * s[j], r[j] * q[i]) * width
-    total = sum(Fraction(num, key**3) for key, num in sums.items())
+    total = _rational_sum((num, key**3) for key, num in sums.items())
     return ExactReal(total / lcm(du, dw))
 
 
@@ -545,17 +585,23 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
 
     G(y) = |y|^p y is a primitive of (p+1)|y|^p, so on a cell with slope
     P/Q != 0 the integral is (G(y1) - G(y0)) Q / ((p+1) P), whether or not
-    u changes sign there; on a flat cell of length L it is L |y0|^p.
+    u changes sign there; on a flat cell of length L it is L |y0|^p.  With
+    the nodal values y_i = a_i/b_i, each cell's term times p+1 is one
+    integer pair, and ``_rational_sum`` adds them.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     d, n, sp, sq = u._grid
     y = u.values
-    g = [abs(v) ** p * v for v in y]
-    total = Fraction(0)  # (p+1) times the integral
-    for pi, qi, g0, g1, y0, a, b in zip(sp, sq, g, g[1:], y, n, n[1:]):
+    a = [v.numerator for v in y]
+    b = [v.denominator for v in y]
+    g = [abs(x) ** p * x for x in a]  # G(y_i) = g_i / h_i
+    h = [x ** (p + 1) for x in b]
+    terms = []  # (p+1) times each cell's integral
+    for pi, qi, g0, g1, h0, h1, a0, b0, x0, x1 in zip(sp, sq, g, g[1:], h, h[1:], a, b, n, n[1:]):
         if pi:
-            total += (g1 - g0) * qi / pi
+            num, den = (g1 * h0 - g0 * h1) * qi, h0 * h1 * pi
+            terms.append((-num, -den) if pi < 0 else (num, den))
         else:
-            total += (p + 1) * (b - a) * abs(y0) ** p / d
-    return ExactReal(total / (p + 1))
+            terms.append(((p + 1) * (x1 - x0) * abs(a0) ** p, d * b0**p))
+    return ExactReal(_rational_sum(terms) / (p + 1))

@@ -42,6 +42,20 @@ def random_pw_linear(r, max_interior=5, lo=-8, hi=8, max_den=24):
     return PiecewiseLinearFn(tuple(bps), tuple(vals))
 
 
+def random_wide_pw_linear(r, interior):
+    """A function with this many interior breakpoints, over unrelated denominators up to 1000."""
+    pts = set()
+    while len(pts) < interior:
+        q = r.randint(2, 1000)
+        pts.add(Fraction(r.randint(1, q - 1), q))
+    vals = []
+    for _ in range(interior):
+        q = r.randint(1, 1000)
+        vals.append(Fraction(r.randint(-3 * q, 3 * q), q))
+    bps = (Fraction(0), *sorted(pts), Fraction(1))
+    return PiecewiseLinearFn(bps, (Fraction(0), *vals, Fraction(0)))
+
+
 def reference_refinement(f, g):
     """Test-only reference for the union-grid walk: sorted-set grid, then resample."""
     merged = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))

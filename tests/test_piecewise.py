@@ -6,11 +6,12 @@ import random
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import starmap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viproplab import (
@@ -31,9 +32,11 @@ from viproplab import (
     scaled_hat,
     test_integral as integral_against,
 )
+from viproplab.piecewise import _rational_sum
 
 from conftest import (
     random_pw_linear,
+    random_wide_pw_linear,
     reference_abs_pow_integral,
     reference_check_breakpoints,
     reference_evaluate,
@@ -114,6 +117,39 @@ class TestInvariants:
     def test_interval_count(self):
         with pytest.raises(ValueError):
             PiecewiseConstFn((F(0), F(1)), (F(1), F(2)))
+
+
+# denominators that are distinct primes (coprime pairs: the g == 1 branch of
+# the tree's addition) or products of small primes (shared factors)
+_PRIMES = (2, 3, 5, 7, 11, 13, 101, 997)
+rational_pairs_st = st.lists(st.tuples(
+    st.one_of(st.just(0), st.integers(-10**6, 10**6)),
+    st.one_of(st.sampled_from(_PRIMES),
+              st.lists(st.sampled_from(_PRIMES[:4]), min_size=1, max_size=8).map(math.prod)),
+), max_size=40)
+
+
+class TestRationalSum:
+    """_rational_sum against the sequential Fraction sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_pairs_st)
+    def test_matches_fraction_sum(self, pairs):
+        got = _rational_sum(pairs)
+        assert type(got) is Fraction and got == sum(starmap(Fraction, pairs), Fraction(0))
+        assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+    @pytest.mark.parametrize("pairs, want", [
+        ([], F(0)),
+        ([(-4, 6)], F(-2, 3)),
+        ([(0, 9)], F(0)),
+        ([(1, 2), (1, 3), (1, 6)], F(1)),
+        ([(1, 6), (1, 10), (0, 4), (-1, 15), (7, 1)], F(36, 5)),
+        ([(1, 2), (-1, 2), (1, 3), (-1, 3), (1, 5), (-1, 5), (5, 7)], F(5, 7)),
+    ], ids=["empty", "one", "zero", "three", "five", "seven"])
+    def test_small_sums(self, pairs, want):
+        got = _rational_sum(pairs)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 class TestDerivative:
@@ -223,11 +259,25 @@ def pw_pair_st(draw):
     return u, draw(pw_linear_st(avoid))
 
 
+@st.composite
+def wide_pair_st(draw):
+    """Two functions drawn like random-exact's, equal or nested; TestIntegerGrid pairs
+    unrelated ones."""
+    u = draw(pw_linear_wide_st())
+    if draw(st.booleans()):
+        return u, u
+    return u, lin_comb(draw(fractions_st), u, 1, draw(pw_linear_wide_st()))
+
+
 # zero, negative and rational coefficients for lin_comb
 coefficients_st = st.one_of(st.just(0), st.integers(-5, -1), fractions_st)
 
 _U = PiecewiseLinearFn((F(0), F(1, 4), F(1)), (F(0), F(1), F(0)))
 _W = PiecewiseLinearFn((F(0), F(1, 3), F(3, 4), F(1)), (F(0), F(-2), F(1), F(0)))
+
+# one seeded pair at random-exact's largest size: 256 breakpoints each, about
+# 510 union cells with nearly one key each, so every level of the tree sum runs
+_WIDE_U, _WIDE_W = (random_wide_pw_linear(random.Random(seed), 254) for seed in (2718, 2719))
 
 
 # each pairing and its integrand term(u', w'), for the reference sum
@@ -257,10 +307,16 @@ class TestUnionGridWalk:
     def test_matches_reference(self, pair):
         check_union_grid(*pair)
 
+    @settings(max_examples=50, deadline=None)
+    @given(wide_pair_st())
+    def test_matches_reference_wide(self, pair):
+        check_union_grid(*pair)
+
     @pytest.mark.parametrize(
         "u, w",
-        [(_U, _U), (_U, _W), (_U, lin_comb(2, _U, 1, _W))],
-        ids=["same", "disjoint", "nested"],
+        [(_U, _U), (_U, _W), (_U, lin_comb(2, _U, 1, _W)),
+         (_WIDE_U, _WIDE_U), (_WIDE_U, _WIDE_W), (_WIDE_U, lin_comb(2, _WIDE_U, 1, _WIDE_W))],
+        ids=["same", "disjoint", "nested", "wide-same", "wide-free", "wide-nested"],
     )
     def test_grid_relations(self, u, w):
         check_union_grid(u, w)
@@ -600,7 +656,7 @@ class TestGridForm:
     def test_derivative_shares_the_grid(self, bv, bw):
         u, w = PiecewiseLinearFn(*bv), PiecewiseLinearFn(*bw)
         du, dw = derivative(u), derivative(w)
-        assert du._grid == u._grid and dw._grid == w._grid
+        assert du._grid is u._grid and dw._grid is w._grid
         g = PiecewiseConstFn(u.breakpoints, reference_slopes(u))
         assert g == du and hash(g) == hash(du) and g.to_json_dict() == du.to_json_dict()
         assert common_refinement(du, dw) == reference_refinement(du, dw)
@@ -652,6 +708,8 @@ class TestEdgeCells:
 class TestAbsPowIntegral:
     @settings(max_examples=100, deadline=None)
     @given(pw_linear_wide_st(), st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    @example(_WIDE_U, [1, 2, 3, 4, 5])
+    @example(_WIDE_W, [1, 2, 3, 4, 5])
     def test_matches_reference(self, u, powers):
         for p in powers:
             got = abs_pow_integral(u, p)
