@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import lt, mul, sub
+from operator import lt
 from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
 
@@ -112,32 +112,19 @@ def _pairs(xs: Iterable[RationalLike]) -> tuple:
 
 
 def _check_points(d: int, n: Sequence[int]) -> None:
-    """Breakpoints n_i/D run from 0 to 1, strictly increasing, over the lcm D of theirs."""
+    """Breakpoints n_i/D run from 0 to 1, strictly increasing."""
     if len(n) < 2:
         raise ValueError("need at least the two endpoint breakpoints")
     if n[0] != 0 or n[-1] != d:
         raise ValueError("breakpoints must start at 0 and end at 1")
     if not all(map(lt, n, n[1:])):
         raise ValueError("breakpoints must be strictly increasing")
-    if gcd(*n) != 1:
-        raise ValueError("breakpoints must be over the lcm of their denominators")
-
-
-def _checked_grid(d: int, n: Sequence[int], p: Sequence[int], q: Sequence[int]) -> tuple:
-    """(D, n, P, Q) as tuples, once the invariants of the grid form hold in integers."""
-    n, p, q = tuple(n), tuple(p), tuple(q)
-    _check_points(d, n)
-    if not len(p) == len(q) == len(n) - 1:
-        raise ValueError("one value per interval required")
-    if min(q) < 1 or set(map(gcd, p, q)) != {1}:
-        raise ValueError("values must be reduced, with positive denominators")
-    return d, n, p, q
 
 
 def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]) -> tuple:
     """Integer grid (D, n, P, Q) of the function with these breakpoints and nodal values.
 
-    The slope on cell i is P_i/Q_i with Q_i > 0, reduced by one gcd from its
+    The input is checked first.  The slope on cell i is P_i/Q_i with Q_i > 0, reduced by one gcd from its
     two values y = a/b and two breakpoints t = c/e over the cell's own
     denominators: (y1 - y0)/(t1 - t0) = (a1 b0 - a0 b1) e0 e1 / ((c1 e0 -
     c0 e1) b0 b1).  Those integers stay as small as the data; over the lcm
@@ -161,14 +148,6 @@ def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalL
     return d, n, tuple(p), tuple(q)
 
 
-def _checked_linear_grid(d: int, n: Sequence[int], p: Sequence[int], q: Sequence[int]) -> tuple:
-    """``_checked_grid``, and u(1) = 0: the sum of P_i (n_{i+1} - n_i) / Q_i is zero."""
-    d, n, p, q = _checked_grid(d, n, p, q)
-    if sum(map(mul, _over_lcm(p, q)[1], map(sub, n[1:], n))):
-        raise ValueError("boundary values must be zero")
-    return d, n, p, q
-
-
 class _GridFn:
     """A function whose one stored form is its integer grid ``_grid = (D, n, P, Q)``.
 
@@ -179,12 +158,27 @@ class _GridFn:
     dataclasses with that one field.  The grid is canonical, so the
     generated ``==`` and ``hash`` compare functions by their grids;
     ``PiecewiseLinearFn`` keeps its hash once taken.
+
+    Data is checked where it enters: the public constructors check the
+    ends and the order of the breakpoints, the lengths and a linear
+    function's zero boundary values.  The rest of the form holds by
+    construction: each P_i/Q_i is read off a reduced ``Fraction``, and
+    gcd(n) = 1, since a prime power that exactly divides D = lcm(e)
+    exactly divides some breakpoint's denominator e_i, so the prime does
+    not divide n_i = c_i D/e_i.  The library's own builders make the
+    whole form by construction, and store it through ``_from_grid``
+    unchecked.
     """
 
     @classmethod
-    def _from_grid(cls, *grid):
+    def _from_grid(cls, d: int, n: Sequence[int], p: Sequence[int], q: Sequence[int]):
+        """The function whose grid is (D, n, P, Q), stored as given: unchecked.
+
+        For grids the library builds in the grid form, never for outside
+        data; tuples passed in are stored as they are, not copied.
+        """
         f = cls.__new__(cls)
-        f.__post_init__(grid=grid)
+        object.__setattr__(f, "_grid", (d, tuple(n), tuple(p), tuple(q)))
         return f
 
     def _cell(self, t: RationalLike) -> tuple:
@@ -237,13 +231,9 @@ class PiecewiseLinearFn(_GridFn):
     def __init__(self, breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]):
         self.__post_init__(breakpoints, values)
 
-    def __post_init__(self, breakpoints=(), values=(), grid=None):
-        # every construction runs here: from breakpoints and values, or a grid to check
-        if grid is None:
-            grid = _linear_grid(breakpoints, values)
-        else:
-            grid = _checked_linear_grid(*grid)
-        object.__setattr__(self, "_grid", grid)
+    def __post_init__(self, breakpoints, values):
+        # every public construction runs here, and _linear_grid checks it
+        object.__setattr__(self, "_grid", _linear_grid(breakpoints, values))
 
     @cached_property
     def _hash(self) -> int:
@@ -300,11 +290,14 @@ class PiecewiseConstFn(_GridFn):
     ):
         self.__post_init__(breakpoints, interval_values)
 
-    def __post_init__(self, breakpoints=(), interval_values=(), grid=None):
-        # every construction runs here: from breakpoints and values, or a grid to check
-        if grid is None:
-            grid = *_over_lcm(*_pairs(breakpoints)), *_pairs(interval_values)
-        object.__setattr__(self, "_grid", _checked_grid(*grid))
+    def __post_init__(self, breakpoints, interval_values):
+        # every public construction runs here, and is checked here
+        d, n = _over_lcm(*_pairs(breakpoints))
+        p, q = _pairs(interval_values)
+        _check_points(d, n)
+        if len(p) != len(n) - 1:
+            raise ValueError("one value per interval required")
+        object.__setattr__(self, "_grid", (d, n, tuple(p), tuple(q)))
 
     @property
     def breakpoints(self) -> tuple:
@@ -360,12 +353,10 @@ class PiecewiseConstFn(_GridFn):
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
     """Weak derivative of a piecewise-linear function: its own grid, slopes read as values.
 
-    The grid was checked when u was built, and a linear grid passes every
-    check of a constant one, so it is shared as it is, not checked again.
+    A linear grid is in the form of a constant one, so its tuples are
+    shared as they are.
     """
-    f = PiecewiseConstFn.__new__(PiecewiseConstFn)
-    object.__setattr__(f, "_grid", u._grid)
-    return f
+    return PiecewiseConstFn._from_grid(*u._grid)
 
 
 def _merge(df: int, nf: Sequence[int], dg: int, ng: Sequence[int]):

@@ -78,6 +78,8 @@ class Ball:
         c = np.array(self.center, dtype=float)  # a read-only copy, as in Box
         if not self.radius > 0:  # NaN included
             raise ValueError("ball radius must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
 
@@ -115,6 +117,8 @@ class GalerkinOperator:
             self.forcing = np.asarray([float(f) for f in forcing], dtype=float)
             if self.forcing.shape != (n,):
                 raise ValueError("forcing must have length n")
+            if not np.all(np.isfinite(self.forcing)):
+                raise ValueError("forcing must be finite")
         # scratch buffers and their views, built once, so one call at a time:
         # x between zero boundary values, the slopes s and a = |s| s
         padded = np.zeros(n + 2)
@@ -212,8 +216,8 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
     The step is halved whenever <G(x)-G(y), x-y> exceeds ||x-y||^2/(2*step),
     which restores the contraction estimate without a Lipschitz constant.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:  # NaN included; halving inf would never stop
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     G, P, sub = vi.operator, vi.feasible_set.project, np.subtract
     eps = vi.eps
     x = P(np.zeros(vi.n))

@@ -84,6 +84,24 @@ def reference_check_breakpoints(bps):
             raise ValueError("breakpoints must be strictly increasing")
 
 
+def assert_grid_form(f):
+    """Test-only oracle for the grid form (D, n, P, Q) of a function, whoever built it.
+
+    The breakpoints n_i/D run from 0 to D, strictly increasing, over the lcm
+    D of their denominators, so gcd(n) = 1; each cell holds one reduced pair
+    P_i/Q_i with Q_i > 0; and a linear function's slopes sum to u(1) = 0.
+    """
+    d, n, p, q = f._grid
+    assert type(n) is type(p) is type(q) is tuple
+    assert len(n) >= 2 and n[0] == 0 and n[-1] == d
+    assert all(a < b for a, b in zip(n, n[1:]))
+    assert math.gcd(*n) == 1
+    assert len(p) == len(q) == len(n) - 1
+    assert all(qi > 0 and math.gcd(pi, qi) == 1 for pi, qi in zip(p, q))
+    if isinstance(f, PiecewiseLinearFn):
+        assert sum(Fraction(pi, qi) * (b - a) for pi, qi, a, b in zip(p, q, n, n[1:])) == 0
+
+
 def reference_grid(bps, vals):
     """Test-only reference for the integer grid (D, n, P, Q) of breakpoints and values.
 

@@ -35,6 +35,7 @@ from viproplab import (
 from viproplab.piecewise import _rational_sum
 
 from conftest import (
+    assert_grid_form,
     random_pw_linear,
     random_wide_pw_linear,
     reference_abs_pow_integral,
@@ -292,11 +293,16 @@ def check_union_grid(u, w):
     """common_refinement and every exact pairing against the sorted-set refinement in conftest."""
     for u, w in ((u, w), (w, u)):
         du, dw = derivative(u), derivative(w)
-        assert common_refinement(du, dw) == reference_refinement(du, dw)
+        refined = common_refinement(du, dw)
+        assert refined == reference_refinement(du, dw)
+        for f in refined:
+            assert_grid_form(f)
         for fn, term in PAIRING_TERMS.items():
             got = fn(u, w)
             assert isinstance(got, Fraction) and got == reference_sum(u, w, term), fn.__name__
-        assert equilibrium_gap(u, w) == plap_pairing(u, lin_comb(1, u, -1, w))
+        diff = lin_comb(1, u, -1, w)
+        assert_grid_form(diff)
+        assert equilibrium_gap(u, w) == plap_pairing(u, diff)
 
 
 class TestUnionGridWalk:
@@ -327,6 +333,7 @@ class TestLinComb:
         u = sawtooth(3)
         z = lin_comb(1, u, -1, u)
         assert all(v == 0 for v in z.values)
+        assert_grid_form(z)
 
     def test_scaling(self):
         u = sawtooth(2)
@@ -353,10 +360,16 @@ class TestLinComb:
 
     @settings(max_examples=100, deadline=None)
     @given(pw_pair_st(), coefficients_st, coefficients_st)
+    @example((_U, _W), 0, F(2, 3))
+    @example((_U, _W), F(-5, 7), 0)
+    @example((_W, _W), 1, -1)
     def test_matches_reference(self, pair, a, b):
         u, w = pair
         for u, w in ((u, w), (w, u)):
-            assert lin_comb(a, u, b, w) == reference_lin_comb(a, u, b, w)
+            got = lin_comb(a, u, b, w)
+            assert got == reference_lin_comb(a, u, b, w)
+            assert_grid_form(got)
+        assert_grid_form(lin_comb(1, u, -1, u))
 
 
 class TestTestIntegral:
@@ -478,6 +491,7 @@ class TestCachedIntegerView:
     @settings(max_examples=100, deadline=None)
     @given(pw_const_st(), st.lists(st.integers(1, 5), min_size=1, max_size=5))
     def test_pow_norm_matches_reference(self, f, powers):
+        assert_grid_form(f)
         for p in powers:
             got = pow_norm(f, p)
             assert isinstance(got, Fraction) and got == reference_pow_norm(f, p), p
@@ -544,7 +558,10 @@ class TestIntegerGrid:
             assert list(zip(p, q)) == [(c.numerator, c.denominator) for c in slopes]
         check_union_grid(u, w)
         for u, w in ((u, w), (w, u)):
-            assert lin_comb(a, u, b, w) == reference_lin_comb(a, u, b, w)
+            got = lin_comb(a, u, b, w)
+            assert got == reference_lin_comb(a, u, b, w)
+            assert_grid_form(got)
+        assert_grid_form(lin_comb(1, u, -1, u))
 
 
 def reference_nodes(d, n, p, q):
@@ -574,6 +591,7 @@ class TestGridForm:
         u = PiecewiseLinearFn(bps, vals)
         v = PiecewiseLinearFn._from_grid(*grid)
         assert u._grid == grid
+        assert_grid_form(u)
         assert u.breakpoints == v.breakpoints == bps and u.values == v.values == vals
         assert u == v and hash(u) == hash(v)
         # the same function from other exact inputs is the same grid
@@ -588,6 +606,8 @@ class TestGridForm:
         assert du.breakpoints == bps and du.interval_values == slopes
         g = PiecewiseConstFn(bps, slopes)
         assert du == g and hash(du) == hash(g)
+        assert_grid_form(du)
+        assert_grid_form(g)
         assert du.to_json_dict() == {
             "breakpoints": [[str(t.numerator), str(t.denominator)] for t in bps],
             "values": [[str(c.numerator), str(c.denominator)] for c in slopes],
@@ -603,12 +623,21 @@ class TestGridForm:
         u = sawtooth(k)
         assert u == PiecewiseLinearFn(bps, vals) and u._grid == reference_grid(bps, vals)
         assert u.breakpoints == bps and u.values == vals
+        assert_grid_form(u)
+        assert_grid_form(derivative(u))
+
+    def test_zero_matches_reference(self):
+        z = PiecewiseLinearFn.zero()
+        assert z == PiecewiseLinearFn((0, 1), (0, 0)) and z.values == (0, 0)
+        assert_grid_form(z)
+        assert_grid_form(derivative(z))
 
     @settings(max_examples=100, deadline=None)
     @given(
         linear_input_st(), st.sampled_from(["unsorted", "start", "end", "value-at-1"]), st.data()
     )
     def test_invalid_grid_same_error(self, bv, kind, data):
+        # a malformed grid, as breakpoints and values, to each public constructor
         d, n, p, q = (list(x) if isinstance(x, tuple) else x for x in reference_grid(*bv))
         if kind == "unsorted":
             i = data.draw(st.integers(1, len(n) - 2)) if len(n) > 2 else 0
@@ -620,43 +649,67 @@ class TestGridForm:
         else:  # a steeper last cell leaves a nonzero value at 1
             p[-1] += q[-1]
         bps, vals = reference_nodes(d, n, p, q)
-        message = raised(lambda: PiecewiseLinearFn._from_grid(d, n, p, q))
-        assert raised(lambda: PiecewiseLinearFn(bps, vals)) == message
+        message = raised(lambda: PiecewiseLinearFn(bps, vals))
+        doc = {"breakpoints": [[str(t.numerator), str(t.denominator)] for t in bps],
+               "values": [[str(y.numerator), str(y.denominator)] for y in vals]}
+        assert raised(lambda: PiecewiseLinearFn.from_json_dict(doc)) == message
         if kind == "value-at-1":
             assert message == "boundary values must be zero"
         else:
             assert raised(lambda: reference_check_breakpoints(bps)) == message
+            slopes = list(map(F, p, q))
+            assert raised(lambda: PiecewiseConstFn(bps, slopes)) == message
 
     @settings(max_examples=50, deadline=None)
     @given(linear_input_st(), st.integers(2, 9), st.data())
     def test_unreduced_slope_rejected(self, bv, factor, data):
+        # no function stores an unreduced slope: the public constructors read
+        # every input as a reduced rational, whatever form it came in
+        bps, vals = bv
         d, n, p, q = (list(x) if isinstance(x, tuple) else x for x in reference_grid(*bv))
+
+        def unreduced(xs):
+            return [f"{x.numerator * factor}/{x.denominator * factor}" for x in xs]
+
+        u = PiecewiseLinearFn(unreduced(bps), unreduced(vals))
+        assert u._grid == reference_grid(bps, vals)
+        assert_grid_form(u)
+        f = PiecewiseConstFn(unreduced(bps), unreduced(map(F, p, q)))
+        assert f._grid == u._grid
+        # one slope scaled unreduced, as nodes: the same function, the canonical grid
         i = data.draw(st.integers(0, len(p) - 1))
         p[i], q[i] = p[i] * factor, q[i] * factor
-        assert "reduced" in raised(lambda: PiecewiseLinearFn._from_grid(d, n, p, q))
-        # from breakpoints and values the same function reduces to the canonical grid
         assert PiecewiseLinearFn(*reference_nodes(d, n, p, q)) == PiecewiseLinearFn(*bv)
 
     def test_const_grid_checks(self):
         f = PiecewiseConstFn((F(0), F(1, 3), F(1)), (F(1, 2), F(-3, 4)))
         assert f._grid == (3, (0, 1, 3), (1, -3), (2, 4))
         assert PiecewiseConstFn._from_grid(*f._grid) == f
-        for grid, words in [
-            ((3, (0, 1, 3), (2, -3), (4, 4)), "reduced"),  # 2/4 not reduced
-            ((6, (0, 2, 6), (1, -3), (2, 4)), "lcm"),  # breakpoints over twice their lcm
-            ((3, (0, 2, 1, 3), (1, -3, 1), (2, 4, 1)), "increasing"),
-            ((3, (0, 1, 3), (1,), (2,)), "one value per interval"),
-            ((3, (0, 1, 3), (1, -3), (0, 4)), "positive denominators"),
-            ((3, (0, 1, 3), (-1, -3), (-2, 4)), "positive denominators"),
+        assert_grid_form(f)
+        # unreduced input, and a sign on the denominator, give the same grid
+        assert PiecewiseConstFn((0, "2/6", "3/3"), (F(-2, -4), F(3, -4)))._grid == f._grid
+        for bps, vals, words in [
+            ((F(0), F(2, 3), F(1, 3), F(1)), (F(1, 2), F(-3, 4), 1), "increasing"),
+            ((F(0), F(1, 3), F(1)), (F(1, 2),), "one value per interval"),
+            ((F(0), F(1, 3), F(4, 3)), (F(1, 2), F(-3, 4)), "start at 0 and end at 1"),
+            ((F(0),), (), "two endpoint"),
         ]:
-            assert words in raised(lambda: PiecewiseConstFn._from_grid(*grid))
+            assert words in raised(lambda: PiecewiseConstFn(bps, vals))
+        # a zero or negative denominator in a string never becomes a rational
+        with pytest.raises(ZeroDivisionError):
+            PiecewiseConstFn((0, 1), ("1/0",))
+        with pytest.raises(ValueError, match="Invalid literal"):
+            PiecewiseConstFn((0, 1), ("-1/-2",))
 
     @settings(max_examples=100, deadline=None)
     @given(linear_input_st(), linear_input_st())
     def test_derivative_shares_the_grid(self, bv, bw):
         u, w = PiecewiseLinearFn(*bv), PiecewiseLinearFn(*bw)
         du, dw = derivative(u), derivative(w)
-        assert du._grid is u._grid and dw._grid is w._grid
+        for f, df in ((u, du), (w, dw)):
+            # the derivative's breakpoints and values are the very tuples of f's grid
+            assert all(a is b for a, b in zip(df._grid, f._grid))
+            assert_grid_form(df)
         g = PiecewiseConstFn(u.breakpoints, reference_slopes(u))
         assert g == du and hash(g) == hash(du) and g.to_json_dict() == du.to_json_dict()
         assert common_refinement(du, dw) == reference_refinement(du, dw)

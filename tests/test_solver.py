@@ -66,11 +66,18 @@ class TestProjection:
             lambda: Ball(np.zeros(2), math.nan),
             lambda: Box(np.array([math.nan, 0.0]), np.ones(2)),
             lambda: Box(np.zeros(2), np.array([1.0, math.nan])),
+            lambda: Ball(np.array([math.nan, 0.0]), 1.0),
+            lambda: Ball(np.array([0.0, -math.inf]), 1.0),
+            lambda: GalerkinOperator(2, forcing=[1.0, math.nan]),
+            lambda: GalerkinOperator(2, forcing=[math.inf, 1.0]),
         ],
-        ids=["nan-radius", "nan-lower", "nan-upper"],
+        ids=["nan-radius", "nan-lower", "nan-upper", "nan-center", "inf-center", "nan-forcing",
+             "inf-forcing"],
     )
     def test_nan_parameters_rejected(self, make):
-        # a NaN compares False both ways, so only "not (lower <= upper)" catches it
+        # a NaN compares False both ways, so only "not (lower <= upper)" catches
+        # it in a box; a NaN centre or forcing would run a solve to its
+        # iteration cap and report residual NaN
         with pytest.raises(ValueError):
             make()
 
@@ -259,6 +266,13 @@ class TestExtragradient:
         # problem's answer, and a length-3 one fails inside numpy mid-solve
         with pytest.raises(ValueError, match=r"shape \(4,\)"):
             assemble_vi(4, forcing=[1.0] * 4, feasible_set=feasible)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        # halving an infinite step leaves it infinite, so backtracking would never
+        # end, and a NaN step would run on NaN iterates
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            extragradient_solve(assemble_vi(8, forcing=[2.0] * 8), step=step)
 
     def test_assemble_accepts_the_edge_settings(self):
         res = extragradient_solve(assemble_vi(2, forcing=[1.0, 1.0], eps=0, max_iter=1))
