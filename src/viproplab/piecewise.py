@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import lt
 from types import SimpleNamespace
@@ -55,15 +55,35 @@ def _frac_pair(q: Fraction) -> list:
     return [str(q.numerator), str(q.denominator)]
 
 
-def _pairs_json(breakpoints: Sequence[Fraction], values: Sequence[Fraction]) -> dict:
-    """The JSON layout of both grid classes; ``_json_pairs`` reads it back."""
-    return {"breakpoints": [*map(_frac_pair, breakpoints)], "values": [*map(_frac_pair, values)]}
+def _pairs_json(c: Sequence[int], e: Sequence[int], a: Sequence[int], b: Sequence[int]) -> dict:
+    """Both classes' JSON layout, from reduced integer pairs c/e, a/b; ``_json_pairs`` reads it."""
+    return {"breakpoints": [[str(x), str(y)] for x, y in zip(c, e)],
+            "values": [[str(x), str(y)] for x, y in zip(a, b)]}
 
 
 def _json_pairs(d: dict) -> tuple:
-    """(breakpoints, values) as Fraction tuples, from the layout of ``_pairs_json``."""
-    pairs = d["breakpoints"], d["values"]
-    return tuple(tuple(Fraction(int(num), int(den)) for num, den in p) for p in pairs)
+    """(breakpoints, values) as Fraction tuples, from the layout of ``_pairs_json``.
+
+    A missing key, an entry that is not a two-item list, a number that is
+    neither an int nor a decimal integer string such as "-12" (a bool or
+    a float, say), or a zero denominator is a ValueError.
+    """
+    if not isinstance(d, dict) or not {"breakpoints", "values"} <= d.keys():
+        raise ValueError('need the keys "breakpoints" and "values"')
+    out = []
+    for key in ("breakpoints", "values"):
+        if type(d[key]) not in (list, tuple) or not all(
+                type(x) in (list, tuple) and len(x) == 2 for x in d[key]):
+            raise ValueError(f"{key} must be a list of [numerator, denominator] pairs")
+        nums = [*chain.from_iterable(d[key])]
+        if not all(type(x) is int or type(x) is str and x.isascii()
+                   and x.removeprefix("-").isdigit() for x in nums):
+            raise ValueError(f"{key} must hold ints or decimal integer strings")
+        nums = [*map(int, nums)]
+        if 0 in nums[1::2]:
+            raise ValueError(f"{key} has a zero denominator")
+        out.append(tuple(map(Fraction, nums[::2], nums[1::2])))
+    return tuple(out)
 
 
 def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple:
@@ -156,8 +176,7 @@ class _GridFn:
     of a ``PiecewiseLinearFn``, the value of a ``PiecewiseConstFn``; so a
     function and its derivative have one grid.  Subclasses are frozen
     dataclasses with that one field.  The grid is canonical, so the
-    generated ``==`` and ``hash`` compare functions by their grids;
-    ``PiecewiseLinearFn`` keeps its hash once taken.
+    generated ``==`` and ``hash`` compare functions by their grids.
 
     Data is checked where it enters: the public constructors check the
     ends and the order of the breakpoints, the lengths and a linear
@@ -190,30 +209,37 @@ class _GridFn:
         return min(bisect_right(n, t.numerator * d // t.denominator), len(n) - 1) - 1, t
 
 
-@lru_cache(maxsize=4)
-def _linear_views(u: "PiecewiseLinearFn") -> tuple:
-    """(breakpoints, values) of u's grid (D, n, P, Q) as Fraction tuples.
+def _reduced(d: int, n: Sequence[int]) -> tuple:
+    """The breakpoints n_i/D as reduced integer pairs, in two lists (c, e)."""
+    gs = [gcd(x, d) for x in n]
+    return [x // g for x, g in zip(n, gs)], [d // g for g in gs]
 
-    Breakpoint t_i = c_i/e_i is n_i/D reduced by one gcd.  From y_i = a/b,
-    y_{i+1} = a/b + (P_i/Q_i)(c_{i+1}/e_{i+1} - c_i/e_i) is reduced over the
-    cell's own denominators, which stay as small as the data.  u(t) reads
-    them on every call, and callers that index a view inside a loop read
-    them once per step; so the views of the last few functions read are
-    kept here, and nowhere else.  The cache finds u by its kept hash and
-    by identity, so a hit costs O(1), not a pass over the grid.
+
+def _nodes(u: "PiecewiseLinearFn") -> tuple:
+    """(c, e, a, b): u's breakpoints c_i/e_i and nodal values a_i/b_i as reduced integers.
+
+    From y_i = a/b, y_{i+1} = a/b + (P_i/Q_i)(c_{i+1}/e_{i+1} - c_i/e_i) is
+    reduced by one gcd over the cell's own denominators, which stay as
+    small as the data.  The one place nodal values are formed; not cached.
     """
     d, n, p, q = u._grid
-    gs = [gcd(x, d) for x in n]
-    c, e = [x // g for x, g in zip(n, gs)], [d // g for g in gs]
-    a, b = 0, 1
-    vals = [Fraction(0)]
+    c, e = _reduced(d, n)
+    a, b = [0], [1]
     for pi, qi, c0, c1, e0, e1 in zip(p, q, c, c[1:], e, e[1:]):
-        num = a * qi * e0 * e1 + b * pi * (c1 * e0 - c0 * e1)
-        den = b * qi * e0 * e1
+        num = a[-1] * qi * e0 * e1 + b[-1] * pi * (c1 * e0 - c0 * e1)
+        den = b[-1] * qi * e0 * e1
         g = gcd(num, den)
-        a, b = num // g, den // g
-        vals.append(Fraction(a, b))
-    return tuple(map(Fraction, c, e)), tuple(vals)
+        a.append(num // g)
+        b.append(den // g)
+    return c, e, a, b
+
+
+@lru_cache(maxsize=4)
+def _linear_views(u: "PiecewiseLinearFn") -> tuple:
+    """(breakpoints, values) as Fraction tuples, for the public properties only; the
+    last few are kept for callers that index them in a loop.  A lookup hashes u's grid."""
+    c, e, a, b = _nodes(u)
+    return tuple(map(Fraction, c, e)), tuple(map(Fraction, a, b))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -222,8 +248,9 @@ class PiecewiseLinearFn(_GridFn):
 
     The zero boundary values model membership in the zero-trace Sobolev
     space the lab works in.  The grid holds the slope P_i/Q_i of each
-    cell; the nodal values follow from the slopes and u(0) = 0, and
-    ``breakpoints`` and ``values`` are Fraction views of the grid.
+    cell; the nodal values follow from the slopes and u(0) = 0.  JSON,
+    u(t) and ``abs_pow_integral`` read them as integers from ``_nodes``;
+    ``breakpoints`` and ``values`` are Fraction views built from it.
     """
 
     _grid: tuple
@@ -234,15 +261,6 @@ class PiecewiseLinearFn(_GridFn):
     def __post_init__(self, breakpoints, values):
         # every public construction runs here, and _linear_grid checks it
         object.__setattr__(self, "_grid", _linear_grid(breakpoints, values))
-
-    @cached_property
-    def _hash(self) -> int:
-        """The generated hash, taken on first use and kept, so a lookup of the
-        views costs O(1); a function never hashed never pays its O(n)."""
-        return hash((self._grid,))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def breakpoints(self) -> tuple:
@@ -257,14 +275,14 @@ class PiecewiseLinearFn(_GridFn):
     def __call__(self, t: RationalLike) -> Fraction:
         i, t = self._cell(t)
         p, q = self._grid[2:]
-        bps, vals = _linear_views(self)
-        return vals[i] + Fraction(p[i], q[i]) * (t - bps[i])
+        c, e, a, b = _nodes(self)
+        return Fraction(a[i], b[i]) + Fraction(p[i], q[i]) * (t - Fraction(c[i], e[i]))
 
     def __repr__(self):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
 
     def to_json_dict(self) -> dict:
-        return _pairs_json(self.breakpoints, self.values)
+        return _pairs_json(*_nodes(self))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseLinearFn":
@@ -321,7 +339,8 @@ class PiecewiseConstFn(_GridFn):
                 f"interval_values={self.interval_values!r})")
 
     def to_json_dict(self) -> dict:
-        return _pairs_json(self.breakpoints, self.interval_values)
+        d, n, p, q = self._grid
+        return _pairs_json(*_reduced(d, n), p, q)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseConstFn":
@@ -408,7 +427,7 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     This is the p-th power of the L^p norm; take ``float(...) ** (1 / p)``
     for the (approximate) norm itself.
     """
-    if p < 1:
+    if type(p) is not int or p < 1:
         raise ValueError("p must be a positive integer")
     d, n = f._grid[:2]
     e, v = _over_lcm(*f._grid[2:])  # |c_i|^p (t_{i+1} - t_i) = |v_i|^p (n_{i+1} - n_i) / (E^p D)
@@ -580,12 +599,10 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
     the nodal values y_i = a_i/b_i, each cell's term times p+1 is one
     integer pair, and ``_rational_sum`` adds them.
     """
-    if p < 1:
+    if type(p) is not int or p < 1:
         raise ValueError("p must be a positive integer")
     d, n, sp, sq = u._grid
-    y = u.values
-    a = [v.numerator for v in y]
-    b = [v.denominator for v in y]
+    a, b = _nodes(u)[2:]
     g = [abs(x) ** p * x for x in a]  # G(y_i) = g_i / h_i
     h = [x ** (p + 1) for x in b]
     terms = []  # (p+1) times each cell's integral

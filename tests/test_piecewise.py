@@ -748,9 +748,10 @@ class TestEdgeCells:
             assert isinstance(got, Fraction) and got == reference_abs_pow_integral(u, p), p
 
     def test_evaluate_matches_reference(self):
-        # more functions alive than the nodal views cached, read in turn, so
-        # every call reads the views of a grid other than the last one read
+        # u(t) walks the grid to t's cell on every call: each function read at
+        # every breakpoint of all of them, the 256-breakpoint pair included
         fns = [(PiecewiseLinearFn(bps, vals), bps, vals) for bps, vals in EDGE_NODES.values()]
+        fns += [(u, *reference_nodes(*u._grid)) for u in (_WIDE_U, _WIDE_W)]
         interior = [F(1, 7), F(1, 3), F(1, 2), F(13, 24), F(999, 1000)]
         points = sorted({F(0), F(1), *interior, *(t for _, bps, _ in fns for t in bps)})
         for t in points:
@@ -782,8 +783,39 @@ class TestAbsPowIntegral:
     def test_sawtooth_cube_decay(self, k):
         assert abs_pow_integral(sawtooth(k), 3) <= F(1, k**3)
 
+    @pytest.mark.parametrize("p", [0, -1, True, False, 2.5, 3.0, F(3), "3", None])
+    def test_power_must_be_a_positive_int(self, p):
+        u = sawtooth(2)
+        for kernel, f in ((pow_norm, derivative(u)), (abs_pow_integral, u)):
+            with pytest.raises(ValueError, match="^p must be a positive integer$"):
+                kernel(f, p)
+
+
+def fraction_layout(bps, vals):
+    """The JSON layout of a grid, written from its Fraction views."""
+    return {"breakpoints": [[str(t.numerator), str(t.denominator)] for t in bps],
+            "values": [[str(y.numerator), str(y.denominator)] for y in vals]}
+
+
+def layout_examples(test):
+    """``@example`` for zero(), sawtooth(1..64) and scaled_hat(7/3)."""
+    for u in (PiecewiseLinearFn.zero(), *map(sawtooth, range(1, 65)), scaled_hat(F(7, 3))):
+        test = example(u)(test)
+    return test
+
 
 class TestSerialization:
+    @settings(max_examples=100, deadline=None)
+    @given(pw_linear_wide_st())
+    @layout_examples
+    def test_layout_matches_fraction_views(self, u):
+        # the integer nodes and grid pairs written as the public views read;
+        # -u too, so every nonzero value is written with both signs
+        for f in (u, lin_comb(-1, u, 0, u)):
+            assert f.to_json_dict() == fraction_layout(f.breakpoints, f.values)
+            df = derivative(f)
+            assert df.to_json_dict() == fraction_layout(df.breakpoints, df.interval_values)
+
     def test_round_trip_linear(self, rng):
         for _ in range(25):
             u = random_pw_linear(rng)
@@ -800,6 +832,27 @@ class TestSerialization:
         doc = u.to_json_dict()
         assert doc["breakpoints"][1] == ["1", "2"]
         assert doc["values"][1] == ["-1", "2"]
+
+    @pytest.mark.parametrize("cls", [PiecewiseLinearFn, PiecewiseConstFn])
+    def test_malformed_documents_rejected(self, cls):
+        bps = [[0, 1], ["1", "2"], [1, 1]]
+        vals = [[0, 1], ["-1", "3"], [0, 1]][:len(bps) if cls is PiecewiseLinearFn else -1]
+        # a valid document, with int and decimal string entries, loads as before
+        doc = {"breakpoints": bps, "values": vals}
+        f = cls.from_json_dict(doc)
+        assert f == cls([F(0), F(1, 2), F(1)], [F(*map(int, y)) for y in vals])
+        assert cls.from_json_dict(json.loads(json.dumps(f.to_json_dict()))) == f
+        bad_entries = [[1.9, 2], [1, 2.0], [True, 2], [1, True], ["1.5", "2"], ["+1", "2"],
+                       [" 1", "2"], ["1_0", "20"], ["\u0661", "2"], [None, 2],
+                       [1, 0], ["1", "-0"], [1, 2, 3], [1], [], "12", {"1": 0, "2": 0}, 1]
+        for entry in bad_entries:
+            for key, entries in doc.items():
+                with pytest.raises(ValueError):
+                    cls.from_json_dict({**doc, key: [*entries[:-2], entry, entries[-1]]})
+        for bad in [{"values": vals}, {"breakpoints": bps}, {}, [bps, vals],
+                    {"breakpoints": 1, "values": vals}, {"breakpoints": bps, "values": "01"}]:
+            with pytest.raises(ValueError):
+                cls.from_json_dict(bad)
 
 
 class TestPointLookup:
@@ -830,8 +883,8 @@ class CountingInt(int):
         return int.__hash__(self)
 
 
-class TestKeptHash:
-    """A linear function hashes its grid at most once; u(t) finds its views by that hash."""
+class TestGridHash:
+    """Equal functions hash and evaluate alike; u(t), JSON and abs_pow_integral never hash."""
 
     def test_equal_functions_built_two_ways(self):
         bps, vals = reference_sawtooth(4)
@@ -842,13 +895,16 @@ class TestKeptHash:
         assert [u(t) for t in points] == [v(t) for t in points]
         assert [u(t) for t in points] == [reference_evaluate(bps, vals, t) for t in points]
 
-    def test_grid_hashed_once_per_function(self):
+    def test_evaluation_never_hashes_the_grid(self):
         d, n, p, q = sawtooth(5)._grid
         CountingInt.hashed = 0
         u = PiecewiseLinearFn._from_grid(CountingInt(d), n, p, q)
-        assert CountingInt.hashed == 0  # a function never hashed never pays for it
         bps, vals = reference_sawtooth(5)
         for t in bps * 10:
             assert u(t) == reference_evaluate(bps, vals, t)
+        assert u.to_json_dict() == fraction_layout(bps, vals)
+        assert abs_pow_integral(u, 3) == reference_abs_pow_integral(sawtooth(5), 3)
+        assert CountingInt.hashed == 0
+        # the public views are kept by function, so reading them hashes the grid
         assert (u.breakpoints, u.values, {u}) == (bps, vals, {sawtooth(5)})
-        assert CountingInt.hashed == 1
+        assert CountingInt.hashed > 0
