@@ -16,7 +16,6 @@ from .families import L2SeqVector, l2_pairing
 from .piecewise import (
     PiecewiseLinearFn,
     PolynomialTest,
-    _frac_pair,
     _union_sum,
     derivative,
     plap_pairing,
@@ -79,6 +78,11 @@ class PairingSequenceReport:
             "detection": self.detection,
             "tail_window": self.tail_window,
         }
+
+
+def _frac_pair(q: Fraction) -> list:
+    # canonical serialization: reduced fraction, sign on the numerator
+    return [str(q.numerator), str(q.denominator)]
 
 
 def _serialize_exact(v: Union[Fraction, float]):
@@ -293,7 +297,7 @@ class WeakConvergenceReport:
                     "phi": e.phi.describe(),
                     "bound_constant": _frac_pair(e.bound_constant),
                     "all_zero": e.all_zero,
-                    "integrals": [_serialize_exact(v) for v in e.integrals],
+                    "integrals": [_frac_pair(v) for v in e.integrals],
                 }
                 for e in self.entries
             ],

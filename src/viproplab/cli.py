@@ -127,13 +127,21 @@ def _json_text(obj, nl: str = "\n") -> str:
     json.dumps runs its pure-Python encoder whenever indent is set; this
     writes the same bytes for str-keyed dicts, lists, tuples, str, int,
     float, bool and None, and hands anything else to json.dumps.  nl is a
-    newline plus the indent of obj's own level.
+    newline plus the indent of obj's own level.  A list item that is a list
+    of two strings, the lab's rational pair, is written in place.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = nl + "  "
-        items = [_escape(v) if type(v) is str else _json_text(v, inner) for v in obj]
+        pair_open, pair_sep, pair_close = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        items = [
+            _escape(v) if type(v) is str
+            else pair_open + _escape(v[0]) + pair_sep + _escape(v[1]) + pair_close
+            if type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+            else _json_text(v, inner)
+            for v in obj
+        ]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         if not obj:

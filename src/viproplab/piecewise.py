@@ -50,11 +50,6 @@ class ExactReal(Fraction):
         return self
 
 
-def _frac_pair(q: Fraction) -> list:
-    # canonical serialization: reduced fraction, sign on the numerator
-    return [str(q.numerator), str(q.denominator)]
-
-
 def _pairs_json(c: Sequence[int], e: Sequence[int], a: Sequence[int], b: Sequence[int]) -> dict:
     """Both classes' JSON layout, from reduced integer pairs c/e, a/b; ``_json_pairs`` reads it."""
     return {"breakpoints": [[str(x), str(y)] for x, y in zip(c, e)],
@@ -545,9 +540,8 @@ def dyadic_indicators(level: int) -> list:
     return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
 
-def _primitive(v: SimpleNamespace, t: Fraction) -> int:
-    """D*E*b times F(t), the integral of f over [0, t = a/b], from the integer view v of f."""
-    a, b = t.numerator, t.denominator
+def _primitive(v: SimpleNamespace, a: int, b: int) -> int:
+    """D*E*b times F(a/b), the integral of f over [0, a/b], from the integer view v of f."""
     i = bisect_right(v.n, a * v.d // b) - 1
     return v.primitive[i] * b + v.p[i] * (a * v.d - v.n[i] * b)
 
@@ -573,8 +567,8 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
     v = f._integer_view
     if phi.kind == "indicator":
         lo, hi = phi.support
-        b0, b1 = lo.denominator, hi.denominator
-        num = _primitive(v, hi) * b0 - _primitive(v, lo) * b1
+        a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        num = _primitive(v, a1, b1) * b0 - _primitive(v, a0, b0) * b1
         return ExactReal(num, v.d * v.e * b0 * b1)
     terms = [(deg + 1, c) for deg, c in enumerate(phi.coeffs) if c]
     if not terms:

@@ -10,6 +10,8 @@ from viproplab import (
     L2SeqVector,
     PiecewiseLinearFn,
     PolynomialTest,
+    certificates,
+    derivative,
     dyadic_indicators,
     equilibrium_gap,
     holder_boundedness_check,
@@ -17,6 +19,7 @@ from viproplab import (
     l2_unit_limit_certificate,
     monotone_gap_check,
     pairing_sequence,
+    piecewise,
     pseudomonotone_premise_audit,
     sawtooth,
     scaled_hat,
@@ -358,6 +361,26 @@ class TestWeakConvergenceEvidence:
     def test_nonpositive_k_max_rejected(self):
         with pytest.raises(ValueError):
             weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 0)
+
+    def test_calls_test_integral_by_name_once_per_phi_and_k(self, monkeypatch):
+        # perfbench/selftest.py replaces certificates.test_integral with a wrong
+        # kernel to prove weak-sweep's checks are live; a sweep that bypassed
+        # the name would silently pass that check
+        calls = []
+
+        def counted(g, phi):
+            calls.append(phi)
+            return piecewise.test_integral(g, phi)
+
+        monkeypatch.setattr(certificates, "test_integral", counted)
+        family = [PolynomialTest.monomial(3), PolynomialTest.polynomial([F(-1, 3), 2])]
+        family += dyadic_indicators(2) + [PolynomialTest.indicator(F(1, 3), F(5, 7))]
+        k_max = 9
+        report = weak_convergence_evidence(sawtooth, family, k_max)
+        assert len(calls) == len(family) * k_max
+        gradients = [derivative(sawtooth(k)) for k in range(1, k_max + 1)]
+        for entry, phi in zip(report.entries, family):
+            assert entry.integrals == [piecewise.test_integral(g, phi) for g in gradients]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -8,10 +8,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viproplab import PiecewiseLinearFn, cli, sawtooth
+from viproplab import PiecewiseLinearFn, PolynomialTest, cli, sawtooth
 from viproplab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -21,7 +21,7 @@ from viproplab.cli import (
     build_parser,
     main,
 )
-from viproplab.certificates import Certificate
+from viproplab.certificates import Certificate, weak_convergence_evidence
 
 F = Fraction
 
@@ -629,6 +629,17 @@ class TestJsonWriter:
 
     @settings(max_examples=400, deadline=None)
     @given(json_doc_st)
+    # rational pairs, which the writer writes in place, at depths 1, 2 and 3,
+    # with escaped and empty text; then near-pairs that take the general path
+    @example([["-3", "4"]])
+    @example({"a": [["1", "2"], ["0", "1"]], "b": ["5", "6"]})
+    @example([{"c": [["7", "8"], 9]}, [[["-1", "3"]]]])
+    @example([["é", '"\n'], ["", ""]])
+    @example([("1", "2")])
+    @example([["1", 2], ["1"], ["1", "2", "3"]])
+    @example(weak_convergence_evidence(
+        sawtooth, [PolynomialTest.monomial(2), PolynomialTest.indicator(F(1, 3), 1)], 3
+    ).to_json_dict())
     def test_same_text_as_dumps(self, doc):
         writes_like_dumps(doc)
 
