@@ -243,9 +243,10 @@ class PiecewiseLinearFn(_GridFn):
 
     The zero boundary values model membership in the zero-trace Sobolev
     space the lab works in.  The grid holds the slope P_i/Q_i of each
-    cell; the nodal values follow from the slopes and u(0) = 0.  JSON,
-    u(t) and ``abs_pow_integral`` read them as integers from ``_nodes``;
-    ``breakpoints`` and ``values`` are Fraction views built from it.
+    cell; the nodal values follow from the slopes and u(0) = 0.  JSON and
+    ``abs_pow_integral`` read them as integers from ``_nodes``, and
+    ``breakpoints`` and ``values`` are Fraction views built from it; u(t)
+    sums the slopes over the cells left of t only.
     """
 
     _grid: tuple
@@ -268,10 +269,13 @@ class PiecewiseLinearFn(_GridFn):
         return _linear_views(self)[1]
 
     def __call__(self, t: RationalLike) -> Fraction:
+        """u(t): the slopes times the lengths of the cells left of t, and the partial cell."""
         i, t = self._cell(t)
-        p, q = self._grid[2:]
-        c, e, a, b = _nodes(self)
-        return Fraction(a[i], b[i]) + Fraction(p[i], q[i]) * (t - Fraction(c[i], e[i]))
+        d, n, p, q = self._grid
+        x, y = t.numerator, t.denominator
+        pairs = [(pj * (b - a), qj * d) for pj, qj, a, b in zip(p[:i], q, n, n[1:])]
+        pairs.append((p[i] * (x * d - n[i] * y), q[i] * d * y))
+        return _rational_sum(pairs)
 
     def __repr__(self):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
@@ -343,24 +347,22 @@ class PiecewiseConstFn(_GridFn):
 
     @cached_property
     def _integer_view(self) -> SimpleNamespace:
-        """Sums over the grid of this frozen function, built on first use.
+        """Integer data of this frozen function for ``test_integral``, built once on first use.
 
         ``pow_norm`` reads the grid and ``test_integral`` this view, so every
         integral of one piecewise-constant function is an integer sum over
         one grid.  With the grid's t_i = n_i/D, its values c_i = p_i/E over
         E = lcm(Q), and p_m = 0 past the last interval, ``primitive[i]`` is
-        D*E times the integral of f over [0, t_i].  ``jump[i]`` is J_i = p_{i-1} - p_i (p_{-1} = 0),
-        and ``sums[j]`` is S_j = sum of n_i**j * J_i, grown on demand from
-        ``powers`` = n_i**j.
+        D*E times the integral of f over [0, t_i], and ``jump[i]`` is
+        J_i = p_{i-1} - p_i (p_{-1} = 0).  Nothing in it changes after.
         """
         d, n, p, q = self._grid
         e, p = _over_lcm(p, q)
-        p = [*p, 0]
+        p = (*p, 0)
         return SimpleNamespace(
             d=d, e=e, n=n, p=p,
-            primitive=[0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))],
-            jump=[left - right for left, right in zip([0] + p, p)],
-            powers=[1] * len(n), sums=[0],
+            primitive=(0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))),
+            jump=tuple([left - right for left, right in zip((0, *p), p)]),
         )
 
 
@@ -489,22 +491,19 @@ def lin_comb(
 class PolynomialTest:
     """Test function for exact integration against piecewise-constant data.
 
-    Either a polynomial with rational coefficients (degree <= 8) or the
-    indicator of a rational sub-interval of [0,1].
+    Either the monomial t^degree (degree 0..8) or the indicator of a
+    rational sub-interval of [0,1].  Monomials carry every polynomial by
+    linearity: ∫ f Σ c_d t^d = Σ c_d ∫ f t^d.
     """
 
     kind: str  # "poly" | "indicator"
-    coeffs: tuple = ()  # low degree first, for kind == "poly"
+    degree: int = 0  # for kind == "poly"
     support: tuple = ()  # (lo, hi), for kind == "indicator"
 
     def __post_init__(self):
         if self.kind == "poly":
-            coeffs = tuple(as_fraction(c) for c in self.coeffs)
-            if not coeffs:
-                raise ValueError("polynomial needs at least one coefficient")
-            if len(coeffs) - 1 > MAX_POLY_DEGREE:
-                raise ValueError(f"degree capped at {MAX_POLY_DEGREE}")
-            object.__setattr__(self, "coeffs", coeffs)
+            if type(self.degree) is not int or not 0 <= self.degree <= MAX_POLY_DEGREE:
+                raise ValueError(f"degree must be an int in 0..{MAX_POLY_DEGREE}")
         elif self.kind == "indicator":
             lo, hi = (as_fraction(x) for x in self.support)
             if not (0 <= lo < hi <= 1):
@@ -514,28 +513,25 @@ class PolynomialTest:
             raise ValueError(f"unsupported test-function kind: {self.kind!r}")
 
     @classmethod
-    def polynomial(cls, coeffs: Iterable[RationalLike]) -> "PolynomialTest":
-        return cls("poly", coeffs=tuple(coeffs))
-
-    @classmethod
     def monomial(cls, degree: int) -> "PolynomialTest":
-        return cls("poly", coeffs=(0,) * degree + (1,))
+        return cls("poly", degree=degree)
 
     @classmethod
     def indicator(cls, lo: RationalLike, hi: RationalLike) -> "PolynomialTest":
         return cls("indicator", support=(lo, hi))
 
     def describe(self) -> str:
+        """``poly[0,...,0,1]``, the coefficients low degree first, or ``indicator(lo,hi)``."""
         if self.kind == "poly":
-            return "poly[" + ",".join(str(c) for c in self.coeffs) + "]"
+            return "poly[" + "0," * self.degree + "1]"
         lo, hi = self.support
         return f"indicator({lo},{hi})"
 
 
 def dyadic_indicators(level: int) -> list:
     """All indicators of dyadic intervals (j/2^L, (j+1)/2^L) at one level."""
-    if not 1 <= level <= MAX_DYADIC_LEVEL:
-        raise ValueError(f"dyadic level must be in 1..{MAX_DYADIC_LEVEL}")
+    if type(level) is not int or not 1 <= level <= MAX_DYADIC_LEVEL:
+        raise ValueError(f"dyadic level must be an int in 1..{MAX_DYADIC_LEVEL}")
     n = 2**level
     return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
@@ -546,23 +542,14 @@ def _primitive(v: SimpleNamespace, a: int, b: int) -> int:
     return v.primitive[i] * b + v.p[i] * (a * v.d - v.n[i] * b)
 
 
-def _jump_sums(v: SimpleNamespace, j: int) -> list:
-    """The power sums S_0..S_j (at least) of the integer view v."""
-    powers, sums = v.powers, v.sums
-    while len(sums) <= j:
-        powers[:] = [q * n for q, n in zip(powers, v.n)]
-        sums.append(sum(q * jump for q, jump in zip(powers, v.jump)))
-    return sums
-
-
 def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
     """Exact integral ∫ f(t) φ(t) dt over [0,1].
 
     An indicator of (a, b) gives F(b) - F(a), with F the primitive of f.
-    A polynomial sums by parts over the jumps of f: with c_{-1} = c_m = 0,
+    A monomial sums by parts over the jumps of f: with c_{-1} = c_m = 0,
     ∫ f(t) t^d dt = Σ_i t_i^(d+1) (c_{i-1} - c_i) / (d+1), one integer
-    power sum per degree.  Both read the integer view cached on f, so
-    after the first call an indicator costs O(1) and a polynomial O(degree).
+    power sum.  Both read the integer view cached on f, so after the first
+    call an indicator costs O(1) and a monomial O(cells).
     """
     v = f._integer_view
     if phi.kind == "indicator":
@@ -570,18 +557,8 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
         a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         num = _primitive(v, a1, b1) * b0 - _primitive(v, a0, b0) * b1
         return ExactReal(num, v.d * v.e * b0 * b1)
-    terms = [(deg + 1, c) for deg, c in enumerate(phi.coeffs) if c]
-    if not terms:
-        return ExactReal(0)
-    top = terms[-1][0]
-    sums = _jump_sums(v, top)
-    # every term over the one denominator common * E * D**top
-    common = lcm(*[j * c.denominator for j, c in terms])
-    num = sum(
-        c.numerator * (common // (j * c.denominator)) * sums[j] * v.d ** (top - j)
-        for j, c in terms
-    )
-    return ExactReal(num, common * v.e * v.d**top)
+    j = phi.degree + 1
+    return ExactReal(sum([x**j * jump for x, jump in zip(v.n, v.jump)]), j * v.e * v.d**j)
 
 
 def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:

@@ -210,7 +210,7 @@ def reference_abs_pow_integral(u, p):
 
 
 def reference_test_integral(f, phi):
-    """Test-only reference for test_integral: walk the intervals, Horner per breakpoint."""
+    """Test-only reference for test_integral: walk the intervals, from the definition."""
     t, c = f.breakpoints, f.interval_values
     if phi.kind == "indicator":
         lo, hi = phi.support
@@ -224,21 +224,11 @@ def reference_test_integral(f, phi):
             i += 1
         return total
 
-    anti = tuple(c / (i + 1) for i, c in enumerate(phi.coeffs))
-
-    def big_phi(t: Fraction) -> Fraction:
-        # antiderivative with zero constant term, evaluated by Horner
-        acc = Fraction(0)
-        for c in reversed(anti):
-            acc = acc * t + c
-        return acc * t
-
+    # t^(d+1) / (d+1), the antiderivative of t^d, differenced over each interval
+    d = phi.degree
     total = Fraction(0)
-    right = big_phi(t[0])
     for i, ci in enumerate(c):
-        left = right
-        right = big_phi(t[i + 1])
-        total += ci * (right - left)
+        total += ci * (t[i + 1] ** (d + 1) - t[i] ** (d + 1)) / (d + 1)
     return total
 
 

@@ -71,7 +71,6 @@ def timed_kernel_calls() -> dict:
         "pow_norm": lambda: piecewise.pow_norm(du, 3),
         "abs_pow_integral": lambda: piecewise.abs_pow_integral(u, 3),
         "test_integral-poly": lambda: piecewise.test_integral(du, PolynomialTest.monomial(2)),
-        "test_integral-zero": lambda: piecewise.test_integral(du, PolynomialTest.polynomial([0])),
         "test_integral-indicator": lambda: piecewise.test_integral(
             du, PolynomialTest.indicator(F(1, 4), F(1, 2))
         ),

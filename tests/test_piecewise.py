@@ -32,7 +32,7 @@ from viproplab import (
     scaled_hat,
     test_integral as integral_against,
 )
-from viproplab.piecewise import _rational_sum
+from viproplab.piecewise import MAX_POLY_DEGREE, _rational_sum
 
 from conftest import (
     assert_grid_form,
@@ -406,8 +406,10 @@ class TestTestIntegral:
             assert got == u(b) - u(a)
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            PolynomialTest.monomial(9)
+        # an int in 0..8 only: -1 once gave the constant 1 and True gave t
+        for degree in (-1, 9, True, 2.0):
+            with pytest.raises(ValueError, match="degree"):
+                PolynomialTest.monomial(degree)
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -417,15 +419,19 @@ class TestTestIntegral:
         fam = dyadic_indicators(3)
         assert len(fam) == 8
         assert fam[0].support == (F(0), F(1, 8))
-        with pytest.raises(ValueError):
-            dyadic_indicators(9)
+        # an int in 1..8 only: True once gave the level-1 family and 2.0 a TypeError
+        for level in (0, 9, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="level"):
+                dyadic_indicators(level)
 
     def test_polynomial_oracle_against_quadrature(self, rng):
         # independent float oracle: midpoint rule on a fine uniform grid
         u = random_pw_linear(rng)
         d = derivative(u)
         coeffs = [F(1, 2), F(-2), F(0), F(3)]
-        exact = float(integral_against(d, PolynomialTest.polynomial(coeffs)))
+        # by linearity, one exact integral per monomial
+        exact = float(sum(c * integral_against(d, PolynomialTest.monomial(deg))
+                          for deg, c in enumerate(coeffs)))
         n = 200_000
         mids = (2 * np.arange(n) + 1) / (2 * n)
         # value_at's left-closed rule: the interval whose left end is the last one <= t
@@ -453,10 +459,9 @@ def pw_const_st(draw):
 
 @st.composite
 def phi_st(draw, f):
-    """A polynomial of degree 0..8, or an indicator placed relative to the grid of f."""
+    """A monomial of degree 0..8, or an indicator placed relative to the grid of f."""
     if draw(st.booleans()):
-        coeffs = st.one_of(st.just(F(0)), st.fractions(-10, 10, max_denominator=1000))
-        return PolynomialTest.polynomial(draw(st.lists(coeffs, min_size=1, max_size=9)))
+        return PolynomialTest.monomial(draw(st.integers(0, MAX_POLY_DEGREE)))
     bps = f.breakpoints
     if draw(st.booleans()):  # both ends inside one interval
         i = draw(st.integers(0, len(bps) - 2))
@@ -500,12 +505,19 @@ class TestCachedIntegerView:
         f = derivative(sawtooth(5))
         g = PiecewiseConstFn(f.breakpoints, f.interval_values)
         before = (f.to_json_dict(), repr(f))
-        for phi in [PolynomialTest.monomial(8), *dyadic_indicators(4)]:
+        family = [*map(PolynomialTest.monomial, range(MAX_POLY_DEGREE + 1))]
+        family += [phi for level in (1, 2, 4) for phi in dyadic_indicators(level)]
+        for phi in family:
             integral_against(f, phi)
         assert "_integer_view" in vars(f) and "_integer_view" not in vars(g)
         assert f == g and hash(f) == hash(g)
         assert (f.to_json_dict(), repr(f)) == before
         assert f.to_json_dict() == g.to_json_dict()
+        # the sweep leaves f's view as g's, built fresh, field by field
+        view, fresh = vars(f._integer_view), vars(g._integer_view)
+        assert sorted(view) == sorted(fresh) == ["d", "e", "jump", "n", "p", "primitive"]
+        for name in fresh:
+            assert view[name] == fresh[name], name
 
 
 eighths_st = st.integers(-64, 64).map(lambda j: F(j, 8))
