@@ -1,7 +1,7 @@
 """Verification lab for variational-inequality operator properties.
 
 Exact piecewise calculus, executable property certificates along explicit
-sequences, and a desk-scale extragradient solver for the discretized
+sequences, and a desk-scale projected-gradient solver for the discretized
 problem.
 """
 
@@ -49,6 +49,7 @@ from .solver import (
     extragradient_solve,
     load_problem,
     residual,
+    spg_solve,
 )
 
 __version__ = "0.1.0"

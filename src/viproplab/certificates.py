@@ -316,8 +316,8 @@ def weak_convergence_evidence(
     """
     if not test_family:
         raise ValueError("test family must be nonempty")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if type(k_max) is not int or k_max < 1:  # True would sweep k = 1 alone, 2.0 fail in range
+        raise ValueError("k_max must be a positive integer")
     gradients = [derivative(seq(k)) for k in range(1, k_max + 1)]
     entries = []
     for phi in test_family:

@@ -284,7 +284,7 @@ def cmd_solve(problem_path: str, out: Optional[str]) -> int:
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot parse problem file: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    result = vis.extragradient_solve(vi)
+    result = vis.spg_solve(vi)
     _emit(result.to_json_dict(), out)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 

@@ -1,10 +1,14 @@
 """Desk-scale variational inequality solver for the discretized operator.
 
 The continuous operator is Galerkin-discretized on the uniform hat basis
-of [0,1]; the resulting finite-dimensional operator is monotone and
-continuous, so an extragradient method with a backtracking step rule
-converges on compact convex feasible sets without a known Lipschitz
-constant.
+of [0,1]; the resulting finite-dimensional operator G is monotone and
+continuous, and it is the gradient of the convex energy
+E(x) = (h/3) sum |s_i|^3 - f.x of the cell slopes s. `solve` minimises E
+over the feasible set by spectral projected gradient (spg_solve): one
+operator call per iteration, a Barzilai-Borwein step and a nonmonotone
+line search on E. The extragradient method with a backtracking step rule
+(extragradient_solve) needs only monotonicity, not the energy; it stays a
+library function, pinned bit for bit against its reference in the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import importlib.util
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
@@ -28,6 +33,18 @@ else:
 
 DEFAULT_EPS = 1e-8
 DEFAULT_MAX_ITER = 100_000
+# spectral projected gradient: the first step is SPG_FIRST_STEP and every later
+# Barzilai-Borwein step is clamped to [SPG_MIN_STEP, SPG_MAX_STEP]; a trial
+# point is accepted when its energy is at most the largest of the last
+# SPG_MEMORY energies plus SPG_ARMIJO * t * g.d, and t is halved on each
+# failure, down to SPG_MIN_T
+SPG_FIRST_STEP = 1.0
+SPG_MIN_STEP = 1e-10
+SPG_MAX_STEP = 1e10
+SPG_MEMORY = 10
+SPG_ARMIJO = 1e-4
+SPG_MIN_T = 1e-16
+# extragradient: the initial step, its halving and its recovery
 DEFAULT_STEP = 0.1
 BACKTRACK_FACTOR = 0.5
 STEP_GROWTH = 1.2  # recover after backtracking, up to 10x the initial step
@@ -127,20 +144,28 @@ class GalerkinOperator:
         a = np.empty(n + 1)
         self._a, self._a_left, self._a_right = a, a[:-1], a[1:]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def _slopes(self, x: np.ndarray) -> None:
+        # np.diff and abs of the formula, into the scratch buffers s and a = |s| s
         if len(x) != self.n:  # the slot assignment below would broadcast a length-1 x
             raise ValueError("x must have length n")
-        # np.diff, abs and the subtractions of the formula, on the scratch
-        # buffers; g is a fresh array, since callers keep it across calls
         self._slot[...] = x
         s, a = self._s, self._a
         np.subtract(self._right, self._left, s)
         np.true_divide(s, self.h, s)
         np.absolute(s, a)
         np.multiply(a, s, a)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        # g is a fresh array, since callers keep it across calls
+        self._slopes(x)
         g = np.subtract(self._a_left, self._a_right)
         g -= self.forcing
         return g
+
+    def energy(self, x: np.ndarray) -> float:
+        """E(x) = (h/3) sum |s_i|^3 - f.x, the convex energy whose gradient is G."""
+        self._slopes(x)
+        return self.h / 3.0 * self._a.dot(self._s) - self.forcing.dot(x)
 
 
 @dataclass
@@ -249,6 +274,61 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
         t = lam * gy
         x = P(sub(x, t, t))
         lam = min(lam * STEP_GROWTH, 10.0 * step)
+    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
+
+
+def spg_solve(vi: DiscreteVI) -> SolveResult:
+    """Nonmonotone spectral projected gradient on the energy E, whose gradient is G.
+
+    Each step is d = P(x - lam*g) - x, with lam the Barzilai-Borwein step of
+    the last move. t starts at 1 and is halved until E(x + t*d) passes an
+    Armijo test against the largest of the last SPG_MEMORY energies (Birgin,
+    Martinez & Raydan, SIAM J. Optim. 10, 2000). The operator is called once
+    per accepted iterate, and each iterate is judged by the same natural
+    residual as in extragradient_solve. If t falls below SPG_MIN_T, the
+    search has stalled in rounding: the solve stops, not converged, and
+    reports the iterations it judged.
+    """
+    G, E, P, sub = vi.operator, vi.operator.energy, vi.feasible_set.project, np.subtract
+    eps = vi.eps
+    x = P(np.zeros(vi.n))
+    g = G(x)
+    energies = deque([E(x)], maxlen=SPG_MEMORY)
+    # scratch for x - g, then x - lam * g, then g(y) - g; and for d, then y - x.
+    # Projections and x + t * d are fresh arrays, since an iterate may be the best
+    z, w = np.empty(vi.n), np.empty(vi.n)
+    lam = SPG_FIRST_STEP
+    best_x, best_r = x, math.inf
+    for m in range(vi.max_iter + 1):  # iterate m is judged here, and only here
+        v = P(sub(x, g, z))
+        sub(x, v, v)
+        r = math.sqrt(v.dot(v))
+        if m == 0 or r < best_r:  # a NaN residual at the start stays the best
+            best_x, best_r = x, r
+        if r <= eps:
+            return SolveResult(x=x, residual=r, iterations=m, converged=True)
+        if m == vi.max_iter:
+            break
+        np.multiply(g, lam, z)
+        y = P(sub(x, z, z))  # x + d itself, not a rounded sum
+        d = sub(y, x, w)
+        gd = g.dot(d)
+        ceiling = max(energies)
+        t = 1.0
+        while True:
+            e = E(y)
+            if e <= ceiling + SPG_ARMIJO * t * gd:
+                break
+            t *= 0.5
+            if t < SPG_MIN_T:
+                return SolveResult(x=best_x, residual=best_r, iterations=m, converged=False)
+            y = x + t * d
+        gy = G(y)
+        s, q = sub(y, x, w), sub(gy, g, z)
+        sq = s.dot(q)
+        lam = min(max(s.dot(s) / sq, SPG_MIN_STEP), SPG_MAX_STEP) if sq > 0 else SPG_MAX_STEP
+        x, g = y, gy
+        energies.append(e)
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 
 

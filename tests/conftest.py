@@ -319,6 +319,33 @@ def reference_extragradient_solve(vi, x0=None, step=DEFAULT_STEP):
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 
 
+def reference_free_solution(forcing):
+    """Test-only closed form of G(x) = 0, the solution of the VI on any set that holds it.
+
+    G(x) = 0 reads phi(s_j) - phi(s_{j+1}) = f_j with phi(s) = |s| s, so
+    phi(s_j) = C - (f_1 + ... + f_{j-1}) for one constant C. The slopes sum
+    to zero, since u vanishes at both ends, and that sum increases strictly
+    in C, so C is the root that bisection finds between the extreme partial
+    sums. The nodal values are then x_j = h (s_1 + ... + s_j).
+    """
+    f = np.asarray(forcing, dtype=float)
+    partial = np.concatenate(([0.0], np.cumsum(f)))
+
+    def slopes(c):
+        v = c - partial
+        return np.sign(v) * np.sqrt(np.abs(v))
+
+    lo, hi = partial.min(), partial.max()
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # halve the bracket until no float lies inside it
+        if slopes(mid).sum() < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return np.cumsum(slopes(mid)[:-1]) / (len(f) + 1)
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 

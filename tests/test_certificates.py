@@ -363,6 +363,12 @@ class TestWeakConvergenceEvidence:
         with pytest.raises(ValueError):
             weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 0)
 
+    @pytest.mark.parametrize("k_max", [True, False, 2.0, "4", None])
+    def test_k_max_must_be_an_int(self, k_max):
+        # pow_norm's rule: True would sweep k = 1 alone, and 2.0 fail inside range
+        with pytest.raises(ValueError, match="k_max must be a positive integer"):
+            weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], k_max)
+
     def test_calls_test_integral_by_name_once_per_phi_and_k(self, monkeypatch):
         # perfbench/selftest.py replaces certificates.test_integral with a wrong
         # kernel to prove weak-sweep's checks are live; a sweep that bypassed

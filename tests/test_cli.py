@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viproplab import PiecewiseLinearFn, PolynomialTest, cli, sawtooth
+from viproplab import (
+    PiecewiseLinearFn,
+    PolynomialTest,
+    cli,
+    extragradient_solve,
+    load_problem,
+    sawtooth,
+)
 from viproplab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -436,31 +443,50 @@ class TestSolve:
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"cannot parse problem file: {reason}\n"
 
-    # SHA-256 of stdout before the solver kernel dropped np.linalg.norm, np.clip and np.diff
+    @staticmethod
+    def pinned_problem(n, kind):
+        if kind == "box":
+            feasible = {"kind": "box", "lower": [-1] * n, "upper": [1] * n}
+        else:
+            feasible = {"kind": "ball", "center": [0] * n, "radius": 1}
+        return {"n": n, "forcing": [1 + j % 5 for j in range(n)], "set": feasible}
+
+    # SHA-256 of stdout since solve runs spg_solve
+    @pytest.mark.parametrize(
+        "kind, n, digest",
+        [
+            ("box", 32, "dfe74ef4a69bc0b3011711e799d7f600ab455d530d74c6bae147c861fb1c7b03"),
+            ("ball", 64, "8ad1378e2bb08662e318c43f757f7ef5070684736c26668770d0325823eb863d"),
+            # the largest n the benchmark solves
+            ("box", 64, "aefa56e31ab45de97f066ed669dd53bc3cffa76142550f0bbd061ebb8db7376a"),
+            ("ball", 256, "4e1c31f44ff1002edf8da611d16b91406c30fa25a4e10b932dd5b68a50b405de"),
+        ],
+        ids=["box-n32", "ball-n64", "box-n64", "ball-n256"],
+    )
+    def test_stdout_bytes_pinned(self, tmp_path, capsys, kind, n, digest):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(self.pinned_problem(n, kind)))
+        assert main(["solve", str(problem)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        check_out_file(["solve", str(problem)], EXIT_OK, digest, tmp_path / "s.json", capsys)
+
+    # the same problems' stdout when solve ran extragradient_solve, pinned from
+    # before its kernel dropped np.linalg.norm, np.clip and np.diff
     @pytest.mark.parametrize(
         "kind, n, digest",
         [
             ("box", 32, "42e0c6083ea9cd8d25fe8bc313b2ad0cf0bcd64baa386e23bf05df298add4ae2"),
             ("ball", 64, "62df97d785d5ab906976eae8c3e89fa92fa7486715b3a00203b33b5d64f63359"),
-            # the largest n the benchmark solves, pinned before the kernel's scratch buffers
             ("box", 64, "6284d8418e0e59ef1c90170d970bf496be2b1b2fc3149021c19e257855497b37"),
             ("ball", 256, "c7bfc2d8545c82b8352ea8a47aed5d24a76f69da7d739739a9efba3e78007cb1"),
         ],
         ids=["box-n32", "ball-n64", "box-n64", "ball-n256"],
     )
-    def test_stdout_bytes_pinned(self, tmp_path, capsys, kind, n, digest):
-        if kind == "box":
-            feasible = {"kind": "box", "lower": [-1] * n, "upper": [1] * n}
-        else:
-            feasible = {"kind": "ball", "center": [0] * n, "radius": 1}
-        problem = tmp_path / "p.json"
-        problem.write_text(
-            json.dumps({"n": n, "forcing": [1 + j % 5 for j in range(n)], "set": feasible})
-        )
-        assert main(["solve", str(problem)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-        check_out_file(["solve", str(problem)], EXIT_OK, digest, tmp_path / "s.json", capsys)
+    def test_extragradient_bytes_pinned(self, kind, n, digest):
+        result = extragradient_solve(load_problem(self.pinned_problem(n, kind)))
+        text = cli._json_text(result.to_json_dict()) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_default_set_same_bytes_as_explicit_box(self, tmp_path, capsys):
         n = 32
@@ -489,6 +515,17 @@ class TestSolve:
             )
         )
         assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
+
+    @pytest.mark.parametrize("settings", [{"max_iter": 1}, {"eps": 0, "max_iter": 50}],
+                             ids=["max-iter-1", "eps-0"])
+    def test_non_convergence_writes_the_best_iterate(self, tmp_path, capsys, settings):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"n": 4, "forcing": [1, 2, 3, 4], **settings}))
+        assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["x", "residual", "iterations", "converged"]
+        assert (doc["iterations"], doc["converged"]) == (settings["max_iter"], False)
+        assert doc["residual"] > 0 and len(doc["x"]) == 4
 
 
 # one call of each kind the parser handles: usage error, --out, stdout, the

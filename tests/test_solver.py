@@ -15,11 +15,14 @@ from viproplab import (
     Box,
     GalerkinOperator,
     assemble_vi,
+    derivative,
     extragradient_solve,
     load_problem,
+    pow_norm,
     residual,
+    spg_solve,
 )
-from viproplab.solver import MAX_N
+from viproplab.solver import MAX_N, SPG_ARMIJO, SPG_MAX_STEP, SPG_MEMORY
 
 import conftest
 from conftest import (
@@ -27,6 +30,7 @@ from conftest import (
     reference_ball_project,
     reference_box_project,
     reference_extragradient_solve,
+    reference_free_solution,
     reference_nodal_function,
     reference_operator,
 )
@@ -136,8 +140,6 @@ class TestOperator:
 
     def test_coercivity_identity(self, rng):
         # <G(x), x> equals the derivative cubed-norm minus <f, x>
-        from viproplab import derivative, pow_norm
-
         n = 6
         f = [rng.uniform(-2, 2) for _ in range(n)]
         op = GalerkinOperator(n, forcing=f)
@@ -489,6 +491,174 @@ class TestCallBudget:
         ref, ref_ops, ref_projections = counted_solve(reference_extragradient_solve, vi, step)
         assert (ops, projections) == (ref_ops - 1, ref_projections - 1)
         assert got.x.tobytes() == ref.x.tobytes()
+
+
+def pinned_problem(kind, n):
+    """The problems `solve`'s stdout digests pin: forcing 1 + j mod 5 on [-1, 1]^n or the unit ball."""
+    feasible = Box(-np.ones(n), np.ones(n)) if kind == "box" else Ball(np.zeros(n), 1.0)
+    return assemble_vi(n, forcing=[1 + j % 5 for j in range(n)], feasible_set=feasible)
+
+
+def traced_spg(vi):
+    """(result, every (x, G(x)) the solve took, every energy it computed) of one spg_solve."""
+    grads, energies = [], []
+    gradient, energy = GalerkinOperator.__call__, GalerkinOperator.energy
+
+    def recording_gradient(op, x):
+        g = gradient(op, x)
+        grads.append((x, x.tobytes(), g))
+        return g
+
+    def recording_energy(op, x):
+        e = energy(op, x)
+        energies.append((x.tobytes(), e))
+        return e
+
+    with mock.patch.object(GalerkinOperator, "__call__", recording_gradient), \
+            mock.patch.object(GalerkinOperator, "energy", recording_energy):
+        result = spg_solve(vi)
+    return result, grads, energies
+
+
+class TestEnergy:
+    @pytest.mark.parametrize("n", [1, 3, 7, 15])
+    def test_matches_exact_energy_at_dyadic_points(self, rng, n):
+        # E(x) = (1/3) int |u_x'|^3 - f.x, with the integral from the exact
+        # piecewise calculus; dyadic x and h = 1/(n+1) are exact floats
+        f = [F(rng.randint(-40, 40), 8) for _ in range(n)]
+        op = GalerkinOperator(n, forcing=[float(v) for v in f])
+        for _ in range(5):
+            x = [F(rng.randint(-64, 64), 64) for _ in range(n)]
+            u = reference_nodal_function(n, x)
+            exact = pow_norm(derivative(u), 3) / 3 - sum(a * b for a, b in zip(f, x))
+            got = op.energy(np.array([float(v) for v in x]))
+            assert math.isclose(got, float(exact), rel_tol=1e-13, abs_tol=1e-13)
+
+    def test_directional_derivative_is_the_operator(self, rng):
+        n = 12
+        op = GalerkinOperator(n, forcing=[rng.uniform(-3, 3) for _ in range(n)])
+        for _ in range(20):
+            x = np.array([rng.uniform(-1, 1) for _ in range(n)])
+            v = np.array([rng.uniform(-1, 1) for _ in range(n)])
+            delta = 1e-5
+            slope = (op.energy(x + delta * v) - op.energy(x - delta * v)) / (2 * delta)
+            assert slope == pytest.approx(op(x).dot(v), rel=1e-6, abs=1e-8)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            GalerkinOperator(3).energy(np.ones(1))
+
+
+class TestSpg:
+    @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64), ("box", 64), ("ball", 256)])
+    def test_agrees_with_extragradient_on_the_pinned_problems(self, kind, n):
+        vi = pinned_problem(kind, n)
+        got, ref = spg_solve(vi), extragradient_solve(vi)
+        assert got.converged and ref.converged
+        assert np.abs(got.x - ref.x).max() <= 1e-7
+        assert got.iterations * 5 < ref.iterations
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
+    def test_large_balls_converge(self, n):
+        # extragradient takes 9,871 iterations at n = 4096
+        vi = pinned_problem("ball", n)
+        res = spg_solve(vi)
+        assert res.converged and res.iterations < 1500
+        assert residual(vi, res.x) == res.residual <= vi.eps
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_matches_the_closed_form_on_weak_forcing(self, rng, n):
+        # the box [-10, 10]^n does not bind, so the VI's solution solves G(x) = 0
+        forcing = [rng.uniform(-0.3, 0.3) for _ in range(n)]
+        free = reference_free_solution(forcing)
+        assert np.abs(free).max() < 1
+        vi = assemble_vi(n, forcing=forcing, feasible_set=Box(np.full(n, -10.0), np.full(n, 10.0)))
+        res = spg_solve(vi)
+        assert res.converged
+        assert np.abs(res.x - free).max() <= 1e-7
+
+    def test_unforced_returns_zero_exactly(self):
+        res = spg_solve(assemble_vi(6, eps=0))
+        assert (res.converged, res.iterations, res.residual) == (True, 0, 0.0)
+        assert np.array_equal(res.x, np.zeros(6))
+
+    @pytest.mark.parametrize("settings_kw", [{"max_iter": 1}, {"eps": 0, "max_iter": 40}],
+                             ids=["max-iter-1", "eps-0"])
+    def test_cap_reported_not_converged(self, settings_kw):
+        vi = assemble_vi(4, forcing=[2.0] * 4, **settings_kw)
+        res = spg_solve(vi)
+        assert (res.converged, res.iterations) == (False, vi.max_iter)
+        assert residual(vi, res.x) == res.residual > vi.eps
+
+    def test_a_stalled_search_ends_not_converged(self):
+        # a flat energy never passes the Armijo test: the halvings must end,
+        # and the start, whose residual exceeds eps, is what comes back
+        vi = assemble_vi(4, forcing=[2.0] * 4)
+        with mock.patch.object(GalerkinOperator, "energy", lambda op, x: 0.0):
+            res = spg_solve(vi)
+        assert (res.converged, res.iterations) == (False, 0)
+        assert np.array_equal(res.x, np.zeros(4)) and res.residual > vi.eps
+
+    def test_one_gradient_per_iterate(self):
+        vi = pinned_problem("box", 32)
+        res, grads, energies = traced_spg(vi)
+        assert len(grads) == res.iterations + 1
+        assert res.iterations <= len(energies) - 1 < 2 * res.iterations
+        assert res.x is grads[-1][0]
+
+    @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64)])
+    def test_every_iterate_is_feasible_and_kept(self, kind, n):
+        vi = pinned_problem(kind, n)
+        _, grads, _ = traced_spg(vi)
+        for x, before, _ in grads:
+            assert x.tobytes() == before
+            if kind == "box":
+                assert np.all(np.abs(x) <= 1.0)
+            else:
+                assert x.dot(x) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64), ("box", 64)])
+    def test_every_accepted_energy_passes_the_nonmonotone_armijo_test(self, kind, n):
+        # E(x_{k+1}) <= max of the last SPG_MEMORY energies + gamma * g_k.(x_{k+1} - x_k)
+        vi = pinned_problem(kind, n)
+        _, grads, energies = traced_spg(vi)
+        energy_at = dict(energies)
+        accepted = [energy_at[before] for _, before, _ in grads]
+        for k in range(1, len(grads)):
+            (x, _, g), (y, _, _) = grads[k - 1], grads[k]
+            ceiling = max(accepted[max(0, k - SPG_MEMORY):k])
+            assert accepted[k] <= ceiling + SPG_ARMIJO * g.dot(y - x)
+
+    def test_steps_are_clamped(self):
+        # n = 1 with forcing f: G(x) = 8|x|x - f, so from x = f the
+        # Barzilai-Borwein step is 1/(8f) = 1.25e11, which the clamp cuts to 1e10
+        f = 1e-12
+        vi = assemble_vi(1, forcing=[f], feasible_set=Box(np.array([-1.0]), np.array([1.0])),
+                         eps=1e-30, max_iter=2)
+        seen = []
+        project = Box.project
+
+        def recording(box, z):
+            seen.append(z.copy())
+            return project(box, z)
+
+        with mock.patch.object(Box, "project", recording):
+            spg_solve(vi)
+        # P(0), then the judgement and the step of iterates 0 and 1
+        x1 = seen[2]
+        assert x1[0] == f
+        g1 = vi.operator(x1)
+        assert seen[4].tobytes() == (x1 - SPG_MAX_STEP * g1).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(solve_input_st())
+    def test_small_problems_converge(self, case):
+        capped, _ = case
+        vi = assemble_vi(capped.n, forcing=capped.operator.forcing,
+                         feasible_set=capped.feasible_set, eps=capped.eps)
+        res = spg_solve(vi)
+        assert res.converged
+        assert residual(vi, res.x) == res.residual <= vi.eps
 
 
 class TestResidual:
