@@ -112,8 +112,8 @@ def pairing_sequence(
     be the zero element (pass None).  The tail analysed for a limit is the
     last k_max // 2 values.
     """
-    if k_max < MIN_K_MAX:
-        raise ValueError(f"k_max must be >= {MIN_K_MAX}")
+    if type(k_max) is not int or k_max < MIN_K_MAX:  # 8.0 would fail in range, "8" in <
+        raise ValueError(f"k_max must be an integer >= {MIN_K_MAX}")
     tail_window = k_max // 2
     y_fn = PiecewiseLinearFn.zero() if y is None else y
     values: List[Fraction] = []

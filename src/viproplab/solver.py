@@ -4,11 +4,12 @@ The continuous operator is Galerkin-discretized on the uniform hat basis
 of [0,1]; the resulting finite-dimensional operator G is monotone and
 continuous, and it is the gradient of the convex energy
 E(x) = (h/3) sum |s_i|^3 - f.x of the cell slopes s. `solve` minimises E
-over the feasible set by spectral projected gradient (spg_solve): one
-operator call per iteration, a Barzilai-Borwein step and a nonmonotone
-line search on E. The extragradient method with a backtracking step rule
-(extragradient_solve) needs only monotonicity, not the energy; it stays a
-library function, pinned bit for bit against its reference in the tests.
+over the feasible set by spectral projected gradient (spg_solve): a
+Barzilai-Borwein step and a nonmonotone line search on E, with one slope
+pass per trial point, which gives both G and E there. The extragradient
+method with a backtracking step rule (extragradient_solve) needs only
+monotonicity, not the energy; it stays a library function, pinned bit for
+bit against its reference in the tests.
 """
 
 from __future__ import annotations
@@ -165,6 +166,10 @@ class GalerkinOperator:
     def energy(self, x: np.ndarray) -> float:
         """E(x) = (h/3) sum |s_i|^3 - f.x, the convex energy whose gradient is G."""
         self._slopes(x)
+        return self._energy(x)
+
+    def _energy(self, x: np.ndarray) -> float:
+        # E(x) from the slope buffers, so valid only right after a call or _slopes at x
         return self.h / 3.0 * self._a.dot(self._s) - self.forcing.dot(x)
 
 
@@ -228,7 +233,7 @@ class SolveResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": [float(v) for v in self.x],
+            "x": self.x.tolist(),
             "residual": self.residual,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -284,18 +289,20 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
     the last move. t starts at 1 and is halved until E(x + t*d) passes an
     Armijo test against the largest of the last SPG_MEMORY energies (Birgin,
     Martinez & Raydan, SIAM J. Optim. 10, 2000). The operator is called once
-    per accepted iterate, and each iterate is judged by the same natural
-    residual as in extragradient_solve. If t falls below SPG_MIN_T, the
-    search has stalled in rounding: the solve stops, not converged, and
-    reports the iterations it judged.
+    per trial point, and E there is read from the slopes that call left, so
+    the accepted point's gradient comes with its energy. Each iterate is
+    judged by the same natural residual as in extragradient_solve. If t
+    falls below SPG_MIN_T, the search has stalled in rounding: the solve
+    stops, not converged, and reports the iterations it judged.
     """
-    G, E, P, sub = vi.operator, vi.operator.energy, vi.feasible_set.project, np.subtract
+    G, E, P, sub = vi.operator, vi.operator._energy, vi.feasible_set.project, np.subtract
     eps = vi.eps
     x = P(np.zeros(vi.n))
     g = G(x)
     energies = deque([E(x)], maxlen=SPG_MEMORY)
-    # scratch for x - g, then x - lam * g, then g(y) - g; and for d, then y - x.
-    # Projections and x + t * d are fresh arrays, since an iterate may be the best
+    # scratch for x - g, then x - lam * g, then g(y) - g; and for d, then y - x
+    # unless t = 1, where d is y - x. Projections and x + t * d are fresh
+    # arrays, since an iterate may be the best
     z, w = np.empty(vi.n), np.empty(vi.n)
     lam = SPG_FIRST_STEP
     best_x, best_r = x, math.inf
@@ -315,7 +322,8 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
         gd = g.dot(d)
         ceiling = max(energies)
         t = 1.0
-        while True:
+        while True:  # E(y) reads the slopes that G(y) left
+            gy = G(y)
             e = E(y)
             if e <= ceiling + SPG_ARMIJO * t * gd:
                 break
@@ -323,8 +331,8 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
             if t < SPG_MIN_T:
                 return SolveResult(x=best_x, residual=best_r, iterations=m, converged=False)
             y = x + t * d
-        gy = G(y)
-        s, q = sub(y, x, w), sub(gy, g, z)
+        s = d if t == 1.0 else sub(y, x, w)  # at t = 1, y - x is d, bit for bit
+        q = sub(gy, g, z)
         sq = s.dot(q)
         lam = min(max(s.dot(s) / sq, SPG_MIN_STEP), SPG_MAX_STEP) if sq > 0 else SPG_MAX_STEP
         x, g = y, gy
@@ -358,7 +366,8 @@ def _count(v, key: str) -> int:
 def _numbers(v, key: str) -> List[float]:
     if not isinstance(v, list):
         raise ValueError(f"{key} must be a list, got {v!r}")
-    return [_number(x) for x in v]
+    # a finite float is already its number; anything else, bools included, goes to _number
+    return [x if type(x) is float and -math.inf < x < math.inf else _number(x) for x in v]
 
 
 def _vector(spec: dict, key: str, n: int) -> np.ndarray:

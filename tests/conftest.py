@@ -2,6 +2,7 @@ import math
 import os
 import random
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,18 @@ from viproplab import (
     SolveResult,
     plap_pairing,
 )
-from viproplab.solver import BACKTRACK_FACTOR, DEFAULT_STEP, MIN_STEP, STEP_GROWTH
+from viproplab.solver import (
+    BACKTRACK_FACTOR,
+    DEFAULT_STEP,
+    MIN_STEP,
+    SPG_ARMIJO,
+    SPG_FIRST_STEP,
+    SPG_MAX_STEP,
+    SPG_MEMORY,
+    SPG_MIN_STEP,
+    SPG_MIN_T,
+    STEP_GROWTH,
+)
 
 SEED = int(os.environ.get("VIPROPLAB_SEED", "20240817"))
 
@@ -316,6 +328,54 @@ def reference_extragradient_solve(vi, x0=None, step=DEFAULT_STEP):
     r = residual(x)
     if r < best_r:
         best_x, best_r = x, r
+    return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
+
+
+def reference_spg_solve(vi):
+    """Test-only reference for spg_solve: the same loop with separate energy and operator passes.
+
+    Every trial point gets its own energy(y), which recomputes the slopes,
+    and the accepted point a second pass through the operator; the
+    Barzilai-Borwein s is y - x recomputed at every t.
+    """
+    G, E, P, sub = vi.operator, vi.operator.energy, vi.feasible_set.project, np.subtract
+    eps = vi.eps
+    x = P(np.zeros(vi.n))
+    g = G(x)
+    energies = deque([E(x)], maxlen=SPG_MEMORY)
+    z, w = np.empty(vi.n), np.empty(vi.n)
+    lam = SPG_FIRST_STEP
+    best_x, best_r = x, math.inf
+    for m in range(vi.max_iter + 1):
+        v = P(sub(x, g, z))
+        sub(x, v, v)
+        r = math.sqrt(v.dot(v))
+        if m == 0 or r < best_r:
+            best_x, best_r = x, r
+        if r <= eps:
+            return SolveResult(x=x, residual=r, iterations=m, converged=True)
+        if m == vi.max_iter:
+            break
+        np.multiply(g, lam, z)
+        y = P(sub(x, z, z))
+        d = sub(y, x, w)
+        gd = g.dot(d)
+        ceiling = max(energies)
+        t = 1.0
+        while True:
+            e = E(y)
+            if e <= ceiling + SPG_ARMIJO * t * gd:
+                break
+            t *= 0.5
+            if t < SPG_MIN_T:
+                return SolveResult(x=best_x, residual=best_r, iterations=m, converged=False)
+            y = x + t * d
+        gy = G(y)
+        s, q = sub(y, x, w), sub(gy, g, z)
+        sq = s.dot(q)
+        lam = min(max(s.dot(s) / sq, SPG_MIN_STEP), SPG_MAX_STEP) if sq > 0 else SPG_MAX_STEP
+        x, g = y, gy
+        energies.append(e)
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 
 

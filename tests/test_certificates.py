@@ -71,6 +71,12 @@ class TestPairingSequence:
         with pytest.raises(ValueError):
             pairing_sequence(sawtooth, ZERO, 4)
 
+    @pytest.mark.parametrize("k_max", [8.0, "8", True, 7])
+    def test_k_max_must_be_an_int_of_at_least_eight(self, k_max):
+        # 8.0 used to raise TypeError from range, and "8" from <
+        with pytest.raises(ValueError, match="k_max must be an integer >= 8"):
+            pairing_sequence(sawtooth, None, k_max)
+
     @pytest.mark.parametrize("y", [ZERO, L2SeqVector(1)], ids=["function", "unit-vector"])
     def test_unit_vectors_pair_only_with_none(self, y):
         with pytest.raises(TypeError):

@@ -22,7 +22,7 @@ from viproplab import (
     residual,
     spg_solve,
 )
-from viproplab.solver import MAX_N, SPG_ARMIJO, SPG_MAX_STEP, SPG_MEMORY
+from viproplab.solver import MAX_N, SPG_ARMIJO, SPG_MAX_STEP, SPG_MEMORY, _number, _numbers
 
 import conftest
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     reference_free_solution,
     reference_nodal_function,
     reference_operator,
+    reference_spg_solve,
 )
 
 F = Fraction
@@ -385,6 +386,12 @@ class TestAgainstReference:
         assert got.iterations == ref.iterations
         assert got.converged == (ref.converged or ref.residual <= vi.eps)
 
+    @settings(max_examples=150, deadline=None)
+    @given(solve_input_st())
+    def test_spg_bitwise(self, case):
+        vi, _ = case
+        assert_same_solve(spg_solve(vi), reference_spg_solve(vi))
+
 
 class TestFreshResults:
     """The in-place kernel writes only its own scratch: inputs keep their bytes,
@@ -493,6 +500,12 @@ class TestCallBudget:
         assert got.x.tobytes() == ref.x.tobytes()
 
 
+def assert_same_solve(got, ref):
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert got.residual == ref.residual
+    assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+
+
 def pinned_problem(kind, n):
     """The problems `solve`'s stdout digests pin: forcing 1 + j mod 5 on [-1, 1]^n or the unit ball."""
     feasible = Box(-np.ones(n), np.ones(n)) if kind == "box" else Ball(np.zeros(n), 1.0)
@@ -500,24 +513,52 @@ def pinned_problem(kind, n):
 
 
 def traced_spg(vi):
-    """(result, every (x, G(x)) the solve took, every energy it computed) of one spg_solve."""
-    grads, energies = [], []
-    gradient, energy = GalerkinOperator.__call__, GalerkinOperator.energy
+    """(result, trial points, accepted points, slope passes) of one spg_solve.
 
-    def recording_gradient(op, x):
-        g = gradient(op, x)
-        grads.append((x, x.tobytes(), g))
+    Each trial point, the start included, is a list [x, x.tobytes(), G(x),
+    E(x)] filled by the operator call at x and by an _energy read at x
+    before the next call (None without one). A point is accepted when the
+    first projection after its call is the one that judges it, of x - G(x);
+    a rejected point is followed by the call at the next trial point instead.
+    """
+    points, accepted, passes, pending = [], [], 0, None
+    call, slopes = GalerkinOperator.__call__, GalerkinOperator._slopes
+    energy = GalerkinOperator._energy
+    project = type(vi.feasible_set).project
+
+    def recording_call(op, x):
+        nonlocal pending
+        g = call(op, x)
+        pending = [x, x.tobytes(), g, None]
+        points.append(pending)
         return g
 
     def recording_energy(op, x):
         e = energy(op, x)
-        energies.append((x.tobytes(), e))
+        if pending is not None and x is pending[0]:
+            pending[3] = e
         return e
 
-    with mock.patch.object(GalerkinOperator, "__call__", recording_gradient), \
-            mock.patch.object(GalerkinOperator, "energy", recording_energy):
+    def counting_slopes(op, x):
+        nonlocal passes
+        passes += 1
+        slopes(op, x)
+
+    def recording_project(feasible, z):
+        nonlocal pending
+        if pending is not None:
+            x, _, g, _ = pending
+            assert z.tobytes() == (x - g).tobytes()
+            accepted.append(pending)
+            pending = None
+        return project(feasible, z)
+
+    with mock.patch.object(GalerkinOperator, "__call__", recording_call), \
+            mock.patch.object(GalerkinOperator, "_energy", recording_energy), \
+            mock.patch.object(GalerkinOperator, "_slopes", counting_slopes), \
+            mock.patch.object(type(vi.feasible_set), "project", recording_project):
         result = spg_solve(vi)
-    return result, grads, energies
+    return result, points, accepted, passes
 
 
 class TestEnergy:
@@ -558,6 +599,13 @@ class TestSpg:
         assert np.abs(got.x - ref.x).max() <= 1e-7
         assert got.iterations * 5 < ref.iterations
 
+    @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64), ("box", 64), ("ball", 256),
+                                         ("box", 1024)])
+    def test_matches_the_reference_bit_for_bit(self, kind, n):
+        # box n = 1024 takes 6,651 iterations
+        vi = pinned_problem(kind, n)
+        assert_same_solve(spg_solve(vi), reference_spg_solve(vi))
+
     @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
     def test_large_balls_converge(self, n):
         # extragradient takes 9,871 iterations at n = 4096
@@ -594,23 +642,28 @@ class TestSpg:
         # a flat energy never passes the Armijo test: the halvings must end,
         # and the start, whose residual exceeds eps, is what comes back
         vi = assemble_vi(4, forcing=[2.0] * 4)
-        with mock.patch.object(GalerkinOperator, "energy", lambda op, x: 0.0):
+        with mock.patch.object(GalerkinOperator, "_energy", lambda op, x: 0.0):
             res = spg_solve(vi)
         assert (res.converged, res.iterations) == (False, 0)
         assert np.array_equal(res.x, np.zeros(4)) and res.residual > vi.eps
 
-    def test_one_gradient_per_iterate(self):
+    def test_one_slope_pass_per_trial_point(self):
+        # one operator call per trial point, the start included, and no other
+        # slope pass: each energy is read from the slopes of that call
         vi = pinned_problem("box", 32)
-        res, grads, energies = traced_spg(vi)
-        assert len(grads) == res.iterations + 1
-        assert res.iterations <= len(energies) - 1 < 2 * res.iterations
-        assert res.x is grads[-1][0]
+        res, points, accepted, passes = traced_spg(vi)
+        assert passes == len(points)
+        assert all(e == vi.operator.energy(x) for x, _, _, e in points)
+        assert len(accepted) == res.iterations + 1
+        assert res.iterations <= len(points) - 1 < 2 * res.iterations
+        assert res.x is accepted[-1][0] is points[-1][0]
 
     @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64)])
     def test_every_iterate_is_feasible_and_kept(self, kind, n):
+        # rejected trial points included: each lies between two iterates
         vi = pinned_problem(kind, n)
-        _, grads, _ = traced_spg(vi)
-        for x, before, _ in grads:
+        _, points, _, _ = traced_spg(vi)
+        for x, before, _, _ in points:
             assert x.tobytes() == before
             if kind == "box":
                 assert np.all(np.abs(x) <= 1.0)
@@ -621,13 +674,13 @@ class TestSpg:
     def test_every_accepted_energy_passes_the_nonmonotone_armijo_test(self, kind, n):
         # E(x_{k+1}) <= max of the last SPG_MEMORY energies + gamma * g_k.(x_{k+1} - x_k)
         vi = pinned_problem(kind, n)
-        _, grads, energies = traced_spg(vi)
-        energy_at = dict(energies)
-        accepted = [energy_at[before] for _, before, _ in grads]
-        for k in range(1, len(grads)):
-            (x, _, g), (y, _, _) = grads[k - 1], grads[k]
-            ceiling = max(accepted[max(0, k - SPG_MEMORY):k])
-            assert accepted[k] <= ceiling + SPG_ARMIJO * g.dot(y - x)
+        _, _, accepted, _ = traced_spg(vi)
+        energies = [vi.operator.energy(x) for x, _, _, _ in accepted]
+        assert energies == [e for _, _, _, e in accepted]
+        for k in range(1, len(accepted)):
+            (x, _, g, _), (y, _, _, _) = accepted[k - 1], accepted[k]
+            ceiling = max(energies[max(0, k - SPG_MEMORY):k])
+            assert energies[k] <= ceiling + SPG_ARMIJO * g.dot(y - x)
 
     def test_steps_are_clamped(self):
         # n = 1 with forcing f: G(x) = 8|x|x - f, so from x = f the
@@ -762,6 +815,28 @@ class TestProblemIO:
     def test_malformed_problem_rejected(self, doc):
         with pytest.raises(ValueError):
             load_problem(doc)
+
+    def test_mixed_entries_load_as_their_numbers(self):
+        # finite floats skip _number; every other entry goes through it
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3, -2, 0, "1/3", "-5/2", "7"]
+        want = np.array([_number(v) for v in values]).tobytes()
+        vi = load_problem({"n": len(values), "forcing": values,
+                           "set": {"kind": "ball", "center": values, "radius": 1}})
+        assert vi.operator.forcing.tobytes() == want
+        assert vi.feasible_set.center.tobytes() == want
+        assert all(type(v) is float for v in _numbers(values, "forcing"))
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "not a finite number: nan"),
+        (math.inf, "not a finite number: inf"),
+        (-math.inf, "not a finite number: -inf"),
+        (10**400, f"not a finite number: {10**400!r}"),
+        (True, "not a number: True"),
+    ], ids=["nan", "inf", "minus-inf", "10**400", "true"])
+    def test_a_bad_entry_among_floats_is_rejected(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            load_problem({"n": 3, "forcing": [1.0, bad, 2.5]})
+        assert str(err.value) == message
 
     def test_integral_counts_accepted(self):
         vi = load_problem({"n": 2.0, "max_iter": "12", "eps": 0})
