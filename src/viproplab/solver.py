@@ -4,12 +4,12 @@ The continuous operator is Galerkin-discretized on the uniform hat basis
 of [0,1]; the resulting finite-dimensional operator G is monotone and
 continuous, and it is the gradient of the convex energy
 E(x) = (h/3) sum |s_i|^3 - f.x of the cell slopes s. `solve` minimises E
-over the feasible set by spectral projected gradient (spg_solve): a
-Barzilai-Borwein step and a nonmonotone line search on E, with one slope
-pass per trial point, which gives both G and E there. The extragradient
-method with a backtracking step rule (extragradient_solve) needs only
-monotonicity, not the energy; it stays a library function, pinned bit for
-bit against its reference in the tests.
+over the feasible set by spectral projected gradient (spg_solve):
+Barzilai-Borwein steps, long and short in turn, and a nonmonotone line
+search on E, with one slope pass per trial point, which gives both G and
+E there. The extragradient method with a backtracking step rule
+(extragradient_solve) needs only monotonicity, not the energy; it stays a
+library function, pinned bit for bit against its reference in the tests.
 """
 
 from __future__ import annotations
@@ -106,6 +106,12 @@ class Ball:
         norm = math.sqrt(d.dot(d))  # what np.linalg.norm computes for 1-D input
         if norm <= self.radius:
             return x.copy()
+        if norm == math.inf:  # d.dot(d) overflowed: scale by max |d_i| before squaring
+            big = np.abs(d).max()
+            e = d / big
+            norm = big * math.sqrt(e.dot(e))
+            if norm <= self.radius:
+                return x.copy()
         d *= self.radius / norm
         np.add(self.center, d, out=d)  # center + d, in that operand order
         return d
@@ -132,7 +138,7 @@ class GalerkinOperator:
         if forcing is None:
             self.forcing = np.zeros(n)
         else:
-            self.forcing = np.asarray([float(f) for f in forcing], dtype=float)
+            self.forcing = np.fromiter(map(float, forcing), float)
             if self.forcing.shape != (n,):
                 raise ValueError("forcing must have length n")
             if not np.all(np.isfinite(self.forcing)):
@@ -285,15 +291,18 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
 def spg_solve(vi: DiscreteVI) -> SolveResult:
     """Nonmonotone spectral projected gradient on the energy E, whose gradient is G.
 
-    Each step is d = P(x - lam*g) - x, with lam the Barzilai-Borwein step of
-    the last move. t starts at 1 and is halved until E(x + t*d) passes an
-    Armijo test against the largest of the last SPG_MEMORY energies (Birgin,
-    Martinez & Raydan, SIAM J. Optim. 10, 2000). The operator is called once
-    per trial point, and E there is read from the slopes that call left, so
-    the accepted point's gradient comes with its energy. Each iterate is
-    judged by the same natural residual as in extragradient_solve. If t
-    falls below SPG_MIN_T, the search has stalled in rounding: the solve
-    stops, not converged, and reports the iterations it judged.
+    Each step is d = P(x - lam*g) - x, with lam a Barzilai-Borwein step of
+    the last move, s in x and q in G: BB1 = s.s/s.q after an even iterate
+    and BB2 = s.q/q.q after an odd one, the alternating BB method of Dai &
+    Fletcher (Numer. Math. 100, 2005). t starts at 1 and is halved until
+    E(x + t*d) passes an Armijo test against the largest of the last
+    SPG_MEMORY energies (Birgin, Martinez & Raydan, SIAM J. Optim. 10,
+    2000). The operator is called once per trial point, and E there is read
+    from the slopes that call left, so the accepted point's gradient comes
+    with its energy. Each iterate is judged by the same natural residual as
+    in extragradient_solve. If t falls below SPG_MIN_T, the search has
+    stalled in rounding: the solve stops, not converged, and reports the
+    iterations it judged.
     """
     G, E, P, sub = vi.operator, vi.operator._energy, vi.feasible_set.project, np.subtract
     eps = vi.eps
@@ -334,7 +343,11 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
         s = d if t == 1.0 else sub(y, x, w)  # at t = 1, y - x is d, bit for bit
         q = sub(gy, g, z)
         sq = s.dot(q)
-        lam = min(max(s.dot(s) / sq, SPG_MIN_STEP), SPG_MAX_STEP) if sq > 0 else SPG_MAX_STEP
+        if sq > 0:  # BB1 = s.s/s.q after an even iterate, BB2 = s.q/q.q after an odd one
+            lam = s.dot(s) / sq if m % 2 == 0 else sq / q.dot(q)
+            lam = min(max(lam, SPG_MIN_STEP), SPG_MAX_STEP)
+        else:
+            lam = SPG_MAX_STEP
         x, g = y, gy
         energies.append(e)
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)

@@ -331,12 +331,13 @@ def reference_extragradient_solve(vi, x0=None, step=DEFAULT_STEP):
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)
 
 
-def reference_spg_solve(vi):
+def reference_spg_solve(vi, bb2=True):
     """Test-only reference for spg_solve: the same loop with separate energy and operator passes.
 
     Every trial point gets its own energy(y), which recomputes the slopes,
     and the accepted point a second pass through the operator; the
-    Barzilai-Borwein s is y - x recomputed at every t.
+    Barzilai-Borwein s is y - x recomputed at every t. With bb2=False every
+    step is BB1, the rule spg_solve had before it alternated BB1 and BB2.
     """
     G, E, P, sub = vi.operator, vi.operator.energy, vi.feasible_set.project, np.subtract
     eps = vi.eps
@@ -373,7 +374,11 @@ def reference_spg_solve(vi):
         gy = G(y)
         s, q = sub(y, x, w), sub(gy, g, z)
         sq = s.dot(q)
-        lam = min(max(s.dot(s) / sq, SPG_MIN_STEP), SPG_MAX_STEP) if sq > 0 else SPG_MAX_STEP
+        if sq > 0:
+            lam = s.dot(s) / sq if m % 2 == 0 or not bb2 else sq / q.dot(q)
+            lam = min(max(lam, SPG_MIN_STEP), SPG_MAX_STEP)
+        else:
+            lam = SPG_MAX_STEP
         x, g = y, gy
         energies.append(e)
     return SolveResult(x=best_x, residual=best_r, iterations=vi.max_iter, converged=False)

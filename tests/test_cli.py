@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from viproplab import (
     cli,
     extragradient_solve,
     load_problem,
+    residual,
     sawtooth,
 )
 from viproplab.cli import (
@@ -451,15 +453,15 @@ class TestSolve:
             feasible = {"kind": "ball", "center": [0] * n, "radius": 1}
         return {"n": n, "forcing": [1 + j % 5 for j in range(n)], "set": feasible}
 
-    # SHA-256 of stdout since solve runs spg_solve
+    # SHA-256 of stdout since spg_solve alternates BB1 and BB2 steps
     @pytest.mark.parametrize(
         "kind, n, digest",
         [
-            ("box", 32, "dfe74ef4a69bc0b3011711e799d7f600ab455d530d74c6bae147c861fb1c7b03"),
-            ("ball", 64, "8ad1378e2bb08662e318c43f757f7ef5070684736c26668770d0325823eb863d"),
+            ("box", 32, "c38f8fbc1995499e31b3ac1e8cfa4b58f767134c3d1925c3e2635a566050256e"),
+            ("ball", 64, "7cfbc18f62c7a2f918f5630bdc48583f66ac37481fff52210941be2f7a8e6e6c"),
             # the largest n the benchmark solves
-            ("box", 64, "aefa56e31ab45de97f066ed669dd53bc3cffa76142550f0bbd061ebb8db7376a"),
-            ("ball", 256, "4e1c31f44ff1002edf8da611d16b91406c30fa25a4e10b932dd5b68a50b405de"),
+            ("box", 64, "434c139567a40ed523db6645d774b16adb41b07aece1d874ac9e24243da9f31c"),
+            ("ball", 256, "44c36f48ea7d7c9f428c98c4da9331e6d6ac239db504f1120e2a698547837710"),
         ],
         ids=["box-n32", "ball-n64", "box-n64", "ball-n256"],
     )
@@ -487,6 +489,22 @@ class TestSolve:
         result = extragradient_solve(load_problem(self.pinned_problem(n, kind)))
         text = cli._json_text(result.to_json_dict()) + "\n"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_an_overflowing_ball_distance_is_not_converged(self, tmp_path, capsys):
+        # d.dot(d) overflows at x - G(0) = (1e154, 1e154), well inside the
+        # ball; scaled by r/inf, that point went to the centre, so x = 0
+        # judged itself a solution with residual 0 and exit 0
+        problem = tmp_path / "p.json"
+        problem.write_text(
+            '{"n": 2, "forcing": [1e154, 1e154], '
+            '"set": {"kind": "ball", "center": [0, 0], "radius": 1e300}}'
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
+            vi = load_problem(str(problem))
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["converged"] is False
+            assert not residual(vi, doc["x"]) <= vi.eps
 
     def test_default_set_same_bytes_as_explicit_box(self, tmp_path, capsys):
         n = 32

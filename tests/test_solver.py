@@ -22,7 +22,16 @@ from viproplab import (
     residual,
     spg_solve,
 )
-from viproplab.solver import MAX_N, SPG_ARMIJO, SPG_MAX_STEP, SPG_MEMORY, _number, _numbers
+from viproplab.solver import (
+    MAX_N,
+    SPG_ARMIJO,
+    SPG_FIRST_STEP,
+    SPG_MAX_STEP,
+    SPG_MEMORY,
+    SPG_MIN_STEP,
+    _number,
+    _numbers,
+)
 
 import conftest
 from conftest import (
@@ -58,6 +67,21 @@ class TestProjection:
         ball = Ball(np.ones(2), 2.0)
         x = np.array([1.5, 0.5])
         assert np.array_equal(ball.project(x), x)
+
+    @pytest.mark.parametrize(
+        "radius, x, want",
+        [
+            (1e300, [1e154, 1e154], [1e154, 1e154]),
+            (1.0, [1e200, -1e200], [math.sqrt(0.5), -math.sqrt(0.5)]),
+            (1e300, [1e300, 1e300], [1e300 * math.sqrt(0.5)] * 2),
+        ],
+        ids=["inside", "outside-unit", "outside-huge"],
+    )
+    def test_ball_projection_when_the_square_overflows(self, radius, x, want):
+        # d.dot(d) is inf here; scaled by r/inf, every point went to the centre
+        with np.errstate(over="ignore"):
+            got = Ball(np.zeros(2), radius).project(np.array(x))
+        assert np.allclose(got, want, rtol=1e-15, atol=0)
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(ValueError):
@@ -115,6 +139,24 @@ class TestProjection:
 
 
 class TestOperator:
+    @pytest.mark.parametrize(
+        "forcing",
+        [[1, "2.5", F(1, 3), True], (0.5, -0.0, 7, False), np.arange(4)],
+        ids=["mixed", "tuple", "array"],
+    )
+    def test_forcing_entries_are_their_floats(self, forcing):
+        op = GalerkinOperator(4, forcing)
+        assert op.forcing.dtype == float
+        assert op.forcing.tobytes() == np.array([float(f) for f in forcing]).tobytes()
+
+    @pytest.mark.parametrize("bad", [None, "x", "1/2", [1.0], 1j])
+    def test_a_forcing_entry_fails_as_float_does(self, bad):
+        with pytest.raises((TypeError, ValueError)) as want:
+            float(bad)
+        with pytest.raises(type(want.value)) as got:
+            GalerkinOperator(2, [1.0, bad])
+        assert str(got.value) == str(want.value)
+
     def test_n1_closed_form(self):
         # single hat of height c has slopes +-2c: pairing value 8|c|c
         op = GalerkinOperator(1)
@@ -512,8 +554,8 @@ def pinned_problem(kind, n):
     return assemble_vi(n, forcing=[1 + j % 5 for j in range(n)], feasible_set=feasible)
 
 
-def traced_spg(vi):
-    """(result, trial points, accepted points, slope passes) of one spg_solve.
+def traced_spg(vi, solve=spg_solve):
+    """(result, trial points, accepted points, slope passes) of one solve, spg_solve by default.
 
     Each trial point, the start included, is a list [x, x.tobytes(), G(x),
     E(x)] filled by the operator call at x and by an _energy read at x
@@ -557,7 +599,7 @@ def traced_spg(vi):
             mock.patch.object(GalerkinOperator, "_energy", recording_energy), \
             mock.patch.object(GalerkinOperator, "_slopes", counting_slopes), \
             mock.patch.object(type(vi.feasible_set), "project", recording_project):
-        result = spg_solve(vi)
+        result = solve(vi)
     return result, points, accepted, passes
 
 
@@ -602,16 +644,24 @@ class TestSpg:
     @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64), ("box", 64), ("ball", 256),
                                          ("box", 1024)])
     def test_matches_the_reference_bit_for_bit(self, kind, n):
-        # box n = 1024 takes 6,651 iterations
+        # box n = 1024 takes 3,311 iterations
         vi = pinned_problem(kind, n)
         assert_same_solve(spg_solve(vi), reference_spg_solve(vi))
 
     @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
     def test_large_balls_converge(self, n):
-        # extragradient takes 9,871 iterations at n = 4096
+        # extragradient takes 9,871 iterations at n = 4096, BB1 alone 676
         vi = pinned_problem("ball", n)
         res = spg_solve(vi)
-        assert res.converged and res.iterations < 1500
+        assert res.converged and res.iterations < 600
+        assert residual(vi, res.x) == res.residual <= vi.eps
+
+    @pytest.mark.parametrize("n, cap", [(1024, 4500), (2048, 8000)])
+    def test_large_boxes_converge(self, n, cap):
+        # BB1 alone takes 6,651 and 16,289 iterations, the alternation 3,311 and 6,047
+        vi = pinned_problem("box", n)
+        res = spg_solve(vi)
+        assert res.converged and res.iterations < cap
         assert residual(vi, res.x) == res.residual <= vi.eps
 
     @pytest.mark.parametrize("n", [32, 64])
@@ -702,6 +752,44 @@ class TestSpg:
         assert x1[0] == f
         g1 = vi.operator(x1)
         assert seen[4].tobytes() == (x1 - SPG_MAX_STEP * g1).tobytes()
+
+    def test_steps_alternate_bb1_and_bb2(self):
+        # the step from iterate m + 1 is the clamped BB1 = s.s/s.q when m is
+        # even and the clamped BB2 = s.q/q.q when m is odd, where s and q are
+        # the moves in x and in G from iterate m to m + 1
+        vi = pinned_problem("box", 32)
+        seen = []
+        project = Box.project
+
+        def recording(box, z):
+            seen.append(z.copy())
+            return project(box, z)
+
+        with mock.patch.object(Box, "project", recording):
+            res, _, accepted, _ = traced_spg(vi)
+        # P(0), then each iterate's judgement and each but the last one's step
+        assert len(seen) == 2 * res.iterations + 2
+        steps = seen[2::2]
+        x0, _, g0, _ = accepted[0]
+        assert steps[0].tobytes() == (x0 - SPG_FIRST_STEP * g0).tobytes()
+        for m in range(res.iterations - 1):
+            (x, _, g, _), (y, _, gy, _) = accepted[m], accepted[m + 1]
+            s, q = y - x, gy - g
+            sq = s.dot(q)
+            assert sq > 0  # E is strictly convex
+            bb1 = min(max(s.dot(s) / sq, SPG_MIN_STEP), SPG_MAX_STEP)
+            bb2 = min(max(sq / q.dot(q), SPG_MIN_STEP), SPG_MAX_STEP)
+            want, other = (bb1, bb2) if m % 2 == 0 else (bb2, bb1)
+            assert steps[m + 1].tobytes() == (y - want * gy).tobytes()
+            assert steps[m + 1].tobytes() != (y - other * gy).tobytes()
+
+    def test_the_first_three_iterates_are_those_of_bb1_alone(self):
+        # the first Barzilai-Borwein step is BB1, so the rules part at iterate 3
+        vi = pinned_problem("box", 32)
+        _, _, accepted, _ = traced_spg(vi)
+        _, _, bb1, _ = traced_spg(vi, lambda vi: reference_spg_solve(vi, bb2=False))
+        assert [p[1] for p in accepted[:3]] == [p[1] for p in bb1[:3]]
+        assert accepted[3][1] != bb1[3][1]
 
     @settings(max_examples=100, deadline=None)
     @given(solve_input_st())
