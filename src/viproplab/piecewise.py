@@ -506,9 +506,12 @@ class PolynomialTest:
                 raise ValueError(f"degree must be an int in 0..{MAX_POLY_DEGREE}")
         elif self.kind == "indicator":
             lo, hi = (as_fraction(x) for x in self.support)
-            if not (0 <= lo < hi <= 1):
+            a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            if not (0 <= a0 and a0 * b1 < a1 * b0 and a1 <= b1):  # 0 <= lo < hi <= 1
                 raise ValueError("indicator support must be a sub-interval of [0,1]")
             object.__setattr__(self, "support", (lo, hi))
+            # the reduced ends for test_integral; not a field, so ==, hash and repr ignore it
+            object.__setattr__(self, "_ends", (a0, b0, a1, b1))
         else:
             raise ValueError(f"unsupported test-function kind: {self.kind!r}")
 
@@ -536,27 +539,28 @@ def dyadic_indicators(level: int) -> list:
     return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
 
-def _primitive(v: SimpleNamespace, a: int, b: int) -> int:
-    """D*E*b times F(a/b), the integral of f over [0, a/b], from the integer view v of f."""
-    i = bisect_right(v.n, a * v.d // b) - 1
-    return v.primitive[i] * b + v.p[i] * (a * v.d - v.n[i] * b)
-
-
 def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
     """Exact integral ∫ f(t) φ(t) dt over [0,1].
 
     An indicator of (a, b) gives F(b) - F(a), with F the primitive of f.
-    A monomial sums by parts over the jumps of f: with c_{-1} = c_m = 0,
-    ∫ f(t) t^d dt = Σ_i t_i^(d+1) (c_{i-1} - c_i) / (d+1), one integer
-    power sum.  Both read the integer view cached on f, so after the first
-    call an indicator costs O(1) and a monomial O(cells).
+    It reads the reduced integer ends a = a0/b0, b = a1/b1 the indicator
+    kept when it was built, and D*E*b_i*F at each end is a bisect and two
+    integer products on the view.  A monomial sums by parts over the jumps
+    of f: with c_{-1} = c_m = 0, ∫ f(t) t^d dt = Σ_i t_i^(d+1) (c_{i-1} -
+    c_i) / (d+1), one integer power sum.  Both read the integer view cached
+    on f, so after the first call an indicator costs O(log cells) and a
+    monomial O(cells).
     """
     v = f._integer_view
     if phi.kind == "indicator":
-        lo, hi = phi.support
-        a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        num = _primitive(v, a1, b1) * b0 - _primitive(v, a0, b0) * b1
-        return ExactReal(num, v.d * v.e * b0 * b1)
+        a0, b0, a1, b1 = phi._ends
+        d, n, p, primitive = v.d, v.n, v.p, v.primitive
+        # D*E*b*F(a/b) = primitive_i*b + p_i*(a*D - n_i*b), with n_i/D <= a/b < n_(i+1)/D
+        i = bisect_right(n, a0 * d // b0) - 1
+        j = bisect_right(n, a1 * d // b1) - 1
+        lo = primitive[i] * b0 + p[i] * (a0 * d - n[i] * b0)
+        hi = primitive[j] * b1 + p[j] * (a1 * d - n[j] * b1)
+        return ExactReal(hi * b0 - lo * b1, d * v.e * b0 * b1)
     j = phi.degree + 1
     return ExactReal(sum([x**j * jump for x, jump in zip(v.n, v.jump)]), j * v.e * v.d**j)
 

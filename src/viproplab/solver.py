@@ -106,10 +106,8 @@ class Ball:
         norm = math.sqrt(d.dot(d))  # what np.linalg.norm computes for 1-D input
         if norm <= self.radius:
             return x.copy()
-        if norm == math.inf:  # d.dot(d) overflowed: scale by max |d_i| before squaring
-            big = np.abs(d).max()
-            e = d / big
-            norm = big * math.sqrt(e.dot(e))
+        if norm == math.inf:
+            norm = _overflowed_norm(d)
             if norm <= self.radius:
                 return x.copy()
         d *= self.radius / norm
@@ -118,6 +116,22 @@ class Ball:
 
 
 FeasibleSet = Union[Box, Ball]
+
+
+def _overflowed_norm(v: np.ndarray) -> float:
+    """||v|| for a v whose v.dot(v) overflowed, scaled before squaring.
+
+    The scale is the power of two just above max |v_i|, so scaling and
+    unscaling round nothing. Callers take math.sqrt(v.dot(v)) first and
+    come here only on inf, so a finite norm keeps its bits and costs no
+    extra call.
+    """
+    big = np.abs(v).max()
+    if big == math.inf:  # an infinite entry: the norm is inf, not inf/inf
+        return big
+    scale = 2.0 ** -math.frexp(big)[1]
+    e = v * scale
+    return math.sqrt(e.dot(e)) / scale
 
 
 class GalerkinOperator:
@@ -227,7 +241,8 @@ def residual(vi: DiscreteVI, x: np.ndarray) -> float:
     """Natural-map residual ||x - P_A(x - G(x))||; zero exactly at solutions."""
     x = np.asarray(x, dtype=float)
     v = x - vi.feasible_set.project(x - vi.operator(x))
-    return math.sqrt(v.dot(v))
+    r = math.sqrt(v.dot(v))
+    return _overflowed_norm(v) if r == math.inf else r
 
 
 @dataclass
@@ -268,6 +283,8 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
         v = P(sub(x, g, d))
         sub(x, v, v)
         r = math.sqrt(v.dot(v))
+        if r == math.inf:
+            r = _overflowed_norm(v)
         if m == 0 or r < best_r:  # a NaN residual at the start stays the best
             best_x, best_r = x, r
         if r <= eps:
@@ -319,6 +336,8 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
         v = P(sub(x, g, z))
         sub(x, v, v)
         r = math.sqrt(v.dot(v))
+        if r == math.inf:
+            r = _overflowed_norm(v)
         if m == 0 or r < best_r:  # a NaN residual at the start stays the best
             best_x, best_r = x, r
         if r <= eps:

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -502,9 +503,17 @@ class TestSolve:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
             vi = load_problem(str(problem))
-            doc = json.loads(capsys.readouterr().out)
+            doc = json.loads(capsys.readouterr().out, parse_constant=self.reject_constant)
             assert doc["converged"] is False
             assert not residual(vi, doc["x"]) <= vi.eps
+        # the residual at x = 0 is ||G(0)||, whose square overflows: it was
+        # printed as Infinity, which strict JSON parsers reject
+        assert doc["x"] == [0.0, 0.0]
+        assert math.isclose(doc["residual"], math.hypot(1e154, 1e154), rel_tol=1e-15, abs_tol=0)
+
+    @staticmethod
+    def reject_constant(name):
+        raise ValueError(f"not strict JSON: {name}")
 
     def test_default_set_same_bytes_as_explicit_box(self, tmp_path, capsys):
         n = 32

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from bisect import bisect_right
+import dataclasses
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import starmap
@@ -518,6 +519,46 @@ class TestCachedIntegerView:
         assert sorted(view) == sorted(fresh) == ["d", "e", "jump", "n", "p", "primitive"]
         for name in fresh:
             assert view[name] == fresh[name], name
+
+
+# an indicator end as an int, a Fraction or a "p/q" string, unreduced ones
+# included, with 0, 1, negatives and values above 1 among them
+indicator_end_st = st.one_of(
+    st.sampled_from([0, 1, F(0), F(1), "0/3", "2/2", "-1/3", "4/3", -1, 2]),
+    st.integers(-2, 3),
+    st.fractions(min_value=-1, max_value=2, max_denominator=40),
+    unit_points_st,
+    st.tuples(st.integers(-40, 80), st.integers(1, 40)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+
+
+class TestIndicatorEnds:
+    """An indicator checks and keeps its reduced integer ends where it is built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ends_are_the_supports_and_survive_copies(self, data):
+        lo = data.draw(indicator_end_st, label="lo")
+        hi = data.draw(st.one_of(indicator_end_st, st.just(lo)), label="hi")
+        a, b = F(lo), F(hi)
+        if not 0 <= a < b <= 1:
+            with pytest.raises(ValueError) as caught:
+                PolynomialTest.indicator(lo, hi)
+            assert str(caught.value) == "indicator support must be a sub-interval of [0,1]"
+            return
+        phi = PolynomialTest.indicator(lo, hi)
+        assert phi.support == (a, b)
+        assert phi._ends == (a.numerator, a.denominator, b.numerator, b.denominator)
+        # the ends are not a field: equality, hash, repr and the field views ignore them
+        assert [x.name for x in dataclasses.fields(phi)] == ["kind", "degree", "support"]
+        assert dataclasses.asdict(phi) == {"kind": "indicator", "degree": 0, "support": (a, b)}
+        assert "_ends" not in repr(phi) and phi.describe() == f"indicator({a},{b})"
+        f = data.draw(pw_const_st(), label="f")
+        want = reference_test_integral(f, phi)
+        assert integral_against(f, phi) == want
+        for twin in (dataclasses.replace(phi), copy.copy(phi), pickle.loads(pickle.dumps(phi))):
+            assert twin == phi and hash(twin) == hash(phi) and twin._ends == phi._ends
+            assert integral_against(f, twin) == want
 
 
 eighths_st = st.integers(-64, 64).map(lambda j: F(j, 8))

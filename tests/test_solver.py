@@ -31,6 +31,7 @@ from viproplab.solver import (
     SPG_MIN_STEP,
     _number,
     _numbers,
+    _overflowed_norm,
 )
 
 import conftest
@@ -82,6 +83,33 @@ class TestProjection:
         with np.errstate(over="ignore"):
             got = Ball(np.zeros(2), radius).project(np.array(x))
         assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "radius, x, inside",
+        [
+            (1e300, [1e154, 1e154], True),
+            (1.0, [1e200, -1e200], False),
+            (1e300, [1e300, 1e300], False),
+            (1e308, [1e308, -1e308, 3.0], False),
+            (1e300, [-1e160, 2.0, 0.0, 5e-300], True),
+        ],
+        ids=["inside", "outside-unit", "outside-huge", "outside-near-max", "inside-mixed"],
+    )
+    def test_overflowed_norm(self, radius, x, inside):
+        # the norm Ball.project, residual and both solvers fall back to
+        v = np.array(x)
+        with np.errstate(over="ignore"):
+            assert v.dot(v) == math.inf
+        got = _overflowed_norm(v)
+        assert math.isclose(got, math.hypot(*x), rel_tol=1e-15, abs_tol=0)
+        assert (got <= radius) is inside
+        with np.errstate(over="ignore"):
+            projected = Ball(np.zeros(len(x)), radius).project(v)
+        assert np.array_equal(projected, v) is inside
+
+    def test_overflowed_norm_of_an_infinite_entry(self):
+        # inf, not the nan that inf / inf would give
+        assert _overflowed_norm(np.array([1.0, -math.inf])) == math.inf
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(ValueError):
@@ -806,6 +834,14 @@ class TestResidual:
     def test_positive_away_from_solution(self):
         vi = assemble_vi(3, forcing=[1.0, 1.0, 1.0])
         assert residual(vi, np.zeros(3)) > 0
+
+    @pytest.mark.parametrize("solve", [residual, spg_solve, extragradient_solve])
+    def test_finite_when_the_square_overflows(self, solve):
+        # ||G(0)|| = ||(1e154, 1e154)||, whose square overflows, was inf
+        vi = assemble_vi(2, forcing=[1e154, 1e154], feasible_set=Ball(np.zeros(2), 1e300), max_iter=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = solve(vi, np.zeros(2)) if solve is residual else solve(vi).residual
+        assert math.isclose(r, math.hypot(1e154, 1e154), rel_tol=1e-15, abs_tol=0)
 
     def test_matches_grid_violation_search(self, rng):
         # unforced problem: residual zero iff no feasible direction of descent
