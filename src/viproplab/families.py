@@ -33,8 +33,8 @@ def sawtooth(k: int) -> PiecewiseLinearFn:
     to 0 at (i+1)/(2k); slopes are 6 and -3 independently of k.  Built on
     its integer grid: breakpoints 3i and 3i+1, then 3k and 6k, over 6k.
     """
-    if k < 1:
-        raise ValueError("index k must be >= 1")
+    if type(k) is not int or k < 1:  # True would build k = 1, 2.0 fail in range
+        raise ValueError(f"index k must be an integer >= 1, got {k!r}")
     n = [0] * (2 * k)
     n[0::2] = range(0, 3 * k, 3)
     n[1::2] = range(1, 3 * k, 3)
@@ -76,8 +76,8 @@ class L2SeqVector:
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("index must be >= 1")
+        if type(self.index) is not int or self.index < 1:
+            raise ValueError(f"index must be an integer >= 1, got {self.index!r}")
 
 
 def l2_pairing(a: L2SeqVector, b: L2SeqVector) -> ExactReal:

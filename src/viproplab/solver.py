@@ -103,13 +103,9 @@ class Ball:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
-        norm = math.sqrt(d.dot(d))  # what np.linalg.norm computes for 1-D input
+        norm = _norm(d)
         if norm <= self.radius:
             return x.copy()
-        if norm == math.inf:
-            norm = _overflowed_norm(d)
-            if norm <= self.radius:
-                return x.copy()
         d *= self.radius / norm
         np.add(self.center, d, out=d)  # center + d, in that operand order
         return d
@@ -118,14 +114,16 @@ class Ball:
 FeasibleSet = Union[Box, Ball]
 
 
-def _overflowed_norm(v: np.ndarray) -> float:
-    """||v|| for a v whose v.dot(v) overflowed, scaled before squaring.
+def _norm(v: np.ndarray) -> float:
+    """||v||, the solver's one norm: math.sqrt(v.dot(v)), as np.linalg.norm.
 
-    The scale is the power of two just above max |v_i|, so scaling and
-    unscaling round nothing. Callers take math.sqrt(v.dot(v)) first and
-    come here only on inf, so a finite norm keeps its bits and costs no
-    extra call.
+    Only where v.dot(v) overflows is v scaled before squaring, by the power
+    of two just above max |v_i|, so scaling and unscaling round nothing. A
+    finite norm keeps its bits, an infinite entry gives inf and a NaN stays NaN.
     """
+    r = math.sqrt(v.dot(v))
+    if r != math.inf:
+        return r
     big = np.abs(v).max()
     if big == math.inf:  # an infinite entry: the norm is inf, not inf/inf
         return big
@@ -240,9 +238,7 @@ def assemble_vi(
 def residual(vi: DiscreteVI, x: np.ndarray) -> float:
     """Natural-map residual ||x - P_A(x - G(x))||; zero exactly at solutions."""
     x = np.asarray(x, dtype=float)
-    v = x - vi.feasible_set.project(x - vi.operator(x))
-    r = math.sqrt(v.dot(v))
-    return _overflowed_norm(v) if r == math.inf else r
+    return _norm(x - vi.feasible_set.project(x - vi.operator(x)))
 
 
 @dataclass
@@ -255,7 +251,7 @@ class SolveResult:
     def to_json_dict(self) -> dict:
         return {
             "x": self.x.tolist(),
-            "residual": self.residual,
+            "residual": self.residual if math.isfinite(self.residual) else None,  # strict JSON
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -281,10 +277,7 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
     for m in range(vi.max_iter + 1):  # iterate m is judged here, and only here
         g = G(x)
         v = P(sub(x, g, d))
-        sub(x, v, v)
-        r = math.sqrt(v.dot(v))
-        if r == math.inf:
-            r = _overflowed_norm(v)
+        r = _norm(sub(x, v, v))
         if m == 0 or r < best_r:  # a NaN residual at the start stays the best
             best_x, best_r = x, r
         if r <= eps:
@@ -334,10 +327,7 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
     best_x, best_r = x, math.inf
     for m in range(vi.max_iter + 1):  # iterate m is judged here, and only here
         v = P(sub(x, g, z))
-        sub(x, v, v)
-        r = math.sqrt(v.dot(v))
-        if r == math.inf:
-            r = _overflowed_norm(v)
+        r = _norm(sub(x, v, v))
         if m == 0 or r < best_r:  # a NaN residual at the start stays the best
             best_x, best_r = x, r
         if r <= eps:

@@ -90,6 +90,25 @@ class TestPairingSequence:
         assert report.detection == "none"
         assert report.limit_candidate is None
 
+    def test_json_of_an_exact_report(self):
+        doc = pairing_sequence(sawtooth, scaled_hat(16), 8).to_json_dict()
+        assert json.loads(json.dumps(doc)) == {
+            "indices": [1, 2, 3, 4, 5, 6, 7, 8],
+            "values": [["-3", "1"]] * 8,
+            "limit_candidate": ["-3", "1"],
+            "detection": "eventually-constant",
+            "tail_window": 4,
+        }
+
+    def test_json_of_a_cauchy_tail_report(self):
+        # the pairings (1 + 4^-k)^3 are exact pairs; only the limit is a float
+        seq = lambda k: scaled_hat(1 + F(1, 4**k))
+        doc = json.loads(json.dumps(pairing_sequence(seq, None, 64).to_json_dict()))
+        assert doc["values"] == [[str((4**k + 1) ** 3), str(4 ** (3 * k))] for k in range(1, 65)]
+        assert doc["limit_candidate"] == {"approx": True, "value": 1.0}
+        assert doc["detection"] == "cauchy-tail" and doc["tail_window"] == 32
+        assert doc["indices"] == list(range(1, 65))
+
 
 class TestKyFanViolation:
     def test_established_with_exact_margin(self):

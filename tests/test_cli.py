@@ -17,6 +17,7 @@ from viproplab import (
     PiecewiseLinearFn,
     PolynomialTest,
     cli,
+    derivative,
     extragradient_solve,
     load_problem,
     residual,
@@ -107,6 +108,25 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
         check_out_file(["reproduce", *argv], EXIT_OK, digest, tmp_path / "r.out", capsys)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_identity_mismatch(self, monkeypatch, capsys, fmt):
+        # a pow_norm that is wrong at k = 3 alone: every row is still written
+        real = cli.pow_norm
+        wrong_at = derivative(sawtooth(3)).breakpoints
+        monkeypatch.setattr(
+            cli, "pow_norm", lambda f, p: real(f, p) + (f.breakpoints == wrong_at)
+        )
+        assert main(["reproduce", "--kmax", "5", "--format", fmt]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.err == "identity mismatch at k=3\n"
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            assert doc["all_match"] is False
+            assert [r["grad_norm_cubed"] for r in doc["rows"]] == ["45", "45", "46", "45", "45"]
+        else:
+            assert captured.out.splitlines()[1:] == ["1,45,-3", "2,45,-3", "3,46,-3", "4,45,-3",
+                                                      "5,45,-3"]
 
 
 class TestCertify:
@@ -308,6 +328,7 @@ MALFORMED_ARGS = [
     ["certify", "--alpha", "1e-5000"],
     ["reproduce", "--alpha", "0"],
     ["reproduce", "--kmax", "0"],
+    ["reproduce", "--kmax", "abc"],
     ["reproduce", "--alpha", "1e5000"],
     ["reproduce", "--alpha", "1e-5000", "--format", "csv"],
     ["weak-evidence", "--kmax", "0"],
@@ -326,6 +347,13 @@ def test_malformed_arguments_exit_parse(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "error: " in captured.err
+
+
+def test_a_non_integer_count_names_itself(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--kmax", "abc"])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().err.endswith("argument --kmax: not an integer: 'abc'\n")
 
 
 @pytest.mark.skipif(
@@ -436,9 +464,10 @@ class TestSolve:
             ('{"n": 2, "max_iter": -5}', "max_iter must be a positive integer, got -5"),
             ('{"n": 2, "max_iter": "1/2"}', "max_iter must be a positive integer, got '1/2'"),
             ('{"n": 2, "max_iter": 0, "forcing": [1]}', "max_iter must be a positive integer, got 0"),
+            ('{"n": 3, "forcing": [1, 2]}', "forcing must have length n"),
         ],
         ids=["negative-eps", "negative-eps-short-forcing", "negative-max-iter", "half-max-iter",
-             "zero-max-iter-short-forcing"],
+             "zero-max-iter-short-forcing", "forcing-length"],
     )
     def test_eps_and_max_iter_reasons(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
@@ -510,6 +539,26 @@ class TestSolve:
         # printed as Infinity, which strict JSON parsers reject
         assert doc["x"] == [0.0, 0.0]
         assert math.isclose(doc["residual"], math.hypot(1e154, 1e154), rel_tol=1e-15, abs_tol=0)
+
+    # the true residual at the returned x is past the largest float (inf), or
+    # G there is inf - inf (NaN); both printed as non-JSON before
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "forcing": [1.7e308, 1.7e308], '
+            '"set": {"kind": "box", "lower": [-1.7e308, -1.7e308], "upper": [1.7e308, 1.7e308]}}',
+            '{"n": 3, "forcing": [0, 0, 0], "set": {"kind": "box", "lower": [0.9e308, 1.7e308, '
+            '0.9e308], "upper": [1e308, 1.75e308, 1e308]}, "max_iter": 50}',
+        ],
+        ids=["infinite", "nan"],
+    )
+    def test_a_non_finite_residual_prints_as_null(self, tmp_path, capsys, text):
+        problem = tmp_path / "p.json"
+        problem.write_text(text)
+        with np.errstate(all="ignore"):
+            assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
+        doc = json.loads(capsys.readouterr().out, parse_constant=self.reject_constant)
+        assert doc["residual"] is None and doc["converged"] is False
 
     @staticmethod
     def reject_constant(name):

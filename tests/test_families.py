@@ -65,6 +65,12 @@ class TestSawtooth:
         with pytest.raises(ValueError):
             sawtooth(0)
 
+    @pytest.mark.parametrize("k", [True, False, 2.0, "3", None, -1])
+    def test_rejects_a_non_int_index(self, k):
+        # True once built k = 1, and 2.0 and "3" raised TypeError
+        with pytest.raises(ValueError, match="index k must be an integer >= 1"):
+            sawtooth(k)
+
     @pytest.mark.parametrize("k", range(1, 40))
     def test_energy_constant(self, k):
         assert pow_norm(derivative(sawtooth(k)), 3) == 45
@@ -108,4 +114,10 @@ class TestL2UnitVectors:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             L2SeqVector(0)
+
+    @pytest.mark.parametrize("index", [True, 2.5, 2.0, "3", None])
+    def test_rejects_a_non_int_index(self, index):
+        # True and 2.5 were once accepted
+        with pytest.raises(ValueError, match="index must be an integer >= 1"):
+            L2SeqVector(index)
 

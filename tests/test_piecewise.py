@@ -112,6 +112,10 @@ class TestInvariants:
         with pytest.raises(ValueError):
             PiecewiseLinearFn((F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4)
 
+    def test_one_value_per_breakpoint(self):
+        with pytest.raises(ValueError, match="^one value per breakpoint required$"):
+            PiecewiseLinearFn((0, 1), (0, 0, 0))
+
     def test_boundary_values_zero(self):
         with pytest.raises(ValueError):
             PiecewiseLinearFn((F(0), F(1)), (F(1), F(0)))

@@ -14,6 +14,7 @@ from viproplab import (
     Ball,
     Box,
     GalerkinOperator,
+    SolveResult,
     assemble_vi,
     derivative,
     extragradient_solve,
@@ -30,8 +31,8 @@ from viproplab.solver import (
     SPG_MEMORY,
     SPG_MIN_STEP,
     _number,
+    _norm,
     _numbers,
-    _overflowed_norm,
 )
 
 import conftest
@@ -95,21 +96,52 @@ class TestProjection:
         ],
         ids=["inside", "outside-unit", "outside-huge", "outside-near-max", "inside-mixed"],
     )
-    def test_overflowed_norm(self, radius, x, inside):
-        # the norm Ball.project, residual and both solvers fall back to
+    def test_norm(self, radius, x, inside):
+        # the one norm of Ball.project, residual and both solvers, here on its rescaled branch
         v = np.array(x)
         with np.errstate(over="ignore"):
             assert v.dot(v) == math.inf
-        got = _overflowed_norm(v)
+            got = _norm(v)
         assert math.isclose(got, math.hypot(*x), rel_tol=1e-15, abs_tol=0)
         assert (got <= radius) is inside
         with np.errstate(over="ignore"):
             projected = Ball(np.zeros(len(x)), radius).project(v)
         assert np.array_equal(projected, v) is inside
 
-    def test_overflowed_norm_of_an_infinite_entry(self):
+    def test_norm_of_an_infinite_entry(self):
         # inf, not the nan that inf / inf would give
-        assert _overflowed_norm(np.array([1.0, -math.inf])) == math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _norm(np.array([1.0, -math.inf])) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=1e153, max_value=1e155),
+                st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals and zeros
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_norm_keeps_the_bits_of_every_finite_norm(self, x):
+        v = np.array(x)
+        with np.errstate(over="ignore"):
+            want = math.sqrt(v.dot(v))
+            got = _norm(v)
+        if want < math.inf:
+            assert got == want
+        else:  # rescaled: as exact as math.hypot
+            assert math.isclose(got, math.hypot(*x), rel_tol=1e-15, abs_tol=0)
+
+    @pytest.mark.parametrize(
+        "x", [[math.nan], [1.0, math.nan], [1e200, math.nan], [math.nan, 1e300, 1e300]],
+        ids=["nan", "nan-and-one", "nan-and-huge", "nan-and-overflowing"],
+    )
+    def test_norm_passes_a_nan_through(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(_norm(np.array(x)))
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +352,10 @@ class TestExtragradient:
     def test_assemble_rejects_bad_settings(self, settings_kw, reason):
         with pytest.raises(ValueError, match=reason):
             assemble_vi(2, **settings_kw)
+
+    def test_assemble_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            assemble_vi(0)
 
     @pytest.mark.parametrize(
         "feasible",
@@ -842,6 +878,12 @@ class TestResidual:
         with np.errstate(over="ignore", invalid="ignore"):
             r = solve(vi, np.zeros(2)) if solve is residual else solve(vi).residual
         assert math.isclose(r, math.hypot(1e154, 1e154), rel_tol=1e-15, abs_tol=0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_a_non_finite_residual_is_written_as_null(self, r):
+        # JSON has no Infinity or NaN; the result itself keeps the float
+        result = SolveResult(x=np.zeros(2), residual=r, iterations=0, converged=False)
+        assert result.to_json_dict()["residual"] is None and result.residual is r
 
     def test_matches_grid_violation_search(self, rng):
         # unforced problem: residual zero iff no feasible direction of descent
