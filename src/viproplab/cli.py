@@ -74,6 +74,12 @@ def _echo(text: str) -> str:
     return f"{text[:32]!r}... ({len(text)} characters)"
 
 
+@functools.lru_cache(maxsize=4)
+def _digit_bound(limit: int) -> int:
+    """10**(limit - 2), the least integer too long for alpha; built once per limit."""
+    return 10 ** (limit - 2)
+
+
 def _positive_rational(text: str) -> Fraction:
     # str() refuses integers longer than this limit (0 means no limit, and
     # Python before 3.10.7 has none); alpha/2, 3*alpha and 45 - 3*alpha print
@@ -91,7 +97,7 @@ def _positive_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {_echo(text)}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {_echo(text)}")
-    if limit and max(value.numerator, value.denominator) >= 10 ** (limit - 2):
+    if limit and max(value.numerator, value.denominator) >= _digit_bound(limit):
         raise argparse.ArgumentTypeError(too_long)
     return value
 
@@ -284,7 +290,10 @@ def cmd_solve(problem_path: str, out: Optional[str]) -> int:
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot parse problem file: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    result = vis.spg_solve(vi)
+    # an input near the largest float overflows inside the solve; the exit
+    # code and the non-finite residual written as null report it, not numpy
+    with vis.np.errstate(over="ignore", invalid="ignore"):
+        result = vis.spg_solve(vi)
     _emit(result.to_json_dict(), out)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 

@@ -87,37 +87,37 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple:
     return den, tuple([x * (den // y) for x, y in zip(nums, dens)])
 
 
-def _rational_sum(pairs: Iterable[tuple]) -> Fraction:
-    """The reduced sum of the rationals num/den, den > 0, of integer pairs (num, den).
+def _rational_sum(pairs: Iterable[tuple], power: int = 1, den: int = 1) -> Fraction:
+    """(Σ num/key**power) / den, reduced, over integer pairs (num, key); keys and den are > 0.
 
-    Each leaf is reduced by one gcd; neighbours are then added level by
-    level as a balanced tree, the odd last pair of a level moving up as
-    it is, each node by the gcd-trick addition of ``Fraction._add``
-    (Knuth, TAOCP 2, §4.5.1) on bare ints.  A sequential sum would carry
-    the running denominator, of up to thousands of bits, through every
-    addition; the tree keeps most additions on small operands.
+    Neighbours are added level by level as a balanced tree, the odd last
+    pair of a level moving up as it is.  A node takes one gcd, of its two
+    keys alone: with g = gcd(ka, kb), na/ka**p + nb/kb**p is
+    (na (kb/g)**p + nb (ka/g)**p) / ((ka/g) kb)**p, again a pair over a
+    key.  Keys are denominators of the data; no numerator is reduced
+    on the way up, and one ``Fraction``, over key**p * den, is
+    normalised at the root.  A sequential sum would carry the running
+    denominator, of up to thousands of bits, through every addition; the
+    tree keeps most additions on small operands.
     """
-    level = []
-    for num, den in pairs:
-        g = gcd(num, den)
-        level.append((num // g, den // g))
+    level = [*pairs]
     if not level:
         return Fraction(0)
     while len(level) > 1:
         up = []
-        for (na, da), (nb, db) in zip(level[::2], level[1::2]):
-            g = gcd(da, db)
+        it = iter(level)
+        for (na, ka), (nb, kb) in zip(it, it):
+            g = gcd(ka, kb)
             if g == 1:
-                up.append((na * db + nb * da, da * db))
+                up.append((na * kb**power + nb * ka**power, ka * kb))
             else:
-                s = da // g
-                t = na * (db // g) + nb * s
-                g2 = gcd(t, g)
-                up.append((t // g2, s * (db // g2)))
+                a = ka // g
+                up.append((na * (kb // g) ** power + nb * a**power, a * kb))
         if len(level) % 2:
             up.append(level[-1])
         level = up
-    return Fraction(*level[0])
+    num, key = level[0]
+    return Fraction(num, key**power * den)
 
 
 def _pairs(xs: Iterable[RationalLike]) -> tuple:
@@ -273,9 +273,9 @@ class PiecewiseLinearFn(_GridFn):
         i, t = self._cell(t)
         d, n, p, q = self._grid
         x, y = t.numerator, t.denominator
-        pairs = [(pj * (b - a), qj * d) for pj, qj, a, b in zip(p[:i], q, n, n[1:])]
-        pairs.append((p[i] * (x * d - n[i] * y), q[i] * d * y))
-        return _rational_sum(pairs)
+        pairs = [(pj * (b - a), qj) for pj, qj, a, b in zip(p[:i], q, n, n[1:])]
+        pairs.append((p[i] * (x * d - n[i] * y), q[i] * y))
+        return _rational_sum(pairs, den=d)
 
     def __repr__(self):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
@@ -422,14 +422,18 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     """Integral of |f|^p over [0,1], exact.
 
     This is the p-th power of the L^p norm; take ``float(...) ** (1 / p)``
-    for the (approximate) norm itself.
+    for the (approximate) norm itself.  A cell with value P/Q adds
+    |P|^p (n_{i+1} - n_i) to the sum kept for its denominator Q; the pairs
+    (sum, Q) are added by ``_rational_sum`` with ``power=p``, and the total
+    is divided by the grid denominator D once.
     """
     if type(p) is not int or p < 1:
         raise ValueError("p must be a positive integer")
-    d, n = f._grid[:2]
-    e, v = _over_lcm(*f._grid[2:])  # |c_i|^p (t_{i+1} - t_i) = |v_i|^p (n_{i+1} - n_i) / (E^p D)
-    num = sum(abs(c) ** p * (b - a) for c, a, b in zip(v, n, n[1:]))
-    return ExactReal(num, e**p * d)
+    d, n, num, den = f._grid
+    sums: dict = {}
+    for c, q, a, b in zip(num, den, n, n[1:]):
+        sums[q] = sums.get(q, 0) + abs(c) ** p * (b - a)
+    return ExactReal(_rational_sum([(x, q) for q, x in sums.items()], p, d))
 
 
 def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
@@ -438,9 +442,9 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     ``term`` must be a polynomial in (c, d) homogeneous of degree 3, so that
     term(P/Q, R/S) = term(P*S, R*Q) / (Q*S)**3 for the integer slopes of
     the grids.  Each union cell adds the integer term(P*S, R*Q) times its
-    width to the sum kept for its key Q*S; the pairs (sum, key**3) are
-    added by ``_rational_sum``, and the total is divided by the common grid
-    denominator once.
+    width to the sum kept for its key Q*S; the pairs (sum, key) are added
+    by ``_rational_sum`` with ``power=3``, and the total is divided by the
+    common grid denominator once.
     """
     du, nu, p, q = u._grid
     dw, nw, r, s = w._grid
@@ -448,8 +452,7 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     for i, j, width, _ in _merge(du, nu, dw, nw):
         key = q[i] * s[j]
         sums[key] = sums.get(key, 0) + term(p[i] * s[j], r[j] * q[i]) * width
-    total = _rational_sum((num, key**3) for key, num in sums.items())
-    return ExactReal(total / lcm(du, dw))
+    return ExactReal(_rational_sum([(num, key) for key, num in sums.items()], 3, lcm(du, dw)))
 
 
 def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> Fraction:
@@ -572,7 +575,7 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
     P/Q != 0 the integral is (G(y1) - G(y0)) Q / ((p+1) P), whether or not
     u changes sign there; on a flat cell of length L it is L |y0|^p.  With
     the nodal values y_i = a_i/b_i, each cell's term times p+1 is one
-    integer pair, and ``_rational_sum`` adds them.
+    reduced integer pair, and ``_rational_sum`` adds them and divides by p+1.
     """
     if type(p) is not int or p < 1:
         raise ValueError("p must be a positive integer")
@@ -583,8 +586,11 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
     terms = []  # (p+1) times each cell's integral
     for pi, qi, g0, g1, h0, h1, a0, b0, x0, x1 in zip(sp, sq, g, g[1:], h, h[1:], a, b, n, n[1:]):
         if pi:
+            # Q_i shares most of b_i b_(i+1) with h_i h_(i+1): one gcd here
+            # keeps the keys of the tree small
             num, den = (g1 * h0 - g0 * h1) * qi, h0 * h1 * pi
-            terms.append((-num, -den) if pi < 0 else (num, den))
+            r = gcd(num, den) if pi > 0 else -gcd(num, den)
+            terms.append((num // r, den // r))
         else:
             terms.append(((p + 1) * (x1 - x0) * abs(a0) ** p, d * b0**p))
-    return ExactReal(_rational_sum(terms) / (p + 1))
+    return ExactReal(_rational_sum(terms, den=p + 1))

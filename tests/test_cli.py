@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import hashlib
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +374,29 @@ def test_alpha_over_digit_limit_gives_that_reason(command, capsys):
     assert "(4400 characters)" in captured.err and len(captured.err) < 200
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python reads integers of any length",
+)
+def test_alpha_digit_bound_follows_the_limit():
+    # 10**(limit - 2) - 1 is the longest numerator or denominator accepted; the
+    # limit is changed and restored, so a bound kept from another limit fails
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 1000, limit):
+            sys.set_int_max_str_digits(digits)
+            bound = 10 ** (digits - 2)
+            assert cli._positive_rational(str(bound - 1)) == bound - 1
+            assert cli._positive_rational(f"1/{bound - 1}") == Fraction(1, bound - 1)
+            for text in (str(bound), f"1/{bound}"):
+                with pytest.raises(argparse.ArgumentTypeError) as exc:
+                    cli._positive_rational(text)
+                assert str(exc.value).startswith(
+                    f"numerator and denominator must have at most {digits - 2} digits, got '")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # {missing} is a path under a directory that does not exist, {dir} a directory
 UNWRITABLE_OUT = [
     ["reproduce", "--kmax", "2", "--out", "{missing}/x.json"],
@@ -392,6 +417,19 @@ def test_unwritable_out_exit_parse(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("cannot write output file") and "Traceback" not in captured.err
+
+
+# solve inputs near the largest float: x - G(0) overflows inside a ball of
+# radius 1e300, the residual is past the largest float (inf), or G is
+# inf - inf (NaN) at the returned x; each exits EXIT_NO_CONVERGENCE
+OVERFLOW_PROBLEMS = {
+    "overflow": '{"n": 2, "forcing": [1e154, 1e154], '
+                '"set": {"kind": "ball", "center": [0, 0], "radius": 1e300}}',
+    "infinite": '{"n": 2, "forcing": [1.7e308, 1.7e308], "set": {"kind": "box", '
+                '"lower": [-1.7e308, -1.7e308], "upper": [1.7e308, 1.7e308]}}',
+    "nan": '{"n": 3, "forcing": [0, 0, 0], "set": {"kind": "box", "lower": [0.9e308, 1.7e308, '
+           '0.9e308], "upper": [1e308, 1.75e308, 1e308]}, "max_iter": 50}',
+}
 
 
 class TestSolve:
@@ -525,10 +563,7 @@ class TestSolve:
         # ball; scaled by r/inf, that point went to the centre, so x = 0
         # judged itself a solution with residual 0 and exit 0
         problem = tmp_path / "p.json"
-        problem.write_text(
-            '{"n": 2, "forcing": [1e154, 1e154], '
-            '"set": {"kind": "ball", "center": [0, 0], "radius": 1e300}}'
-        )
+        problem.write_text(OVERFLOW_PROBLEMS["overflow"])
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
             vi = load_problem(str(problem))
@@ -542,23 +577,28 @@ class TestSolve:
 
     # the true residual at the returned x is past the largest float (inf), or
     # G there is inf - inf (NaN); both printed as non-JSON before
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"n": 2, "forcing": [1.7e308, 1.7e308], '
-            '"set": {"kind": "box", "lower": [-1.7e308, -1.7e308], "upper": [1.7e308, 1.7e308]}}',
-            '{"n": 3, "forcing": [0, 0, 0], "set": {"kind": "box", "lower": [0.9e308, 1.7e308, '
-            '0.9e308], "upper": [1e308, 1.75e308, 1e308]}, "max_iter": 50}',
-        ],
-        ids=["infinite", "nan"],
-    )
-    def test_a_non_finite_residual_prints_as_null(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("name", ["infinite", "nan"])
+    def test_a_non_finite_residual_prints_as_null(self, tmp_path, capsys, name):
         problem = tmp_path / "p.json"
-        problem.write_text(text)
+        problem.write_text(OVERFLOW_PROBLEMS[name])
         with np.errstate(all="ignore"):
             assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
         doc = json.loads(capsys.readouterr().out, parse_constant=self.reject_constant)
         assert doc["residual"] is None and doc["converged"] is False
+
+    # numpy's overflow warnings went to stderr beside the exit code that
+    # reports the overflow; solve silences them, and leaves numpy's settings
+    # for library callers as they were
+    @pytest.mark.parametrize("name", list(OVERFLOW_PROBLEMS))
+    def test_an_overflowing_solve_writes_no_stderr(self, tmp_path, capsys, name):
+        problem = tmp_path / "p.json"
+        problem.write_text(OVERFLOW_PROBLEMS[name])
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", str(problem)]) == EXIT_NO_CONVERGENCE
+        assert caught == [] and capsys.readouterr().err == ""
+        assert np.geterr() == before
 
     @staticmethod
     def reject_constant(name):

@@ -157,6 +157,51 @@ class TestRationalSum:
         got = _rational_sum(pairs)
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
+    # keys share primes, so most nodes of the tree take the g > 1 branch
+    @settings(max_examples=300, deadline=None)
+    @given(rational_pairs_st, st.sampled_from([1, 3]),
+           st.sampled_from([1, 6, 7, 20, 997 * 1000]))
+    def test_powers_match_fraction_sum(self, pairs, power, den):
+        got = _rational_sum(pairs, power, den)
+        want = sum((Fraction(n, k**power) for n, k in pairs), Fraction(0)) / den
+        assert type(got) is Fraction and got == want
+        assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 64), st.integers(1, 5))
+    def test_pow_norm_on_unrelated_denominators(self, r, interior, p):
+        f = derivative(random_wide_pw_linear(r, interior))
+        got = pow_norm(f, p)
+        assert got == reference_pow_norm(f, p) and math.gcd(got.numerator, got.denominator) == 1
+
+    def test_pow_norm_at_1024_breakpoints(self):
+        f = derivative(random_wide_pw_linear(random.Random(1024), 1022))
+        assert len(f.breakpoints) == 1024
+        assert pow_norm(f, 3) == reference_pow_norm(f, 3)
+
+    def test_twelve_digit_prime_denominators(self):
+        # every breakpoint and value over its own 12-digit prime: no two keys
+        # share a factor, and the numerators grow through the whole tree
+        r = random.Random(12)
+        q = (839688578999, 342880277617, 269666667863, 652020279893, 970610039137,
+             131159736913, 524067183641, 876714243817, 791215432393, 769573471987,
+             144274301807, 852105355951)
+
+        def fn(shift):
+            bps = sorted(F(r.randrange(1, x), x) for x in q[shift:] + q[:shift])
+            vals = [F(r.randrange(-3 * x, 3 * x), x) for x in q[::-1]]
+            return PiecewiseLinearFn((F(0), *bps, F(1)), (F(0), *vals, F(0)))
+
+        u, w = fn(0), fn(5)
+        assert plap_pairing(u, w) == reference_sum(u, w, lambda c, d: abs(c) * c * d)
+        assert monotone_gap_check(u, w) == reference_sum(
+            u, w, lambda c, d: (abs(c) * c - abs(d) * d) * (c - d))
+        for p in (1, 3):
+            assert pow_norm(derivative(u), p) == reference_pow_norm(derivative(u), p)
+            assert abs_pow_integral(w, p) == reference_abs_pow_integral(w, p)
+        t = u.breakpoints[7] + F(1, 10**13)
+        assert u(t) == reference_evaluate(u.breakpoints, u.values, t)
+
 
 class TestDerivative:
     def test_zero_function(self):
