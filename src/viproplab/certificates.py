@@ -1,9 +1,10 @@
 """Executable certificates for operator properties along explicit sequences.
 
-A certificate never claims more than it checked: limits of infinite
-sequences are only accepted when the computed tail is exactly constant
-(or, in approximate mode, Cauchy below 1e-12), and anything else is
-reported as inconclusive.  All verdicts carry concrete witness data.
+A certificate never claims more than it checked: a limit of an infinite
+sequence is only accepted when the computed tail is exactly constant,
+and anything else is reported as inconclusive.  Every tail verdict is
+decided on exact rationals; only the Hölder check, whose norms take cube
+roots, works in floats.  All verdicts carry concrete witness data.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .piecewise import (
     test_integral,
 )
 
-CAUCHY_TAIL_TOL = 1e-12
 MIN_K_MAX = 8  # shortest sequence whose tail is long enough to analyse
 HOLDER_REL_TOL = 1e-9
 
@@ -57,8 +57,8 @@ class PairingSequenceReport:
 
     indices: List[int]
     values: List[Fraction]
-    limit_candidate: Union[Fraction, float, None]  # a float for a Cauchy tail
-    detection: str  # "eventually-constant" | "cauchy-tail" | "none"
+    limit_candidate: Optional[Fraction]
+    detection: str  # "eventually-constant" | "none"
     tail_window: int
 
     @property
@@ -69,11 +69,9 @@ class PairingSequenceReport:
     def to_json_dict(self) -> dict:
         return {
             "indices": self.indices,
-            "values": [_serialize_exact(v) for v in self.values],
+            "values": [_frac_pair(v) for v in self.values],
             "limit_candidate": (
-                None
-                if self.limit_candidate is None
-                else _serialize_exact(self.limit_candidate)
+                None if self.limit_candidate is None else _frac_pair(self.limit_candidate)
             ),
             "detection": self.detection,
             "tail_window": self.tail_window,
@@ -91,16 +89,6 @@ def _serialize_exact(v: Union[Fraction, float]):
     return _frac_pair(v)
 
 
-def _detect_tail(values: Sequence[Fraction], tail_window: int):
-    tail = values[-tail_window:]
-    if all(v == tail[0] for v in tail):
-        return tail[0], "eventually-constant"
-    floats = [float(v) for v in tail]
-    if all(abs(a - b) < CAUCHY_TAIL_TOL for a, b in zip(floats, floats[1:])):
-        return floats[-1], "cauchy-tail"
-    return None, "none"
-
-
 def pairing_sequence(
     seq: FunctionSequence,
     y: Optional[PiecewiseLinearFn],
@@ -109,8 +97,8 @@ def pairing_sequence(
     """Evaluate <F(x_k), x_k - y> exactly for k = 1..k_max.
 
     For the unit-vector sequence the operator is the identity and y must
-    be the zero element (pass None).  The tail analysed for a limit is the
-    last k_max // 2 values.
+    be the zero element (pass None).  The limit is the value of the last
+    k_max // 2 values when they are all equal, and None otherwise.
     """
     if type(k_max) is not int or k_max < MIN_K_MAX:  # 8.0 would fail in range, "8" in <
         raise ValueError(f"k_max must be an integer >= {MIN_K_MAX}")
@@ -125,12 +113,13 @@ def pairing_sequence(
             values.append(l2_pairing(x_k, x_k))
         else:
             values.append(equilibrium_gap(x_k, y_fn))
-    limit, detection = _detect_tail(values, tail_window)
+    tail = values[-tail_window:]
+    constant = tail.count(tail[0]) == tail_window
     return PairingSequenceReport(
         indices=list(range(1, k_max + 1)),
         values=values,
-        limit_candidate=limit,
-        detection=detection,
+        limit_candidate=tail[0] if constant else None,
+        detection="eventually-constant" if constant else "none",
         tail_window=tail_window,
     )
 
@@ -161,25 +150,17 @@ class Certificate:
         }
 
 
-def _tail_certificate(prop: str, v: Union[Fraction, float, None], witness: dict) -> Certificate:
+def _tail_certificate(prop: str, v: Optional[Fraction], witness: dict) -> Certificate:
     """The one verdict rule for a detected tail: established iff v > 0.
 
-    Inconclusive when no tail was detected (v is None) or when v is a float
-    within CAUCHY_TAIL_TOL of 0, whose sign decides nothing.
+    Inconclusive when no tail was detected (v is None).
     """
     if v is None:
         witness["note"] = (
             "no tail limit detected; the sequence limit could not be finitely determined"
         )
         return Certificate(prop, "inconclusive", witness)
-    exactness = "approximate" if isinstance(v, float) else "exact"
-    if isinstance(v, float) and abs(v) < CAUCHY_TAIL_TOL:
-        witness["note"] = (
-            f"float tail limit {witness['tail_constant']!r} leaves a value within "
-            f"{CAUCHY_TAIL_TOL} of 0, whose sign decides nothing"
-        )
-        return Certificate(prop, "inconclusive", witness, exactness)
-    return Certificate(prop, "established" if v > 0 else "refuted", witness, exactness)
+    return Certificate(prop, "established" if v > 0 else "refuted", witness)
 
 
 def ky_fan_violation_certificate(

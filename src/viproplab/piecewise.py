@@ -507,7 +507,13 @@ class PolynomialTest:
         if self.kind == "poly":
             if type(self.degree) is not int or not 0 <= self.degree <= MAX_POLY_DEGREE:
                 raise ValueError(f"degree must be an int in 0..{MAX_POLY_DEGREE}")
+            if self.support != ():
+                raise ValueError("a monomial takes no support")
         elif self.kind == "indicator":
+            if type(self.degree) is not int or self.degree != 0:
+                raise ValueError("an indicator takes no degree")
+            if not isinstance(self.support, (tuple, list)) or len(self.support) != 2:
+                raise ValueError("indicator support must be a pair (lo, hi)")
             lo, hi = (as_fraction(x) for x in self.support)
             a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
             if not (0 <= a0 and a0 * b1 < a1 * b0 and a1 <= b1):  # 0 <= lo < hi <= 1

@@ -399,10 +399,13 @@ def _vector(spec: dict, key: str, n: int) -> np.ndarray:
     return np.array(values)
 
 
-def _known_keys(doc: dict, allowed: frozenset, where: str) -> None:
+def _known_keys(doc: dict, allowed: frozenset, required: tuple, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(map(repr, unknown)))}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"missing key {key!r} in {where}")
 
 
 def load_problem(source: Union[str, dict]) -> DiscreteVI:
@@ -413,8 +416,8 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     A box set has "lower" and "upper", a ball set "center" and "radius".
     n is a positive integer up to MAX_N, max_iter a positive integer,
     eps >= 0, vectors are lists of length n and every number is finite (a
-    boolean is not a number); anything else, an unknown key included,
-    raises ValueError.
+    boolean is not a number); anything else, a missing or unknown key
+    included, raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -423,7 +426,7 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
         doc = source
     if not isinstance(doc, dict):
         raise ValueError("problem must be an object")
-    _known_keys(doc, PROBLEM_KEYS, "problem")
+    _known_keys(doc, PROBLEM_KEYS, ("n",), "problem")
     n = _count(doc["n"], "n")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {doc['n']!r}")
@@ -435,10 +438,10 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
             raise ValueError("set must be an object")
         kind = spec.get("kind")
         if kind == "box":
-            _known_keys(spec, BOX_KEYS, "box set")
+            _known_keys(spec, BOX_KEYS, ("lower", "upper"), "box set")
             feasible = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
         elif kind == "ball":
-            _known_keys(spec, BALL_KEYS, "ball set")
+            _known_keys(spec, BALL_KEYS, ("center", "radius"), "ball set")
             feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
         else:
             raise ValueError(f"unknown feasible-set kind: {kind!r}")

@@ -32,6 +32,13 @@ from conftest import random_pw_linear
 F = Fraction
 ZERO = PiecewiseLinearFn.zero()
 
+# converges strongly to scaled_hat(1); no two of its pairings are equal
+CONVERGING = lambda k: scaled_hat(1 + F(1, 4**k))
+
+# converges strongly to scaled_hat(1 + 1e-11); its pairings against
+# scaled_hat(1) differ by less than 1e-12 over k = 33..64 without being equal
+NEAR_LIMIT = lambda k: scaled_hat(1 + F(1, 10**11) - F(1, 10**9) / k)
+
 
 class TestEquilibriumGap:
     def test_zero_first_argument(self, rng):
@@ -100,13 +107,15 @@ class TestPairingSequence:
             "tail_window": 4,
         }
 
-    def test_json_of_a_cauchy_tail_report(self):
-        # the pairings (1 + 4^-k)^3 are exact pairs; only the limit is a float
-        seq = lambda k: scaled_hat(1 + F(1, 4**k))
-        doc = json.loads(json.dumps(pairing_sequence(seq, None, 64).to_json_dict()))
+    def test_json_of_a_converging_report(self):
+        # the pairings (1 + 4^-k)^3 tend to 1 but no tail of them is constant
+        report = pairing_sequence(CONVERGING, None, 64)
+        assert report.detection == "none"
+        assert report.limit_candidate is None
+        doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["values"] == [[str((4**k + 1) ** 3), str(4 ** (3 * k))] for k in range(1, 65)]
-        assert doc["limit_candidate"] == {"approx": True, "value": 1.0}
-        assert doc["detection"] == "cauchy-tail" and doc["tail_window"] == 32
+        assert doc["limit_candidate"] is None
+        assert doc["detection"] == "none" and doc["tail_window"] == 32
         assert doc["indices"] == list(range(1, 65))
 
 
@@ -137,6 +146,14 @@ class TestKyFanViolation:
         assert cert.verdict == "inconclusive"
         assert "could not be finitely determined" in cert.witness["note"]
 
+    def test_margin_of_a_near_constant_tail_is_inconclusive(self):
+        # the true margin is 0: the gap map is continuous along a strongly
+        # convergent sequence, however close its last pairings lie
+        limit = scaled_hat(1 + F(1, 10**11))
+        cert = ky_fan_violation_certificate(NEAR_LIMIT, limit, scaled_hat(1), 64)
+        assert_inconclusive_and_exact(cert)
+        assert "margin" not in cert.witness
+
     def test_json_schema(self):
         cert = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 64)
         doc = json.loads(json.dumps(cert.to_json_dict()))
@@ -165,32 +182,21 @@ class TestPremiseAudit:
         assert cert.verdict == "established"
         assert cert.witness["tail_constant"] == 1
 
-    def test_cauchy_tail_is_approximate(self):
-        # exact pairings (1 + 4^-k)^3 that differ by less than CAUCHY_TAIL_TOL
-        # over the tail: the limit is a float, and the certificate says so
-        seq = lambda k: scaled_hat(1 + F(1, 4**k))
-        assert pairing_sequence(seq, None, 64).detection == "cauchy-tail"
-        cert = pseudomonotone_premise_audit(seq, None, 64)
-        assert cert.verdict == "established"
-        assert cert.exactness == "approximate"
-        doc = json.loads(json.dumps(cert.to_json_dict()))
-        assert doc["exactness"] == "approximate"
-        assert doc["witness"]["tail_constant"] == {"approx": True, "value": 1.0}
+    def test_premise_of_a_near_constant_tail_is_inconclusive(self):
+        # the pairings tend to (1 + 1e-11)^2 1e-11 > 0, so the premise fails,
+        # though their last 32 floats differ by less than 1e-12
+        cert = pseudomonotone_premise_audit(NEAR_LIMIT, scaled_hat(1), 64)
+        assert_inconclusive_and_exact(cert)
+        assert cert.witness["tail_constant"] is None
 
-    def test_float_tail_near_zero_is_inconclusive(self):
-        # against the true limit every pairing (1 + 4^-k)^2 4^-k is > 0 and tends
-        # to 0: the premise holds, but a float tail of 2.9e-39 cannot tell
-        seq = lambda k: scaled_hat(1 + F(1, 4**k))
-        limit = scaled_hat(1)
-        premise = pseudomonotone_premise_audit(seq, limit, 64)
-        kyfan = ky_fan_violation_certificate(seq, limit, limit, 64)
-        for cert in (premise, kyfan):
-            assert cert.verdict == "inconclusive"
-            assert cert.exactness == "approximate"
-            assert "float tail limit 2.938735877055719e-39" in cert.witness["note"]
-        assert type(premise.witness["tail_constant"]) is float is type(kyfan.witness["margin"])
-        assert 0 < premise.witness["tail_constant"] < 1e-38
-        assert -1e-38 < kyfan.witness["margin"] < 0
+
+def assert_inconclusive_and_exact(cert):
+    assert (cert.verdict, cert.exactness) == ("inconclusive", "exact")
+    assert "could not be finitely determined" in cert.witness["note"]
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert doc["exactness"] == "exact"
+    assert_floats_tagged(doc)
+    assert '"approx"' not in json.dumps(doc)
 
 
 def l2_unit_limit(k_max):
@@ -220,8 +226,8 @@ class TestL2UnitLimit:
 # (sequence, weak limit, direction y, k_max): pairing reports, one per tail kind
 TAIL_REPORTS = {
     "no-tail": (lambda k: sawtooth(1) if k % 2 else scaled_hat(1), ZERO, scaled_hat(30), 16),
-    "float-near-0": (lambda k: scaled_hat(1 + F(1, 4**k)), scaled_hat(1), scaled_hat(1), 64),
-    "float-1": (lambda k: scaled_hat(1 + F(1, 4**k)), scaled_hat(1), None, 64),
+    "converging-to-0": (CONVERGING, scaled_hat(1), scaled_hat(1), 64),
+    "converging-to-1": (CONVERGING, scaled_hat(1), None, 64),
     "exact-minus-3": (sawtooth, ZERO, scaled_hat(16), 16),
     "exact-0": (sawtooth, ZERO, scaled_hat(15), 16),
 }
@@ -235,17 +241,16 @@ TAIL_CERTIFICATES = {
 }
 
 NO_TAIL = {"note": "could not be finitely determined"}
-NEAR_ZERO = {"note": "float tail limit 2.938735877055719e-39"}
 
 TAIL_VERDICTS = [
     ("premise", "no-tail", "inconclusive", "exact", NO_TAIL),
     ("ky-fan", "no-tail", "inconclusive", "exact", NO_TAIL),
     ("unit-limit", "no-tail", "inconclusive", "exact", NO_TAIL),
-    ("premise", "float-near-0", "inconclusive", "approximate", NEAR_ZERO),
-    ("ky-fan", "float-near-0", "inconclusive", "approximate", NEAR_ZERO),
-    ("unit-limit", "float-near-0", "inconclusive", "approximate", NEAR_ZERO),
-    ("premise", "float-1", "established", "approximate", {}),
-    ("unit-limit", "float-1", "established", "approximate", {"conclusion": "limit != 0"}),
+    ("premise", "converging-to-0", "inconclusive", "exact", NO_TAIL),
+    ("ky-fan", "converging-to-0", "inconclusive", "exact", NO_TAIL),
+    ("unit-limit", "converging-to-0", "inconclusive", "exact", NO_TAIL),
+    ("premise", "converging-to-1", "inconclusive", "exact", NO_TAIL),
+    ("unit-limit", "converging-to-1", "inconclusive", "exact", NO_TAIL),
     ("premise", "exact-minus-3", "refuted", "exact", {}),
     ("ky-fan", "exact-minus-3", "established", "exact", {}),
     ("unit-limit", "exact-minus-3", "established", "exact", {"conclusion": "limit != 0"}),
@@ -284,15 +289,9 @@ def assert_floats_tagged(doc):
         assert type(doc) is not float
 
 
-CAUCHY_SEQ = TAIL_REPORTS["float-1"][0]
-
 JSON_CERTIFICATES = {
     "holder": lambda: holder_boundedness_check(sawtooth(3), scaled_hat(F(7, 2))),
-    "premise-cauchy-tail": lambda: pseudomonotone_premise_audit(CAUCHY_SEQ, None, 64),
     "ky-fan-exact": lambda: ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 16),
-    "ky-fan-cauchy-tail": lambda: ky_fan_violation_certificate(
-        CAUCHY_SEQ, scaled_hat(1), scaled_hat(1), 64
-    ),
 }
 
 

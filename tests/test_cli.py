@@ -503,9 +503,16 @@ class TestSolve:
             ('{"n": 2, "max_iter": "1/2"}', "max_iter must be a positive integer, got '1/2'"),
             ('{"n": 2, "max_iter": 0, "forcing": [1]}', "max_iter must be a positive integer, got 0"),
             ('{"n": 3, "forcing": [1, 2]}', "forcing must have length n"),
+            # a missing key once printed only its name: cannot parse problem file: 'n'
+            ('{"forcing": [1]}', "missing key 'n' in problem"),
+            ('{"n": 2, "set": {"kind": "box", "upper": [1, 1]}}', "missing key 'lower' in box set"),
+            ('{"n": 2, "set": {"kind": "box", "lower": [0, 0]}}', "missing key 'upper' in box set"),
+            ('{"n": 2, "set": {"kind": "ball", "radius": 1}}', "missing key 'center' in ball set"),
+            ('{"n": 2, "set": {"kind": "ball", "center": [0, 0]}}', "missing key 'radius' in ball set"),
         ],
         ids=["negative-eps", "negative-eps-short-forcing", "negative-max-iter", "half-max-iter",
-             "zero-max-iter-short-forcing", "forcing-length"],
+             "zero-max-iter-short-forcing", "forcing-length", "missing-n", "missing-lower",
+             "missing-upper", "missing-center", "missing-radius"],
     )
     def test_eps_and_max_iter_reasons(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"

@@ -465,6 +465,27 @@ class TestTestIntegral:
         with pytest.raises(ValueError):
             PolynomialTest("sine")
 
+    @pytest.mark.parametrize(
+        "kwargs, problem",
+        [
+            # accepted once, equal to no indicator built by .indicator and hashed apart
+            (dict(kind="indicator", degree=5, support=(0, F(1, 2))), "an indicator takes no degree"),
+            (dict(kind="indicator", degree=True, support=(0, F(1, 2))), "an indicator takes no degree"),
+            (dict(kind="poly", degree=2, support=("x",)), "a monomial takes no support"),
+            (dict(kind="poly", degree=2, support=(0, 1)), "a monomial takes no support"),
+            # (0,) once failed with "not enough values to unpack"
+            (dict(kind="indicator", support=(0,)), "support must be a pair"),
+            (dict(kind="indicator", support=(0, F(1, 4), F(1, 2))), "support must be a pair"),
+            (dict(kind="indicator", support=1), "support must be a pair"),
+            (dict(kind="indicator"), "support must be a pair"),
+        ],
+        ids=["indicator-degree", "indicator-bool-degree", "monomial-string-support",
+             "monomial-pair-support", "one-end", "three-ends", "int-support", "no-support"],
+    )
+    def test_field_the_kind_does_not_take_rejected(self, kwargs, problem):
+        with pytest.raises(ValueError, match=problem):
+            PolynomialTest(**kwargs)
+
     def test_dyadic_indicator_family(self):
         fam = dyadic_indicators(3)
         assert len(fam) == 8
