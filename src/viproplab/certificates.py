@@ -278,7 +278,10 @@ class WeakConvergenceReport:
                     "phi": e.phi.describe(),
                     "bound_constant": _frac_pair(e.bound_constant),
                     "all_zero": e.all_zero,
-                    "integrals": [_frac_pair(v) for v in e.integrals],
+                    # each integral's reduced pair read once, without a call per value
+                    "integrals": [
+                        [str(a), str(b)] for a, b in map(Fraction.as_integer_ratio, e.integrals)
+                    ],
                 }
                 for e in self.entries
             ],
@@ -294,6 +297,9 @@ def weak_convergence_evidence(
 
     For each φ the report carries the sharp sweep constant
     C_φ = max_k k * |integral_k|, so |integral_k| <= C_φ/k on the sweep.
+    ``certificates.test_integral`` is called by name once per (φ, k), and
+    the constant is compared in integers on each result's
+    ``as_integer_ratio()``, one read per integral.
     """
     if not test_family:
         raise ValueError("test family must be nonempty")
@@ -303,12 +309,13 @@ def weak_convergence_evidence(
     entries = []
     for phi in test_family:
         integrals = [test_integral(g, phi) for g in gradients]
-        # C_φ as top/den, compared by cross-multiplying k * |p| / q in integers
+        # C_φ as top/den, compared by cross-multiplying k * |a| / b in integers,
+        # each integral's reduced pair (a, b) read once
         top, den = 0, 1
-        for k, q in enumerate(integrals, start=1):
-            num = k * abs(q.numerator)
-            if num * den > top * q.denominator:
-                top, den = num, q.denominator
+        for k, (a, b) in enumerate(map(Fraction.as_integer_ratio, integrals), start=1):
+            num = k * abs(a)
+            if num * den > top * b:
+                top, den = num, b
         entries.append(
             WeakConvergenceEntry(
                 phi=phi,

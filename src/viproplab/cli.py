@@ -44,11 +44,16 @@ def _verdict_exit(*certificates: certs.Certificate) -> int:
     return max(codes[c.verdict] for c in certificates)
 
 
+# argparse echoes some arguments unquoted (an unrecognized one, say): a line
+# break in one is written as its escape, so that the error stays one line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors print one line and exit with EXIT_PARSE."""
 
     def error(self, message):
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message.translate(_LINE_BREAKS)}\n")
 
 
 def _int_in(lo: int, hi: Optional[int] = None):
@@ -134,7 +139,8 @@ def _json_text(obj, nl: str = "\n") -> str:
     writes the same bytes for str-keyed dicts, lists, tuples, str, int,
     float, bool and None, and hands anything else to json.dumps.  nl is a
     newline plus the indent of obj's own level.  A list item that is a list
-    of two strings, the lab's rational pair, is written in place.
+    of two strings, the lab's rational pair, is written in place, and so is
+    one whose type is exactly float, such as each entry of solve's x.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -145,6 +151,7 @@ def _json_text(obj, nl: str = "\n") -> str:
             _escape(v) if type(v) is str
             else pair_open + _escape(v[0]) + pair_sep + _escape(v[1]) + pair_close
             if type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+            else _NONFINITE.get(t := float.__repr__(v), t) if type(v) is float
             else _json_text(v, inner)
             for v in obj
         ]

@@ -14,10 +14,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import lt
-from types import SimpleNamespace
+from operator import lt, mul
 from typing import Iterable, Sequence, Union
 
 # perfbench/run.py records this name as the rational backend; nothing else reads it
@@ -346,24 +345,23 @@ class PiecewiseConstFn(_GridFn):
         return cls(*_json_pairs(d))
 
     @cached_property
-    def _integer_view(self) -> SimpleNamespace:
-        """Integer data of this frozen function for ``test_integral``, built once on first use.
+    def _integer_view(self) -> tuple:
+        """Integer data ``(D, E, n, p, primitive, jump)`` of this frozen function
+        for ``test_integral``, built once on first use.
 
         ``pow_norm`` reads the grid and ``test_integral`` this view, so every
         integral of one piecewise-constant function is an integer sum over
         one grid.  With the grid's t_i = n_i/D, its values c_i = p_i/E over
         E = lcm(Q), and p_m = 0 past the last interval, ``primitive[i]`` is
         D*E times the integral of f over [0, t_i], and ``jump[i]`` is
-        J_i = p_{i-1} - p_i (p_{-1} = 0).  Nothing in it changes after.
+        J_i = p_{i-1} - p_i (p_{-1} = 0).  A plain tuple, which a call
+        unpacks in one step; nothing in it changes after.
         """
         d, n, p, q = self._grid
         e, p = _over_lcm(p, q)
         p = (*p, 0)
-        return SimpleNamespace(
-            d=d, e=e, n=n, p=p,
-            primitive=(0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:]))),
-            jump=tuple([left - right for left, right in zip((0, *p), p)]),
-        )
+        primitive = (0, *accumulate(pi * (b - a) for pi, a, b in zip(p, n, n[1:])))
+        return d, e, n, p, primitive, tuple([left - right for left, right in zip((0, *p), p)])
 
 
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
@@ -514,7 +512,13 @@ class PolynomialTest:
                 raise ValueError("an indicator takes no degree")
             if not isinstance(self.support, (tuple, list)) or len(self.support) != 2:
                 raise ValueError("indicator support must be a pair (lo, hi)")
-            lo, hi = (as_fraction(x) for x in self.support)
+            ends = []
+            for x in self.support:
+                try:
+                    ends.append(as_fraction(x))
+                except (TypeError, ZeroDivisionError):  # a float, bool or None end, or "p/0"
+                    raise ValueError(f"indicator end is not an exact rational: {x!r}") from None
+            lo, hi = ends
             a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
             if not (0 <= a0 and a0 * b1 < a1 * b0 and a1 <= b1):  # 0 <= lo < hi <= 1
                 raise ValueError("indicator support must be a sub-interval of [0,1]")
@@ -549,29 +553,29 @@ def dyadic_indicators(level: int) -> list:
 
 
 def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
-    """Exact integral ∫ f(t) φ(t) dt over [0,1].
+    """Exact integral ∫ f(t) φ(t) dt over [0,1], as an ``ExactReal``.
 
     An indicator of (a, b) gives F(b) - F(a), with F the primitive of f.
     It reads the reduced integer ends a = a0/b0, b = a1/b1 the indicator
     kept when it was built, and D*E*b_i*F at each end is a bisect and two
     integer products on the view.  A monomial sums by parts over the jumps
     of f: with c_{-1} = c_m = 0, ∫ f(t) t^d dt = Σ_i t_i^(d+1) (c_{i-1} -
-    c_i) / (d+1), one integer power sum.  Both read the integer view cached
-    on f, so after the first call an indicator costs O(log cells) and a
-    monomial O(cells).
+    c_i) / (d+1), one integer power sum, taken by ``map`` over the view's
+    tuples.  Both unpack the integer view cached on f once per call, so
+    after the first call an indicator costs O(log cells) and a monomial
+    O(cells); the one ``Fraction`` built is the result.
     """
-    v = f._integer_view
+    d, e, n, p, primitive, jump = f._integer_view
     if phi.kind == "indicator":
         a0, b0, a1, b1 = phi._ends
-        d, n, p, primitive = v.d, v.n, v.p, v.primitive
         # D*E*b*F(a/b) = primitive_i*b + p_i*(a*D - n_i*b), with n_i/D <= a/b < n_(i+1)/D
         i = bisect_right(n, a0 * d // b0) - 1
         j = bisect_right(n, a1 * d // b1) - 1
         lo = primitive[i] * b0 + p[i] * (a0 * d - n[i] * b0)
         hi = primitive[j] * b1 + p[j] * (a1 * d - n[j] * b1)
-        return ExactReal(hi * b0 - lo * b1, d * v.e * b0 * b1)
+        return ExactReal(hi * b0 - lo * b1, d * e * b0 * b1)
     j = phi.degree + 1
-    return ExactReal(sum([x**j * jump for x, jump in zip(v.n, v.jump)]), j * v.e * v.d**j)
+    return ExactReal(sum(map(mul, map(pow, n, repeat(j)), jump)), j * e * d**j)
 
 
 def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from viproplab import (
@@ -356,6 +358,15 @@ def test_a_non_integer_count_names_itself(capsys):
         main(["reproduce", "--kmax", "abc"])
     assert exc.value.code == EXIT_PARSE
     assert capsys.readouterr().err.endswith("argument --kmax: not an integer: 'abc'\n")
+
+
+def test_a_line_break_in_an_echoed_argument_is_escaped(capsys):
+    # argparse echoes unrecognized arguments unquoted; found by TestFuzz
+    with pytest.raises(SystemExit) as exc:
+        main(["remark32", "a\nb", "c\u2028d"])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "viproplab: error: unrecognized arguments: a\\nb c\\u2028d\n")
 
 
 @pytest.mark.skipif(
@@ -803,6 +814,16 @@ class TestJsonWriter:
     def test_same_text_as_dumps(self, doc):
         writes_like_dumps(doc)
 
+    def test_floats_in_a_list_written_in_place(self):
+        # a list item whose type is exactly float takes the fast path; an
+        # np.float64, a float subclass, takes the general one to the same bytes
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -2.5e-308, 0.1]
+        doc = {"x": floats, "mixed": [1.5, np.float64(-0.25), "s", ["1", "2"], 3, None]}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+        assert cli._json_text(floats) == json.dumps(floats, indent=2)
+        assert cli._json_text([np.float64(math.nan), np.float64(1e300)]) == (
+            json.dumps([math.nan, 1e300], indent=2))
+
     def test_skipped_ascii_escaping_is_caught(self, monkeypatch):
         # the same property with an escaper that leaves non-ASCII text as it is
         monkeypatch.setattr(cli, "_escape", json.encoder.encode_basestring)
@@ -823,3 +844,96 @@ class TestJsonWriter:
         assert capsys.readouterr().out == text
         cli._emit(doc, str(tmp_path / "doc.json"))
         assert (tmp_path / "doc.json").read_text(encoding="utf-8") == text
+
+
+# argument lists for the five commands that take no file: the commands,
+# their options and some that belong to another, counts in and out of
+# range, rationals well and badly formed, and text without digits, so no
+# count is ever large; --out values are bare names, written under the
+# working directory the fuzz tests change to
+FUZZ_COMMANDS = ["reproduce", "certify", "weak-evidence", "figure", "remark32"]
+FUZZ_OPTIONS = ["--kmax", "--alpha", "--format", "--degree-max", "--indicator-level",
+                "--k", "--out", "--help", "-h", "--", "-"]
+fuzz_token_st = st.one_of(
+    st.sampled_from(FUZZ_COMMANDS + FUZZ_OPTIONS),
+    st.integers(-3, 24).map(str),
+    st.sampled_from(["16", "15", "31/2", "1/0", "0", "-1", "1e3", "1e-3", "1e4000", "nan",
+                     "inf", "json", "csv", "1_0", " 7 ", "2.5", "out", "fig.csv", ""]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\\x00"),
+            max_size=6),
+)
+fuzz_argv_st = st.one_of(
+    st.tuples(st.sampled_from(FUZZ_COMMANDS), st.lists(fuzz_token_st, max_size=6)).map(
+        lambda ct: [ct[0], *ct[1]]),
+    st.lists(fuzz_token_st, max_size=5),
+)
+# problem documents for solve: mostly well formed, n in 1..4 and max_iter
+# at most 50, so a valid problem solves fast, with finite numbers near and
+# far from the largest float; then a wrong value, length, type or key
+fuzz_finite_st = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3),
+                           st.floats(allow_nan=False, allow_infinity=False))
+fuzz_number_st = st.one_of(
+    fuzz_finite_st, fuzz_finite_st,
+    st.sampled_from([10**400, "1/2", "-3/4", "1/0", "1e400", "nan", "x", True, None, [], {}]),
+)
+
+
+@st.composite
+def fuzz_problem_st(draw):
+    n = draw(st.one_of(st.integers(1, 4), st.integers(1, 4),
+                       st.sampled_from([0, -1, 65_537, 10**30, "3", 2.0, True, None])))
+    length = n if type(n) is int and 1 <= n <= 4 else 2
+    vector = st.one_of(st.lists(fuzz_number_st, min_size=length, max_size=length),
+                       st.lists(fuzz_finite_st, min_size=length, max_size=length),
+                       st.lists(fuzz_number_st, max_size=5), fuzz_number_st)
+    sets = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("box"), "lower": vector, "upper": vector}),
+        st.fixed_dictionaries({"kind": st.just("ball"), "center": vector,
+                               "radius": fuzz_number_st}),
+        st.dictionaries(st.sampled_from(["kind", "lower", "upper", "center", "radius", "x"]),
+                        st.one_of(st.sampled_from(["box", "ball", "cube"]), vector), max_size=4),
+        fuzz_number_st,
+    )
+    doc = {"n": n, "max_iter": draw(st.one_of(st.integers(1, 50), st.integers(1, 50),
+                                              st.sampled_from([0, "5", 5.0, False])))}
+    doc.update(draw(st.fixed_dictionaries({}, optional={
+        "forcing": vector, "set": sets, "eps": st.one_of(st.floats(0, 1e-3), fuzz_number_st)})))
+    return draw(st.one_of(st.just(doc), st.just(doc),
+                          st.sampled_from([[doc], {**doc, "extra": 1}, doc["n"], "{}"])))
+
+
+def run_in_process(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def exits_cleanly(code, err):
+    assert code in range(5), (code, err)
+    assert err == "" or (err.endswith("\n") and len(err.splitlines()) == 1), err
+    assert "Traceback" not in err
+
+
+class TestFuzz:
+    """Any argument list and any problem document: an exit code in 0..4, at most
+    one stderr line and no exception out of main."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=fuzz_argv_st)
+    def test_argument_lists(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        exits_cleanly(*run_in_process(argv))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(fuzz_problem_st().map(json.dumps), st.text(max_size=20)))
+    def test_problem_documents(self, text, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(text, encoding="utf-8")
+        exits_cleanly(*run_in_process(["solve", str(path)]))

@@ -486,6 +486,17 @@ class TestTestIntegral:
         with pytest.raises(ValueError, match=problem):
             PolynomialTest(**kwargs)
 
+    @pytest.mark.parametrize(
+        "lo, hi, bad",
+        [(0.5, 1, "0.5"), (None, 1, "None"), (0, True, "True"), ("1/0", 1, "'1/0'")],
+        ids=["float-end", "none-end", "bool-end", "zero-denominator-end"],
+    )
+    def test_inexact_end_rejected(self, lo, hi, bad):
+        # a float or None end was once a TypeError from as_fraction
+        with pytest.raises(ValueError) as caught:
+            PolynomialTest.indicator(lo, hi)
+        assert str(caught.value) == f"indicator end is not an exact rational: {bad}"
+
     def test_dyadic_indicator_family(self):
         fam = dyadic_indicators(3)
         assert len(fam) == 8
@@ -584,11 +595,11 @@ class TestCachedIntegerView:
         assert f == g and hash(f) == hash(g)
         assert (f.to_json_dict(), repr(f)) == before
         assert f.to_json_dict() == g.to_json_dict()
-        # the sweep leaves f's view as g's, built fresh, field by field
-        view, fresh = vars(f._integer_view), vars(g._integer_view)
-        assert sorted(view) == sorted(fresh) == ["d", "e", "jump", "n", "p", "primitive"]
-        for name in fresh:
-            assert view[name] == fresh[name], name
+        # the sweep leaves f's view as g's, built fresh: all six entries,
+        # (d, e, n, p, primitive, jump), compared whole
+        view, fresh = f._integer_view, g._integer_view
+        assert type(view) is tuple and len(view) == 6
+        assert view == fresh
 
 
 # an indicator end as an int, a Fraction or a "p/q" string, unreduced ones

@@ -19,6 +19,7 @@ from viproplab import (
     derivative,
     extragradient_solve,
     load_problem,
+    plap_pairing,
     pow_norm,
     residual,
     spg_solve,
@@ -240,6 +241,23 @@ class TestOperator:
             fast = op(np.array([float(v) for v in x]))
             for a, b in zip(exact, fast):
                 assert math.isclose(float(a), b, rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 15])
+    def test_one_operator_in_both_halves(self, rng, n):
+        # the solver's G and the exact calculus's F are one operator: for the
+        # grid functions u_x, u_y lifted from dyadic x and y,
+        # Σ_j (G(x) + f)_j y_j = <F(u_x), u_y> = plap_pairing(u_x, u_y), in Fractions
+        f = [F(rng.randint(-40, 40), 8) for _ in range(n)]
+        op = GalerkinOperator(n, forcing=[float(v) for v in f])
+        for _ in range(5):
+            x = [F(rng.randint(-64, 64), 64) for _ in range(n)]
+            y = [F(rng.randint(-64, 64), 2 ** rng.randint(0, 8)) for _ in range(n)]
+            assembled = reference_apply_exact(op, x)
+            pairing = plap_pairing(reference_nodal_function(n, x), reference_nodal_function(n, y))
+            assert sum(g * v for g, v in zip(assembled, y)) == pairing
+            # with h = 1/(n+1) a power of two, the float operator is exact here too
+            fast = op(np.array([float(v) for v in x]))
+            assert [F(g) + v for g, v in zip(fast, f)] == assembled
 
     def test_coercivity_identity(self, rng):
         # <G(x), x> equals the derivative cubed-norm minus <f, x>
