@@ -53,40 +53,36 @@ def monotone_gap_check(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> Fraction:
 
 @dataclass
 class PairingSequenceReport:
-    """The sequence <F(x_k), x_k - y> for k = 1..k_max, with tail analysis."""
+    """The sequence <F(x_k), x_k - y> for k = 1..k_max, with its tail limit.
 
-    indices: List[int]
+    ``values`` holds k = 1..k_max in order; ``limit_candidate`` is the value
+    of the last k_max // 2 of them when they are all equal, else None.
+    """
+
     values: List[Fraction]
     limit_candidate: Optional[Fraction]
-    detection: str  # "eventually-constant" | "none"
-    tail_window: int
 
     @property
     def k_window(self) -> List[int]:
         """First and last index of the tail the limit was detected on."""
-        return [self.indices[-self.tail_window], self.indices[-1]]
+        k_max = len(self.values)
+        return [k_max - k_max // 2 + 1, k_max]
 
     def to_json_dict(self) -> dict:
+        k_max = len(self.values)
+        limit = self.limit_candidate
         return {
-            "indices": self.indices,
+            "indices": list(range(1, k_max + 1)),
             "values": [_frac_pair(v) for v in self.values],
-            "limit_candidate": (
-                None if self.limit_candidate is None else _frac_pair(self.limit_candidate)
-            ),
-            "detection": self.detection,
-            "tail_window": self.tail_window,
+            "limit_candidate": None if limit is None else _frac_pair(limit),
+            "detection": "none" if limit is None else "eventually-constant",
+            "tail_window": k_max // 2,
         }
 
 
 def _frac_pair(q: Fraction) -> list:
     # canonical serialization: reduced fraction, sign on the numerator
     return [str(q.numerator), str(q.denominator)]
-
-
-def _serialize_exact(v: Union[Fraction, float]):
-    if isinstance(v, float):
-        return {"approx": True, "value": v}
-    return _frac_pair(v)
 
 
 def pairing_sequence(
@@ -114,14 +110,7 @@ def pairing_sequence(
         else:
             values.append(equilibrium_gap(x_k, y_fn))
     tail = values[-tail_window:]
-    constant = tail.count(tail[0]) == tail_window
-    return PairingSequenceReport(
-        indices=list(range(1, k_max + 1)),
-        values=values,
-        limit_candidate=tail[0] if constant else None,
-        detection="eventually-constant" if constant else "none",
-        tail_window=tail_window,
-    )
+    return PairingSequenceReport(values, tail[0] if tail.count(tail[0]) == tail_window else None)
 
 
 @dataclass
@@ -131,13 +120,20 @@ class Certificate:
     property: str
     verdict: str  # "established" | "refuted" | "inconclusive"
     witness: dict = field(default_factory=dict)
-    exactness: str = "exact"  # "exact" | "approximate"
+
+    @property
+    def exactness(self) -> str:
+        """The label the witness earns: approximate iff a value in it is a float."""
+        floats = any(isinstance(v, float) for v in self.witness.values())
+        return "approximate" if floats else "exact"
 
     def to_json_dict(self) -> dict:
         witness = {}
         for key, val in self.witness.items():
-            if isinstance(val, (Fraction, float)):
-                witness[key] = _serialize_exact(val)
+            if isinstance(val, float):
+                witness[key] = {"approx": True, "value": val}
+            elif isinstance(val, Fraction):
+                witness[key] = _frac_pair(val)
             elif isinstance(val, PiecewiseLinearFn):
                 witness[key] = val.to_json_dict()
             else:
@@ -238,7 +234,6 @@ def holder_boundedness_check(
         PROP_BOUNDED_HOLDER,
         "established" if ok else "refuted",
         witness={"lhs": lhs, "rhs": rhs},
-        exactness="approximate",
     )
 
 
@@ -247,7 +242,6 @@ class WeakConvergenceEntry:
     phi: PolynomialTest
     integrals: List[Fraction]
     bound_constant: Fraction  # smallest C with |integral_k| <= C/k on the sweep
-    all_zero: bool
 
 
 @dataclass
@@ -277,7 +271,7 @@ class WeakConvergenceReport:
                 {
                     "phi": e.phi.describe(),
                     "bound_constant": _frac_pair(e.bound_constant),
-                    "all_zero": e.all_zero,
+                    "all_zero": e.bound_constant.numerator == 0,
                     # each integral's reduced pair read once, without a call per value
                     "integrals": [
                         [str(a), str(b)] for a, b in map(Fraction.as_integer_ratio, e.integrals)
@@ -316,12 +310,5 @@ def weak_convergence_evidence(
             num = k * abs(a)
             if num * den > top * b:
                 top, den = num, b
-        entries.append(
-            WeakConvergenceEntry(
-                phi=phi,
-                integrals=integrals,
-                bound_constant=Fraction(top, den),
-                all_zero=top == 0,
-            )
-        )
+        entries.append(WeakConvergenceEntry(phi, integrals, Fraction(top, den)))
     return WeakConvergenceReport(entries=entries, k_max=k_max)

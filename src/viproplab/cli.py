@@ -279,9 +279,7 @@ def cmd_remark32(kmax: int) -> int:
     """Identity operator on the sequence space, paired along unit vectors."""
     report = certs.pairing_sequence(L2SeqVector, None, max(kmax, certs.MIN_K_MAX))
     cert = certs.l2_unit_limit_certificate(report)
-    for k, v in zip(report.indices, report.values):
-        if k > kmax:
-            break
+    for k, v in enumerate(report.values[:kmax], start=1):
         print(f"k={k}: <F(e_k), e_k - 0> = {v}")
     tail = cert.witness["tail_constant"]
     if tail is not None:

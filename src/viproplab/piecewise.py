@@ -33,7 +33,10 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -516,7 +519,7 @@ class PolynomialTest:
             for x in self.support:
                 try:
                     ends.append(as_fraction(x))
-                except (TypeError, ZeroDivisionError):  # a float, bool or None end, or "p/0"
+                except (TypeError, ValueError):  # a float, bool or None end, or a bad text
                     raise ValueError(f"indicator end is not an exact rational: {x!r}") from None
             lo, hi = ends
             a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator

@@ -132,6 +132,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(e.dot(e)) / scale
 
 
+def _dimension(n) -> int:
+    # an int, not a bool: 2.0 would fail in np.zeros and "3" in n < 1
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    return n
+
+
 class GalerkinOperator:
     """Nodal operator G(x)_j = <F(u_x), phi_j> - f_j on a uniform grid.
 
@@ -143,9 +152,7 @@ class GalerkinOperator:
     """
 
     def __init__(self, n: int, forcing: Optional[Sequence[float]] = None):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
+        self.n = _dimension(n)
         self.h = 1.0 / (n + 1)
         if forcing is None:
             self.forcing = np.zeros(n)
@@ -214,9 +221,10 @@ def assemble_vi(
 ) -> DiscreteVI:
     """The VI of the Galerkin operator on a feasible set, [-1, 1]^n by default.
 
-    eps must be >= 0, max_iter an integer >= 1 and the set's vectors of
-    shape (n,); anything else, NaN included, raises ValueError.
+    n and max_iter must be integers >= 1, eps >= 0 and the set's vectors of
+    shape (n,); anything else, a bool or NaN included, raises ValueError.
     """
+    _dimension(n)  # before the default box: numpy would reject -1 or 2.0 there
     if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:

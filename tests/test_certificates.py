@@ -60,9 +60,8 @@ class TestPairingSequence:
     def test_hat_direction_is_constant(self):
         report = pairing_sequence(sawtooth, scaled_hat(16), 64)
         assert all(v == -3 for v in report.values)
-        assert report.detection == "eventually-constant"
         assert report.limit_candidate == -3
-        assert report.tail_window == 32
+        assert report.k_window == [33, 64]
 
     def test_zero_direction_gives_energy(self):
         report = pairing_sequence(sawtooth, ZERO, 64)
@@ -94,8 +93,8 @@ class TestPairingSequence:
         seq = lambda k: sawtooth(1) if k % 2 else sawtooth(2)
         wobble = lambda k: seq(k) if k % 2 else scaled_hat(1)
         report = pairing_sequence(wobble, scaled_hat(30), 16)
-        assert report.detection == "none"
         assert report.limit_candidate is None
+        assert report.to_json_dict()["detection"] == "none"
 
     def test_json_of_an_exact_report(self):
         doc = pairing_sequence(sawtooth, scaled_hat(16), 8).to_json_dict()
@@ -110,7 +109,6 @@ class TestPairingSequence:
     def test_json_of_a_converging_report(self):
         # the pairings (1 + 4^-k)^3 tend to 1 but no tail of them is constant
         report = pairing_sequence(CONVERGING, None, 64)
-        assert report.detection == "none"
         assert report.limit_candidate is None
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["values"] == [[str((4**k + 1) ** 3), str(4 ** (3 * k))] for k in range(1, 65)]
@@ -309,6 +307,53 @@ def test_json_tags_every_float_and_pairs_every_rational(name):
             assert doc["witness"][key] == [str(v.numerator), str(v.denominator)]
 
 
+class TestDerivedLabels:
+    """Labels that follow from stored data are derived, so they cannot disagree with it."""
+
+    @pytest.mark.parametrize(
+        "witness, exactness",
+        [
+            ({"lhs": 0.5, "rhs": F(1, 2)}, "approximate"),
+            ({"margin": F(3), "k_window": [5, 8], "note": "text", "y": ZERO}, "exact"),
+            ({}, "exact"),
+        ],
+        ids=["float-witness", "exact-witness", "empty-witness"],
+    )
+    def test_certificate_exactness_follows_its_witness(self, witness, exactness):
+        cert = certificates.Certificate("p", "established", witness)
+        assert cert.exactness == exactness
+        text = json.dumps(cert.to_json_dict())
+        assert json.loads(text)["exactness"] == exactness
+        assert ('"approx": true' in text) is (exactness == "approximate")
+        # a label, not a field: the constructor takes no exactness
+        assert "exactness" not in {f.name for f in fields(cert)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(8, 40), st.data())
+    def test_pairing_report_labels_follow_values_and_limit(self, k_max, data):
+        # x_k = scaled_hat(a_k) pairs against 0 to a_k^3; a constant tail
+        # shows up when the drawn scales end in a run of one value
+        scales = data.draw(st.lists(st.sampled_from([1, 2]), min_size=k_max, max_size=k_max))
+        report = pairing_sequence(lambda k: scaled_hat(scales[k - 1]), None, k_max)
+        tail = report.values[-(k_max // 2):]
+        limit = tail[0] if len(set(tail)) == 1 else None
+        assert report.limit_candidate == limit
+        assert report.k_window == [k_max - k_max // 2 + 1, k_max]
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        assert doc["indices"] == list(range(1, k_max + 1))
+        assert doc["tail_window"] == k_max // 2
+        assert doc["detection"] == ("none" if limit is None else "eventually-constant")
+        assert {f.name for f in fields(report)} == {"values", "limit_candidate"}
+
+    def test_weak_entry_all_zero_is_a_zero_bound_constant(self):
+        family = [PolynomialTest.monomial(d) for d in range(4)] + dyadic_indicators(2)
+        report = weak_convergence_evidence(sawtooth, family, 12)
+        docs = report.to_json_dict()["entries"]
+        assert [doc["all_zero"] for doc in docs] == [e.bound_constant == 0 for e in report.entries]
+        assert {doc["all_zero"] for doc in docs} == {True, False}
+        assert "all_zero" not in {f.name for f in fields(report.entries[0])}
+
+
 class TestMonotoneGap:
     def test_diagonal_zero(self, rng):
         u = random_pw_linear(rng)
@@ -348,13 +393,13 @@ class TestConsistencyInvariant:
 class TestWeakConvergenceEvidence:
     def test_constant_test_function_all_zero(self):
         report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(0)], 32)
-        assert report.entries[0].all_zero
         assert report.entries[0].bound_constant == 0
+        assert report.to_json_dict()["entries"][0]["all_zero"] is True
 
     def test_right_half_support_all_zero(self):
         phi = PolynomialTest.indicator(F(1, 2), F(1))
         report = weak_convergence_evidence(sawtooth, [phi], 32)
-        assert report.entries[0].all_zero
+        assert report.entries[0].bound_constant == 0
 
     def test_linear_test_function_decay(self):
         report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 64)
@@ -416,15 +461,16 @@ class TestWeakConvergenceEvidence:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_sweep_constant_is_the_fraction_rule(self, data):
-        """bound_constant and all_zero equal max_k k*|I_k| and all(I_k == 0) in Fractions."""
+        """bound_constant and the JSON's all_zero equal max_k k*|I_k| and all(I_k == 0)."""
         xs = data.draw(sweep_st())
         family = data.draw(st.lists(test_function_st, min_size=1, max_size=4))
         report = weak_convergence_evidence(lambda k: xs[k - 1], family, len(xs))
-        for entry in report.entries:
+        docs = report.to_json_dict()["entries"]
+        for entry, doc in zip(report.entries, docs, strict=True):
             values = entry.integrals
             assert entry.bound_constant == max(abs(q) * k for k, q in enumerate(values, start=1))
             assert type(entry.bound_constant) is Fraction
-            assert entry.all_zero == all(q == 0 for q in values)
+            assert doc["all_zero"] is all(q == 0 for q in values) is (entry.bound_constant == 0)
 
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=24)

@@ -33,7 +33,7 @@ from viproplab import (
     scaled_hat,
     test_integral as integral_against,
 )
-from viproplab.piecewise import MAX_POLY_DEGREE, _rational_sum
+from viproplab.piecewise import MAX_POLY_DEGREE, _rational_sum, as_fraction
 
 from conftest import (
     assert_grid_form,
@@ -123,6 +123,24 @@ class TestInvariants:
     def test_interval_count(self):
         with pytest.raises(ValueError):
             PiecewiseConstFn((F(0), F(1)), (F(1), F(2)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_fraction("3/0"),
+            lambda: PiecewiseLinearFn((0, "3/0", 1), (0, 1, 0)),
+            lambda: PiecewiseConstFn((0, 1), ("3/0",)),
+            lambda: scaled_hat("3/0"),
+            lambda: sawtooth(1)("3/0"),
+            lambda: derivative(sawtooth(1)).value_at("3/0"),
+            lambda: lin_comb("3/0", sawtooth(1), 1, sawtooth(2)),
+        ],
+        ids=["as_fraction", "linear", "constant", "scaled_hat", "evaluate", "value_at", "lin_comb"],
+    )
+    def test_zero_denominator_text_is_a_value_error(self, call):
+        # "p/0" was a ZeroDivisionError from Fraction wherever as_fraction read it
+        with pytest.raises(ValueError, match="^zero denominator: '3/0'$"):
+            call()
 
 
 # denominators that are distinct primes (coprime pairs: the g == 1 branch of
@@ -830,7 +848,7 @@ class TestGridForm:
         ]:
             assert words in raised(lambda: PiecewiseConstFn(bps, vals))
         # a zero or negative denominator in a string never becomes a rational
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="^zero denominator: '1/0'$"):
             PiecewiseConstFn((0, 1), ("1/0",))
         with pytest.raises(ValueError, match="Invalid literal"):
             PiecewiseConstFn((0, 1), ("-1/-2",))

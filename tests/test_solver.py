@@ -375,6 +375,14 @@ class TestExtragradient:
         with pytest.raises(ValueError, match="^dimension must be >= 1$"):
             assemble_vi(0)
 
+    @pytest.mark.parametrize("n", [-1, 2.0, True, "3", None])
+    @pytest.mark.parametrize("build", [assemble_vi, GalerkinOperator], ids=["assemble", "operator"])
+    def test_dimension_is_checked_before_anything_is_built(self, build, n):
+        # -1 once failed in numpy building the default box, 2.0 and True there or
+        # in np.zeros, and "3" in a comparison: each now names the dimension
+        with pytest.raises(ValueError, match="^dimension must be"):
+            build(n)
+
     @pytest.mark.parametrize(
         "feasible",
         [
