@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, ClassVar, List, Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterable, List, Optional, Union
 
 from .families import L2SeqVector, l2_pairing
 from .piecewise import (
     PiecewiseLinearFn,
     PolynomialTest,
+    _integer,
     _union_sum,
     derivative,
     plap_pairing,
@@ -96,8 +97,7 @@ def pairing_sequence(
     be the zero element (pass None).  The limit is the value of the last
     k_max // 2 values when they are all equal, and None otherwise.
     """
-    if type(k_max) is not int or k_max < MIN_K_MAX:  # 8.0 would fail in range, "8" in <
-        raise ValueError(f"k_max must be an integer >= {MIN_K_MAX}")
+    _integer("k_max", k_max, MIN_K_MAX)
     tail_window = k_max // 2
     y_fn = PiecewiseLinearFn.zero() if y is None else y
     values: List[Fraction] = []
@@ -284,7 +284,7 @@ class WeakConvergenceReport:
 
 def weak_convergence_evidence(
     seq: FunctionSequence,
-    test_family: Sequence[PolynomialTest],
+    test_family: Iterable[PolynomialTest],
     k_max: int = 64,
 ) -> WeakConvergenceReport:
     """Sweep ∫ x_k'(t) φ(t) dt exactly for every φ and k = 1..k_max.
@@ -295,10 +295,10 @@ def weak_convergence_evidence(
     the constant is compared in integers on each result's
     ``as_integer_ratio()``, one read per integral.
     """
+    test_family = list(test_family)  # an iterator is read once, and can be empty
     if not test_family:
         raise ValueError("test family must be nonempty")
-    if type(k_max) is not int or k_max < 1:  # True would sweep k = 1 alone, 2.0 fail in range
-        raise ValueError("k_max must be a positive integer")
+    _integer("k_max", k_max, 1)
     gradients = [derivative(seq(k)) for k in range(1, k_max + 1)]
     entries = []
     for phi in test_family:

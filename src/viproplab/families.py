@@ -15,6 +15,7 @@ from .piecewise import (
     ExactReal,
     PiecewiseLinearFn,
     RationalLike,
+    _integer,
     as_fraction,
     derivative,
     plap_pairing,
@@ -33,8 +34,7 @@ def sawtooth(k: int) -> PiecewiseLinearFn:
     to 0 at (i+1)/(2k); slopes are 6 and -3 independently of k.  Built on
     its integer grid: breakpoints 3i and 3i+1, then 3k and 6k, over 6k.
     """
-    if type(k) is not int or k < 1:  # True would build k = 1, 2.0 fail in range
-        raise ValueError(f"index k must be an integer >= 1, got {k!r}")
+    _integer("index k", k, 1)
     n = [0] * (2 * k)
     n[0::2] = range(0, 3 * k, 3)
     n[1::2] = range(1, 3 * k, 3)
@@ -76,8 +76,7 @@ class L2SeqVector:
     index: int
 
     def __post_init__(self):
-        if type(self.index) is not int or self.index < 1:
-            raise ValueError(f"index must be an integer >= 1, got {self.index!r}")
+        _integer("index", self.index, 1)
 
 
 def l2_pairing(a: L2SeqVector, b: L2SeqVector) -> ExactReal:

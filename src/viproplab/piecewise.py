@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import lt, mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 # perfbench/run.py records this name as the rational backend; nothing else reads it
 _make_rational = Fraction
@@ -38,6 +38,18 @@ def as_fraction(x: RationalLike) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _integer(name: str, x, lo: int, hi: Optional[int] = None) -> int:
+    """x if it is exactly an ``int`` in lo..hi (no top if hi is None), else a ValueError echoing x.
+
+    A bool or an ``IntEnum`` member is not one (True would build k = 1),
+    and 2.0 or "3" would fail later, in ``range`` or in a comparison.
+    """
+    if type(x) is not int or x < lo or hi is not None and x > hi:
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bound}, got {x!r}")
+    return x
 
 
 class ExactReal(Fraction):
@@ -128,14 +140,17 @@ def _pairs(xs: Iterable[RationalLike]) -> tuple:
     return [x.numerator for x in fs], [x.denominator for x in fs]
 
 
-def _check_points(d: int, n: Sequence[int]) -> None:
-    """Breakpoints n_i/D run from 0 to 1, strictly increasing."""
+def _points(breakpoints: Iterable[RationalLike]) -> tuple:
+    """Breakpoints as (c, e, D, n): c_i/e_i, and n_i over the lcm D; from 0 to 1, increasing."""
+    c, e = _pairs(breakpoints)
+    d, n = _over_lcm(c, e)
     if len(n) < 2:
         raise ValueError("need at least the two endpoint breakpoints")
     if n[0] != 0 or n[-1] != d:
         raise ValueError("breakpoints must start at 0 and end at 1")
     if not all(map(lt, n, n[1:])):
         raise ValueError("breakpoints must be strictly increasing")
+    return c, e, d, n
 
 
 def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalLike]) -> tuple:
@@ -147,10 +162,8 @@ def _linear_grid(breakpoints: Iterable[RationalLike], values: Iterable[RationalL
     c0 e1) b0 b1).  Those integers stay as small as the data; over the lcm
     of all value denominators they would grow with the number of cells.
     """
-    c, e = _pairs(breakpoints)
+    c, e, d, n = _points(breakpoints)
     a, b = _pairs(values)
-    d, n = _over_lcm(c, e)
-    _check_points(d, n)
     if len(a) != len(n):
         raise ValueError("one value per breakpoint required")
     if a[0] or a[-1]:
@@ -311,9 +324,8 @@ class PiecewiseConstFn(_GridFn):
 
     def __post_init__(self, breakpoints, interval_values):
         # every public construction runs here, and is checked here
-        d, n = _over_lcm(*_pairs(breakpoints))
+        d, n = _points(breakpoints)[2:]
         p, q = _pairs(interval_values)
-        _check_points(d, n)
         if len(p) != len(n) - 1:
             raise ValueError("one value per interval required")
         object.__setattr__(self, "_grid", (d, n, tuple(p), tuple(q)))
@@ -367,13 +379,21 @@ class PiecewiseConstFn(_GridFn):
         return d, e, n, p, primitive, tuple([left - right for left, right in zip((0, *p), p)])
 
 
+def _grid_of(f: _GridFn, cls: type) -> tuple:
+    """f's grid (D, n, P, Q) if f is a ``cls``, else a TypeError: both classes
+    store one form, so a function of the other class would be misread."""
+    if not isinstance(f, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(f).__name__}")
+    return f._grid
+
+
 def derivative(u: PiecewiseLinearFn) -> PiecewiseConstFn:
     """Weak derivative of a piecewise-linear function: its own grid, slopes read as values.
 
     A linear grid is in the form of a constant one, so its tuples are
     shared as they are.
     """
-    return PiecewiseConstFn._from_grid(*u._grid)
+    return PiecewiseConstFn._from_grid(*_grid_of(u, PiecewiseLinearFn))
 
 
 def _merge(df: int, nf: Sequence[int], dg: int, ng: Sequence[int]):
@@ -407,8 +427,8 @@ def common_refinement(
     f: PiecewiseConstFn, g: PiecewiseConstFn
 ) -> tuple:
     """Re-express both functions on the union breakpoint grid."""
-    df, nf, pf, qf = f._grid
-    dg, ng, pg, qg = g._grid
+    df, nf, pf, qf = _grid_of(f, PiecewiseConstFn)
+    dg, ng, pg, qg = _grid_of(g, PiecewiseConstFn)
     n, fi, gj = [0], [], []
     for i, j, _, x in _merge(df, nf, dg, ng):
         n.append(x)
@@ -428,9 +448,8 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     (sum, Q) are added by ``_rational_sum`` with ``power=p``, and the total
     is divided by the grid denominator D once.
     """
-    if type(p) is not int or p < 1:
-        raise ValueError("p must be a positive integer")
-    d, n, num, den = f._grid
+    _integer("p", p, 1)
+    d, n, num, den = _grid_of(f, PiecewiseConstFn)
     sums: dict = {}
     for c, q, a, b in zip(num, den, n, n[1:]):
         sums[q] = sums.get(q, 0) + abs(c) ** p * (b - a)
@@ -447,8 +466,8 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     by ``_rational_sum`` with ``power=3``, and the total is divided by the
     common grid denominator once.
     """
-    du, nu, p, q = u._grid
-    dw, nw, r, s = w._grid
+    du, nu, p, q = _grid_of(u, PiecewiseLinearFn)
+    dw, nw, r, s = _grid_of(w, PiecewiseLinearFn)
     sums: dict = {}
     for i, j, width, _ in _merge(du, nu, dw, nw):
         key = q[i] * s[j]
@@ -478,8 +497,8 @@ def lin_comb(
     """
     a, b = as_fraction(a), as_fraction(b)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    du, nu, p, q = u._grid
-    dw, nw, r, s = w._grid
+    du, nu, p, q = _grid_of(u, PiecewiseLinearFn)
+    dw, nw, r, s = _grid_of(w, PiecewiseLinearFn)
     n, slope_num, slope_den = [0], [], []
     for i, j, _, x in _merge(du, nu, dw, nw):
         num = an * bd * p[i] * s[j] + bn * ad * r[j] * q[i]
@@ -506,8 +525,7 @@ class PolynomialTest:
 
     def __post_init__(self):
         if self.kind == "poly":
-            if type(self.degree) is not int or not 0 <= self.degree <= MAX_POLY_DEGREE:
-                raise ValueError(f"degree must be an int in 0..{MAX_POLY_DEGREE}")
+            _integer("degree", self.degree, 0, MAX_POLY_DEGREE)
             if self.support != ():
                 raise ValueError("a monomial takes no support")
         elif self.kind == "indicator":
@@ -549,9 +567,7 @@ class PolynomialTest:
 
 def dyadic_indicators(level: int) -> list:
     """All indicators of dyadic intervals (j/2^L, (j+1)/2^L) at one level."""
-    if type(level) is not int or not 1 <= level <= MAX_DYADIC_LEVEL:
-        raise ValueError(f"dyadic level must be an int in 1..{MAX_DYADIC_LEVEL}")
-    n = 2**level
+    n = 2 ** _integer("dyadic level", level, 1, MAX_DYADIC_LEVEL)
     return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
 
@@ -590,9 +606,8 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
     the nodal values y_i = a_i/b_i, each cell's term times p+1 is one
     reduced integer pair, and ``_rational_sum`` adds them and divides by p+1.
     """
-    if type(p) is not int or p < 1:
-        raise ValueError("p must be a positive integer")
-    d, n, sp, sq = u._grid
+    _integer("p", p, 1)
+    d, n, sp, sq = _grid_of(u, PiecewiseLinearFn)
     a, b = _nodes(u)[2:]
     g = [abs(x) ** p * x for x in a]  # G(y_i) = g_i / h_i
     h = [x ** (p + 1) for x in b]

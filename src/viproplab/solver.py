@@ -20,8 +20,9 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Union
+
+from .piecewise import _integer, as_fraction
 
 # numpy loads on its first attribute access, so exact commands never pay for it
 _spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
@@ -94,7 +95,8 @@ class Ball:
 
     def __post_init__(self):
         c = np.array(self.center, dtype=float)  # a read-only copy, as in Box
-        if not self.radius > 0:  # NaN included
+        object.__setattr__(self, "radius", _number(self.radius))
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
         if not np.all(np.isfinite(c)):
             raise ValueError("ball center must be finite")
@@ -132,15 +134,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(e.dot(e)) / scale
 
 
-def _dimension(n) -> int:
-    # an int, not a bool: 2.0 would fail in np.zeros and "3" in n < 1
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return n
-
-
 class GalerkinOperator:
     """Nodal operator G(x)_j = <F(u_x), phi_j> - f_j on a uniform grid.
 
@@ -152,7 +145,7 @@ class GalerkinOperator:
     """
 
     def __init__(self, n: int, forcing: Optional[Sequence[float]] = None):
-        self.n = _dimension(n)
+        self.n = _integer("dimension", n, 1)
         self.h = 1.0 / (n + 1)
         if forcing is None:
             self.forcing = np.zeros(n)
@@ -221,14 +214,14 @@ def assemble_vi(
 ) -> DiscreteVI:
     """The VI of the Galerkin operator on a feasible set, [-1, 1]^n by default.
 
-    n and max_iter must be integers >= 1, eps >= 0 and the set's vectors of
-    shape (n,); anything else, a bool or NaN included, raises ValueError.
+    n and max_iter must be integers >= 1, eps a finite number >= 0 and the
+    set's vectors of shape (n,); anything else, a bool or NaN included, raises ValueError.
     """
-    _dimension(n)  # before the default box: numpy would reject -1 or 2.0 there
+    _integer("dimension", n, 1)  # before the default box: numpy would reject -1 or 2.0 there
+    eps = _number(eps)
     if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    _integer("max_iter", max_iter, 1)
     if feasible_set is None:
         feasible_set = Box(-np.ones(n), np.ones(n))
     # a set of another length would broadcast against x, or fail mid-solve
@@ -375,11 +368,9 @@ def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"not a number: {v!r}")
     try:
-        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+        x = float(as_fraction(v)) if isinstance(v, str) else float(v)
     except OverflowError:
         x = math.inf
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {v!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"not a finite number: {v!r}")
     return x
@@ -450,13 +441,13 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
             feasible = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
         elif kind == "ball":
             _known_keys(spec, BALL_KEYS, ("center", "radius"), "ball set")
-            feasible = Ball(_vector(spec, "center", n), _number(spec["radius"]))
+            feasible = Ball(_vector(spec, "center", n), spec["radius"])
         else:
             raise ValueError(f"unknown feasible-set kind: {kind!r}")
     return assemble_vi(
         n,
         forcing=forcing,
         feasible_set=feasible,
-        eps=_number(doc.get("eps", DEFAULT_EPS)),
+        eps=doc.get("eps", DEFAULT_EPS),
         max_iter=_count(doc.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
     )

@@ -3,6 +3,7 @@ import os
 import random
 from bisect import bisect_right
 from collections import deque
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,12 @@ from viproplab.solver import (
 )
 
 SEED = int(os.environ.get("VIPROPLAB_SEED", "20240817"))
+
+
+class Three(IntEnum):
+    """An int subclass with value 3: an integer argument must reject it, as it rejects True."""
+
+    THREE = 3
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -434,9 +435,23 @@ class TestWeakConvergenceEvidence:
 
     @pytest.mark.parametrize("k_max", [True, False, 2.0, "4", None])
     def test_k_max_must_be_an_int(self, k_max):
-        # pow_norm's rule: True would sweep k = 1 alone, and 2.0 fail inside range
-        with pytest.raises(ValueError, match="k_max must be a positive integer"):
+        # the rule of every integer argument: True would sweep k = 1 alone, and
+        # 2.0 fail inside range; the message echoes the bad value
+        want = f"^k_max must be an integer >= 1, got {re.escape(repr(k_max))}$"
+        with pytest.raises(ValueError, match=want):
             weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], k_max)
+
+    def test_an_iterator_family_is_read_once(self):
+        fam = [PolynomialTest.monomial(1)] + dyadic_indicators(2)
+        want = weak_convergence_evidence(sawtooth, fam, 16).to_json_dict()
+        assert weak_convergence_evidence(sawtooth, iter(fam), 16).to_json_dict() == want
+        assert weak_convergence_evidence(sawtooth, (phi for phi in fam), 16).to_json_dict() == want
+
+    @pytest.mark.parametrize("fam", [iter([]), (phi for phi in [])], ids=["iter", "gen"])
+    def test_an_empty_iterator_family_is_rejected(self, fam):
+        # iter([]) is truthy: it once gave a report with no entries
+        with pytest.raises(ValueError, match="^test family must be nonempty$"):
+            weak_convergence_evidence(sawtooth, fam, 16)
 
     def test_calls_test_integral_by_name_once_per_phi_and_k(self, monkeypatch):
         # perfbench/selftest.py replaces certificates.test_integral with a wrong

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 from bisect import bisect_right
 import dataclasses
 from dataclasses import FrozenInstanceError
@@ -17,25 +18,31 @@ from hypothesis import strategies as st
 
 from viproplab import (
     ExactReal,
+    GalerkinOperator,
+    L2SeqVector,
     PiecewiseConstFn,
     PiecewiseLinearFn,
     PolynomialTest,
     abs_pow_integral,
+    assemble_vi,
     common_refinement,
     derivative,
     dyadic_indicators,
     equilibrium_gap,
     lin_comb,
     monotone_gap_check,
+    pairing_sequence,
     plap_pairing,
     pow_norm,
     sawtooth,
     scaled_hat,
     test_integral as integral_against,
+    weak_convergence_evidence,
 )
-from viproplab.piecewise import MAX_POLY_DEGREE, _rational_sum, as_fraction
+from viproplab.piecewise import MAX_DYADIC_LEVEL, MAX_POLY_DEGREE, _rational_sum, as_fraction
 
 from conftest import (
+    Three,
     assert_grid_form,
     random_pw_linear,
     random_wide_pw_linear,
@@ -939,7 +946,8 @@ class TestAbsPowIntegral:
     def test_power_must_be_a_positive_int(self, p):
         u = sawtooth(2)
         for kernel, f in ((pow_norm, derivative(u)), (abs_pow_integral, u)):
-            with pytest.raises(ValueError, match="^p must be a positive integer$"):
+            want = f"^p must be an integer >= 1, got {re.escape(repr(p))}$"
+            with pytest.raises(ValueError, match=want):
                 kernel(f, p)
 
 
@@ -1060,3 +1068,73 @@ class TestGridHash:
         # the public views are kept by function, so reading them hashes the grid
         assert (u.breakpoints, u.values, {u}) == (bps, vals, {sawtooth(5)})
         assert CountingInt.hashed > 0
+
+
+U, W = sawtooth(2), scaled_hat(1)
+DU = derivative(U)
+
+
+class TestKernelsReadTheirOwnGridClass:
+    """Both classes store one grid form, so each kernel checks which class it reads."""
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: derivative(DU), "PiecewiseLinearFn"),
+        (lambda: plap_pairing(DU, W), "PiecewiseLinearFn"),
+        (lambda: plap_pairing(U, derivative(W)), "PiecewiseLinearFn"),
+        (lambda: equilibrium_gap(DU, W), "PiecewiseLinearFn"),
+        (lambda: monotone_gap_check(U, derivative(W)), "PiecewiseLinearFn"),
+        (lambda: lin_comb(1, DU, 1, W), "PiecewiseLinearFn"),
+        (lambda: lin_comb(1, U, 1, derivative(W)), "PiecewiseLinearFn"),
+        (lambda: abs_pow_integral(DU, 3), "PiecewiseLinearFn"),
+        (lambda: pow_norm(U, 3), "PiecewiseConstFn"),
+        (lambda: common_refinement(U, derivative(W)), "PiecewiseConstFn"),
+        (lambda: common_refinement(DU, W), "PiecewiseConstFn"),
+    ], ids=["derivative", "pairing-first", "pairing-second", "equilibrium-gap",
+            "monotone-gap", "lin-comb-first", "lin-comb-second", "abs-pow-integral",
+            "pow-norm", "refinement-first", "refinement-second"])
+    def test_the_other_class_is_a_type_error(self, call, want):
+        # each of these once returned a number or a function: pow_norm(sawtooth(1), 3)
+        # read the slopes and gave 45, where the integral of |u|^3 is 1/8
+        got = "PiecewiseConstFn" if want == "PiecewiseLinearFn" else "PiecewiseLinearFn"
+        with pytest.raises(TypeError, match=f"^expected a {want}, got {got}$"):
+            call()
+
+
+# every integer argument of the library, with its name and its range as the message says
+INTEGER_ARGUMENTS = [
+    (sawtooth, "index k", ">= 1"),
+    (L2SeqVector, "index", ">= 1"),
+    (lambda x: pairing_sequence(sawtooth, None, x), "k_max", ">= 8"),
+    (lambda x: weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], x),
+     "k_max", ">= 1"),
+    (lambda x: pow_norm(DU, x), "p", ">= 1"),
+    (lambda x: abs_pow_integral(U, x), "p", ">= 1"),
+    (dyadic_indicators, "dyadic level", f"in 1..{MAX_DYADIC_LEVEL}"),
+    (PolynomialTest.monomial, "degree", f"in 0..{MAX_POLY_DEGREE}"),
+    (GalerkinOperator, "dimension", ">= 1"),
+    (assemble_vi, "dimension", ">= 1"),
+    (lambda x: assemble_vi(2, max_iter=x), "max_iter", ">= 1"),
+]
+
+
+class TestIntegerArguments:
+    """One rule for every integer argument: an int itself, in range, else a ValueError echoing it."""
+
+    @pytest.mark.parametrize("bad", [Three.THREE, True, 3.0, "3", None, -9],
+                             ids=["intenum", "bool", "float", "text", "none", "negative"])
+    @pytest.mark.parametrize("call, name, bound", INTEGER_ARGUMENTS, ids=[
+        f"{i}-{name.replace(' ', '-')}" for i, (_, name, _) in enumerate(INTEGER_ARGUMENTS)])
+    def test_rejected_with_the_value_echoed(self, call, name, bound, bad):
+        # 3 is in every range but k_max's, so only the type rejects the IntEnum member
+        want = f"^{re.escape(name)} must be an integer {re.escape(bound)}, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=want):
+            call(bad)
+
+    @pytest.mark.parametrize("call, name, top", [
+        (dyadic_indicators, "dyadic level", MAX_DYADIC_LEVEL),
+        (PolynomialTest.monomial, "degree", MAX_POLY_DEGREE),
+    ])
+    def test_above_the_top_of_a_range(self, call, name, top):
+        assert call(top)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in .*, got {top + 1}$"):
+            call(top + 1)

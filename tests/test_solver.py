@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
@@ -38,6 +39,7 @@ from viproplab.solver import (
 
 import conftest
 from conftest import (
+    Three,
     reference_apply_exact,
     reference_ball_project,
     reference_box_project,
@@ -356,32 +358,56 @@ class TestExtragradient:
     @pytest.mark.parametrize(
         "settings_kw, reason",
         [
-            ({"eps": -1.0}, "eps must be >= 0"),
-            ({"eps": -1e-300}, "eps must be >= 0"),
-            ({"eps": math.nan}, "eps must be >= 0"),
-            ({"max_iter": -3}, "max_iter must be a positive integer"),
-            ({"max_iter": 0}, "max_iter must be a positive integer"),
-            ({"max_iter": 2.0}, "max_iter must be a positive integer"),
-            ({"max_iter": True}, "max_iter must be a positive integer"),
+            ({"eps": -1.0}, "eps must be >= 0, got -1.0"),
+            ({"eps": -1e-300}, "eps must be >= 0, got -1e-300"),
+            ({"eps": math.nan}, "not a finite number: nan"),
+            ({"max_iter": -3}, "max_iter must be an integer >= 1, got -3"),
+            ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+            ({"max_iter": 2.0}, "max_iter must be an integer >= 1, got 2.0"),
+            ({"max_iter": True}, "max_iter must be an integer >= 1, got True"),
+            ({"max_iter": Three.THREE}, "max_iter must be an integer >= 1, got <Three.THREE: 3>"),
         ],
         ids=["negative-eps", "tiny-negative-eps", "nan-eps", "negative-max-iter",
-             "zero-max-iter", "float-max-iter", "boolean-max-iter"],
+             "zero-max-iter", "float-max-iter", "boolean-max-iter", "intenum-max-iter"],
     )
     def test_assemble_rejects_bad_settings(self, settings_kw, reason):
-        with pytest.raises(ValueError, match=reason):
+        # the whole message, the bad value echoed
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
             assemble_vi(2, **settings_kw)
 
     def test_assemble_rejects_dimension_zero(self):
-        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        with pytest.raises(ValueError, match="^dimension must be an integer >= 1, got 0$"):
             assemble_vi(0)
 
-    @pytest.mark.parametrize("n", [-1, 2.0, True, "3", None])
+    @pytest.mark.parametrize("n", [-1, 2.0, True, "3", None, pytest.param(Three.THREE, id="intenum")])
     @pytest.mark.parametrize("build", [assemble_vi, GalerkinOperator], ids=["assemble", "operator"])
     def test_dimension_is_checked_before_anything_is_built(self, build, n):
         # -1 once failed in numpy building the default box, 2.0 and True there or
         # in np.zeros, and "3" in a comparison: each now names the dimension
-        with pytest.raises(ValueError, match="^dimension must be"):
+        want = f"^dimension must be an integer >= 1, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=want):
             build(n)
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "not a number: True"),
+        (None, "not a number: None"),
+        (math.inf, "not a finite number: inf"),
+        ("1/0", "zero denominator: '1/0'"),
+        ("1e400", "not a finite number: '1e400'"),
+    ], ids=["bool", "none", "inf", "zero-denominator", "huge-text"])
+    @pytest.mark.parametrize("build", [
+        lambda v: assemble_vi(2, eps=v), lambda v: Ball(np.zeros(2), v),
+    ], ids=["eps", "radius"])
+    def test_eps_and_radius_are_read_as_file_numbers(self, build, bad, message):
+        # the rule of a problem file's numbers: True and inf were accepted, None a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(bad)
+
+    def test_eps_and_radius_text_is_read_exactly(self):
+        assert assemble_vi(2, eps="1/1000").eps == _number("1/1000") == 0.001
+        assert assemble_vi(2, eps="1e-3").eps == 0.001
+        ball = Ball(np.zeros(2), "2")
+        assert type(ball.radius) is float and ball.radius == 2.0
 
     @pytest.mark.parametrize(
         "feasible",
