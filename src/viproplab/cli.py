@@ -26,6 +26,7 @@ from .piecewise import (
     MAX_POLY_DEGREE,
     PiecewiseLinearFn,
     PolynomialTest,
+    as_fraction,
     derivative,
     dyadic_indicators,
     pow_norm,
@@ -94,9 +95,9 @@ def _positive_rational(text: str) -> Fraction:
         f"numerator and denominator must have at most {limit - 2} digits, got {_echo(text)}"
     )
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        # Fraction reads digits with int(), which the same limit stops
+        value = as_fraction(text)
+    except ValueError:
+        # "p/0" included; Fraction reads digits with int(), which the same limit stops
         if limit and re.search(r"\d{%d}" % (limit - 1), text.replace("_", "")):
             raise argparse.ArgumentTypeError(too_long) from None
         raise argparse.ArgumentTypeError(f"not a rational p/q: {_echo(text)}") from None

@@ -20,7 +20,8 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from fractions import Fraction
+from typing import Optional, Sequence, Union
 
 from .piecewise import _integer, as_fraction
 
@@ -70,12 +71,9 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        # read-only copies, so a caller's later writes cannot move the set
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
-        if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails too
+        lo, hi = _vector(self.lower, "lower"), _vector(self.upper, "upper")
+        if lo.shape != hi.shape or not np.all(lo <= hi):
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
-        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -94,14 +92,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        c = np.array(self.center, dtype=float)  # a read-only copy, as in Box
+        object.__setattr__(self, "center", _vector(self.center, "center"))
         object.__setattr__(self, "radius", _number(self.radius))
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("ball center must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
@@ -147,14 +141,10 @@ class GalerkinOperator:
     def __init__(self, n: int, forcing: Optional[Sequence[float]] = None):
         self.n = _integer("dimension", n, 1)
         self.h = 1.0 / (n + 1)
-        if forcing is None:
-            self.forcing = np.zeros(n)
-        else:
-            self.forcing = np.fromiter(map(float, forcing), float)
-            if self.forcing.shape != (n,):
-                raise ValueError("forcing must have length n")
-            if not np.all(np.isfinite(self.forcing)):
-                raise ValueError("forcing must be finite")
+        self.forcing = np.zeros(n) if forcing is None else _vector(forcing, "forcing")
+        if self.forcing.shape != (n,):
+            raise ValueError("forcing must have length n")
+        self.forcing.flags.writeable = False
         # scratch buffers and their views, built once, so one call at a time:
         # x between zero boundary values, the slopes s and a = |s| s
         padded = np.zeros(n + 2)
@@ -214,16 +204,17 @@ def assemble_vi(
 ) -> DiscreteVI:
     """The VI of the Galerkin operator on a feasible set, [-1, 1]^n by default.
 
-    n and max_iter must be integers >= 1, eps a finite number >= 0 and the
-    set's vectors of shape (n,); anything else, a bool or NaN included, raises ValueError.
+    n and max_iter must be integers >= 1, eps a number >= 0 and the forcing
+    and the set's vectors of shape (n,), every number read by _number;
+    anything else, a bool or NaN included, raises ValueError.
     """
-    _integer("dimension", n, 1)  # before the default box: numpy would reject -1 or 2.0 there
+    _integer("dimension", n, 1)  # before the default box, which -1 would leave empty
     eps = _number(eps)
     if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
     _integer("max_iter", max_iter, 1)
     if feasible_set is None:
-        feasible_set = Box(-np.ones(n), np.ones(n))
+        feasible_set = Box([-1.0] * n, [1.0] * n)
     # a set of another length would broadcast against x, or fail mid-solve
     shape = (feasible_set.lower if isinstance(feasible_set, Box) else feasible_set.center).shape
     if shape != (n,):
@@ -264,8 +255,12 @@ def extragradient_solve(vi: DiscreteVI, step: float = DEFAULT_STEP) -> SolveResu
     The step is halved whenever <G(x)-G(y), x-y> exceeds ||x-y||^2/(2*step),
     which restores the contraction estimate without a Lipschitz constant.
     """
-    if not 0 < step < math.inf:  # NaN included; halving inf would never stop
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    try:  # finite by _number's rule, since halving inf would never stop
+        step = _number(step)
+        if not step > 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"step must be positive and finite, got {step!r}") from None
     G, P, sub = vi.operator, vi.feasible_set.project, np.subtract
     eps = vi.eps
     x = P(np.zeros(vi.n))
@@ -364,8 +359,9 @@ def spg_solve(vi: DiscreteVI) -> SolveResult:
 
 
 def _number(v) -> float:
-    # accept JSON numbers and exact "p/q" strings; JSON reads 1e400 as inf
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+    # the one rule for the solver's numbers: an int, a float, a Fraction or "p/q" text,
+    # and finite; a bool, None, NaN or an infinity (JSON reads 1e400 as inf) is not one
+    if isinstance(v, bool) or not isinstance(v, (int, float, Fraction, str)):
         raise ValueError(f"not a number: {v!r}")
     try:
         x = float(as_fraction(v)) if isinstance(v, str) else float(v)
@@ -384,18 +380,17 @@ def _count(v, key: str) -> int:
     return int(x)
 
 
-def _numbers(v, key: str) -> List[float]:
-    if not isinstance(v, list):
-        raise ValueError(f"{key} must be a list, got {v!r}")
-    # a finite float is already its number; anything else, bools included, goes to _number
-    return [x if type(x) is float and -math.inf < x < math.inf else _number(x) for x in v]
-
-
-def _vector(spec: dict, key: str, n: int) -> np.ndarray:
-    values = _numbers(spec[key], key)
-    if len(values) != n:
-        raise ValueError(f"{key} must have length n = {n}, got {len(values)}")
-    return np.array(values)
+def _vector(v, name: str) -> np.ndarray:
+    # a list, a tuple or a 1-D array of numbers, as a fresh read-only float array, so a
+    # caller's later writes move nothing; a finite float is already its number, and
+    # anything else, bools included, goes to _number
+    if isinstance(v, np.ndarray) and v.ndim == 1:
+        v = v.tolist()
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {v!r}")
+    x = np.array([e if type(e) is float and -math.inf < e < math.inf else _number(e) for e in v])
+    x.flags.writeable = False
+    return x
 
 
 def _known_keys(doc: dict, allowed: frozenset, required: tuple, where: str) -> None:
@@ -413,10 +408,10 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     Schema: {"n": int, "forcing": [...], "set": {"kind": "box"|"ball", ...},
     "eps": float, "max_iter": int}; numbers may be given as "p/q" strings.
     A box set has "lower" and "upper", a ball set "center" and "radius".
-    n is a positive integer up to MAX_N, max_iter a positive integer,
-    eps >= 0, vectors are lists of length n and every number is finite (a
-    boolean is not a number); anything else, a missing or unknown key
-    included, raises ValueError.
+    n is a positive integer up to MAX_N and max_iter a positive integer; the
+    other numbers and vectors are read by assemble_vi, Box and Ball, by the
+    rule of _number. Anything else, a missing or unknown key included,
+    raises ValueError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -429,7 +424,9 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
     n = _count(doc["n"], "n")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {doc['n']!r}")
-    forcing = _numbers(doc["forcing"], "forcing") if "forcing" in doc else None
+    forcing = doc.get("forcing")
+    if forcing is None and "forcing" in doc:  # null is not the default zero forcing
+        raise ValueError("forcing must be a list, got None")
     feasible: Optional[FeasibleSet] = None  # no "set": assemble_vi's default box
     if "set" in doc:
         spec = doc["set"]
@@ -438,16 +435,11 @@ def load_problem(source: Union[str, dict]) -> DiscreteVI:
         kind = spec.get("kind")
         if kind == "box":
             _known_keys(spec, BOX_KEYS, ("lower", "upper"), "box set")
-            feasible = Box(_vector(spec, "lower", n), _vector(spec, "upper", n))
+            feasible = Box(spec["lower"], spec["upper"])
         elif kind == "ball":
             _known_keys(spec, BALL_KEYS, ("center", "radius"), "ball set")
-            feasible = Ball(_vector(spec, "center", n), spec["radius"])
+            feasible = Ball(spec["center"], spec["radius"])
         else:
             raise ValueError(f"unknown feasible-set kind: {kind!r}")
-    return assemble_vi(
-        n,
-        forcing=forcing,
-        feasible_set=feasible,
-        eps=doc.get("eps", DEFAULT_EPS),
-        max_iter=_count(doc.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
-    )
+    max_iter = _count(doc.get("max_iter", DEFAULT_MAX_ITER), "max_iter")
+    return assemble_vi(n, forcing, feasible, doc.get("eps", DEFAULT_EPS), max_iter)

@@ -34,7 +34,7 @@ from viproplab.solver import (
     SPG_MIN_STEP,
     _number,
     _norm,
-    _numbers,
+    _vector,
 )
 
 import conftest
@@ -193,6 +193,33 @@ class TestProjection:
         with pytest.raises(ValueError):
             getattr(feasible, name)[0] = 5.0
 
+    @pytest.mark.parametrize("forcing", [None, [1.0, 2.0], np.ones(2)], ids=["zero", "list", "array"])
+    def test_forcing_is_read_only(self, forcing):
+        op = GalerkinOperator(2, forcing)
+        with pytest.raises(ValueError):
+            op.forcing[0] = 5.0
+        if forcing is not None:  # a fresh array, not the caller's
+            assert op.forcing is not forcing
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: Box(-1.0, 1.0), "lower"),
+            (lambda: Box(-np.ones((1, 4)), np.ones((1, 4))), "lower"),
+            (lambda: Box([-1.0] * 4, np.ones((1, 4))), "upper"),
+            (lambda: Ball(0.0, 1.0), "center"),
+            (lambda: Ball(np.zeros((1, 4)), 1.0), "center"),
+            (lambda: GalerkinOperator(4, np.ones((1, 4))), "forcing"),
+            (lambda: GalerkinOperator(4, {0: 1.0}), "forcing"),
+        ],
+        ids=["box-scalar", "box-row", "box-row-upper", "ball-scalar", "ball-row", "forcing-row",
+             "forcing-dict"],
+    )
+    def test_a_non_list_vector_fails_where_built(self, make, name):
+        # a scalar or a row once built and only failed assemble_vi's shape check
+        with pytest.raises(ValueError, match=f"^{name} must be a list, got "):
+            make()
+
     def test_eq_and_hash_do_not_raise(self):
         sets = [Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0)]
         for s in sets:
@@ -203,22 +230,19 @@ class TestProjection:
 
 class TestOperator:
     @pytest.mark.parametrize(
-        "forcing",
-        [[1, "2.5", F(1, 3), True], (0.5, -0.0, 7, False), np.arange(4)],
+        "forcing, want",
+        [
+            ([1, "2.5", F(1, 3), "-1/2"], [1.0, 2.5, 1 / 3, -0.5]),
+            ((0.5, -0.0, 7, 5e-324), [0.5, -0.0, 7.0, 5e-324]),
+            (np.arange(4), [0.0, 1.0, 2.0, 3.0]),
+        ],
         ids=["mixed", "tuple", "array"],
     )
-    def test_forcing_entries_are_their_floats(self, forcing):
+    def test_forcing_entries_are_their_floats(self, forcing, want):
+        # booleans, which float() read as 1.0 and 0.0, are no longer entries
         op = GalerkinOperator(4, forcing)
         assert op.forcing.dtype == float
-        assert op.forcing.tobytes() == np.array([float(f) for f in forcing]).tobytes()
-
-    @pytest.mark.parametrize("bad", [None, "x", "1/2", [1.0], 1j])
-    def test_a_forcing_entry_fails_as_float_does(self, bad):
-        with pytest.raises((TypeError, ValueError)) as want:
-            float(bad)
-        with pytest.raises(type(want.value)) as got:
-            GalerkinOperator(2, [1.0, bad])
-        assert str(got.value) == str(want.value)
+        assert op.forcing.tobytes() == np.array(want).tobytes()
 
     def test_n1_closed_form(self):
         # single hat of height c has slopes +-2c: pairing value 8|c|c
@@ -403,6 +427,13 @@ class TestExtragradient:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(bad)
 
+    def test_fractions_are_numbers(self):
+        assert assemble_vi(2, eps=F(1, 1000)).eps == 0.001
+        assert Ball(np.zeros(2), F(1, 2)).radius == 0.5
+        assert Box([F(-1, 3)], [F(1, 3)]).upper.tobytes() == np.array([1 / 3]).tobytes()
+        with pytest.raises(ValueError, match=r"^not a finite number: Fraction\(10"):
+            assemble_vi(2, eps=F(10**400))
+
     def test_eps_and_radius_text_is_read_exactly(self):
         assert assemble_vi(2, eps="1/1000").eps == _number("1/1000") == 0.001
         assert assemble_vi(2, eps="1e-3").eps == 0.001
@@ -414,13 +445,10 @@ class TestExtragradient:
         [
             Box(-np.ones(1), np.ones(1)),
             Box(-np.ones(3), np.ones(3)),
-            Box(-1.0, 1.0),
-            Box(-np.ones((1, 4)), np.ones((1, 4))),
             Ball(np.zeros(1), 1.0),
             Ball(np.zeros(5), 1.0),
         ],
-        ids=["box-length-1", "box-length-3", "box-scalar", "box-row", "ball-length-1",
-             "ball-length-5"],
+        ids=["box-length-1", "box-length-3", "ball-length-1", "ball-length-5"],
     )
     def test_assemble_rejects_a_set_of_another_shape(self, feasible):
         # without the check a length-1 set broadcasts and "converges" to another
@@ -428,10 +456,10 @@ class TestExtragradient:
         with pytest.raises(ValueError, match=r"shape \(4,\)"):
             assemble_vi(4, forcing=[1.0] * 4, feasible_set=feasible)
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, True, None, "1/0", "-1/2"])
     def test_step_must_be_positive_and_finite(self, step):
         # halving an infinite step leaves it infinite, so backtracking would never
-        # end, and a NaN step would run on NaN iterates
+        # end, and a NaN step would run on NaN iterates; True once ran as 1.0
         with pytest.raises(ValueError, match="step must be positive and finite"):
             extragradient_solve(assemble_vi(8, forcing=[2.0] * 8), step=step)
 
@@ -1042,7 +1070,7 @@ class TestProblemIO:
                            "set": {"kind": "ball", "center": values, "radius": 1}})
         assert vi.operator.forcing.tobytes() == want
         assert vi.feasible_set.center.tobytes() == want
-        assert all(type(v) is float for v in _numbers(values, "forcing"))
+        assert _vector(values, "forcing").tobytes() == want
 
     @pytest.mark.parametrize("bad, message", [
         (math.nan, "not a finite number: nan"),
@@ -1081,3 +1109,73 @@ class TestProblemIO:
         path.write_text('{"n": 1, "forcing": [1], "eps": 1e400}')
         with pytest.raises(ValueError):
             load_problem(str(path))
+
+
+# entries of a solver number, and entries that are none
+GOOD_ENTRIES = [3, -0.0, 5e-324, "1/3", F(1, 3)]
+BAD_ENTRIES = [True, None, math.nan, math.inf, -math.inf, "1/0", "x", 1j, [1.0]]
+
+# each number a problem file holds: the file with the entry v there, the library
+# call that takes the same entry, and where the loaded problem keeps it
+FILE_SLOTS = {
+    "forcing": (lambda v: {"n": 2, "forcing": [1.0, v]},
+                lambda v: GalerkinOperator(2, [1.0, v]).forcing,
+                lambda vi: vi.operator.forcing),
+    "lower": (lambda v: {"n": 2, "set": {"kind": "box", "lower": [-1, v], "upper": [1, 4]}},
+              lambda v: Box([-1, v], [1, 4]).lower,
+              lambda vi: vi.feasible_set.lower),
+    "upper": (lambda v: {"n": 2, "set": {"kind": "box", "lower": [-1, -1], "upper": [1, v]}},
+              lambda v: Box([-1, -1], [1, v]).upper,
+              lambda vi: vi.feasible_set.upper),
+    "center": (lambda v: {"n": 2, "set": {"kind": "ball", "center": [0, v], "radius": 1}},
+               lambda v: Ball([0, v], 1).center,
+               lambda vi: vi.feasible_set.center),
+    "radius": (lambda v: {"n": 2, "set": {"kind": "ball", "center": [0, 0], "radius": v}},
+               lambda v: Ball([0, 0], v).radius,
+               lambda vi: vi.feasible_set.radius),
+    "eps": (lambda v: {"n": 2, "eps": v},
+            lambda v: assemble_vi(2, eps=v).eps,
+            lambda vi: vi.eps),
+}
+
+
+def outcome(call):
+    """("ok", what call returns), or the name and message of what it raises."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # a TypeError where the other side says ValueError disagrees too
+        return type(exc).__name__, str(exc)
+
+
+class TestOneNumberRule:
+    @pytest.mark.parametrize(
+        "entry, good",
+        [(v, True) for v in GOOD_ENTRIES] + [(v, False) for v in BAD_ENTRIES],
+        ids=[repr(v) for v in GOOD_ENTRIES + BAD_ENTRIES],
+    )
+    @pytest.mark.parametrize("slot", [*FILE_SLOTS, "step"])
+    def test_file_and_library_read_alike(self, slot, entry, good):
+        # a library call once read True as 1.0, inf as a bound and "1/2" not at all,
+        # where a problem file rejected the first two and read the third exactly
+        if slot == "step":
+            # no file holds a step: it reads an entry as a file's eps does, must be
+            # positive, and says so in its own words
+            vi = assemble_vi(2, forcing=[1.0, 1.0], max_iter=20)
+            kind, eps = outcome(lambda: load_problem({"n": 2, "eps": entry}).eps)
+            if kind == "ok" and eps > 0:
+                want = outcome(lambda: extragradient_solve(vi, step=eps).x)
+            else:
+                want = "ValueError", f"step must be positive and finite, got {entry!r}"
+            got = outcome(lambda: extragradient_solve(vi, step=entry).x)
+        else:
+            doc, library, kept = FILE_SLOTS[slot]
+            want = outcome(lambda: kept(load_problem(doc(entry))))
+            got = outcome(lambda: library(entry))
+        if got[0] == want[0] == "ok":
+            assert type(got[1]) is type(want[1])
+            assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
+        else:
+            assert got == want
+        # a radius and a step must also be positive, so -0.0 is no radius or step
+        accepted = good and not (slot in ("radius", "step") and entry == 0)
+        assert got[0] == ("ok" if accepted else "ValueError")
