@@ -86,6 +86,27 @@ def _frac_pair(q: Fraction) -> list:
     return [str(q.numerator), str(q.denominator)]
 
 
+def _pairings(seq: FunctionSequence, y: Optional[PiecewiseLinearFn], ks: range) -> List[Fraction]:
+    """<F(x_k), x_k - y> exactly for each k in ks; y = None is the zero element, the
+    one y a unit-vector sequence pairs with, under the identity."""
+    y_fn = PiecewiseLinearFn.zero() if y is None else y
+    values = []
+    for k in ks:
+        x_k = seq(k)
+        if isinstance(x_k, L2SeqVector):
+            if y is not None:
+                raise TypeError("unit-vector sequences pair only with y = None")
+            values.append(l2_pairing(x_k, x_k))
+        else:
+            values.append(equilibrium_gap(x_k, y_fn))
+    return values
+
+
+def _limit(tail: List[Fraction]) -> Optional[Fraction]:
+    """The one limit rule: the common value of the tail, else None."""
+    return tail[0] if tail.count(tail[0]) == len(tail) else None
+
+
 def pairing_sequence(
     seq: FunctionSequence,
     y: Optional[PiecewiseLinearFn],
@@ -98,19 +119,8 @@ def pairing_sequence(
     k_max // 2 values when they are all equal, and None otherwise.
     """
     _integer("k_max", k_max, MIN_K_MAX)
-    tail_window = k_max // 2
-    y_fn = PiecewiseLinearFn.zero() if y is None else y
-    values: List[Fraction] = []
-    for k in range(1, k_max + 1):
-        x_k = seq(k)
-        if isinstance(x_k, L2SeqVector):
-            if y is not None:
-                raise TypeError("unit-vector sequences pair only with y = None")
-            values.append(l2_pairing(x_k, x_k))
-        else:
-            values.append(equilibrium_gap(x_k, y_fn))
-    tail = values[-tail_window:]
-    return PairingSequenceReport(values, tail[0] if tail.count(tail[0]) == tail_window else None)
+    values = _pairings(seq, y, range(1, k_max + 1))
+    return PairingSequenceReport(values, _limit(values[-(k_max // 2):]))
 
 
 @dataclass
@@ -168,12 +178,12 @@ def ky_fan_violation_certificate(
     """Check whether x -> <F(x), x - y> fails to be lower semicontinuous
     along the given sequence (whose weak limit is asserted externally).
 
-    Established means: the pairing sequence has a detected limit L and the
-    gap at the limit point strictly exceeds L, with exact margin.
+    Established means: the pairings at k = k_max - k_max // 2 + 1..k_max, the only
+    k evaluated, share a value L that the gap at the limit exceeds, by an exact margin.
     """
-    report = pairing_sequence(seq, y, k_max)
-    tail = report.limit_candidate
-    witness = {"y": y, "k_window": report.k_window, "tail_constant": tail}
+    lo = _integer("k_max", k_max, MIN_K_MAX) - k_max // 2 + 1
+    tail = _limit(_pairings(seq, y, range(lo, k_max + 1)))
+    witness = {"y": y, "k_window": [lo, k_max], "tail_constant": tail}
     margin = None
     if tail is not None:
         gap_at_limit = equilibrium_gap(limit, y)
@@ -189,13 +199,13 @@ def pseudomonotone_premise_audit(
 ) -> Certificate:
     """Audit the limsup premise <F(x_k), x_k - x> <= 0 along a sequence.
 
-    Established means the premise FAILS: the detected tail constant is
-    strictly positive, so the pseudomonotonicity implication is vacuous
-    along this sequence.
+    Established means the premise FAILS: the pairings share one value on the
+    same window as the Ky-Fan certificate's, and it is strictly positive, so
+    the pseudomonotonicity implication is vacuous along this sequence.
     """
-    report = pairing_sequence(seq, limit, k_max)
-    tail = report.limit_candidate
-    witness = {"k_window": report.k_window, "tail_constant": tail}
+    lo = _integer("k_max", k_max, MIN_K_MAX) - k_max // 2 + 1
+    tail = _limit(_pairings(seq, limit, range(lo, k_max + 1)))
+    witness = {"k_window": [lo, k_max], "tail_constant": tail}
     return _tail_certificate(PROP_PREMISE_FAILS, tail, witness)
 
 

@@ -101,22 +101,22 @@ def _over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple:
     return den, tuple([x * (den // y) for x, y in zip(nums, dens)])
 
 
-def _rational_sum(pairs: Iterable[tuple], power: int = 1, den: int = 1) -> Fraction:
-    """(Σ num/key**power) / den, reduced, over integer pairs (num, key); keys and den are > 0.
+def _rational_sum(pairs: Iterable[tuple], power: int = 1, den: int = 1) -> tuple:
+    """(Σ num/key**power) / den, an unreduced pair over integer pairs (num, key); keys and den are > 0.
 
     Neighbours are added level by level as a balanced tree, the odd last
     pair of a level moving up as it is.  A node takes one gcd, of its two
     keys alone: with g = gcd(ka, kb), na/ka**p + nb/kb**p is
     (na (kb/g)**p + nb (ka/g)**p) / ((ka/g) kb)**p, again a pair over a
-    key.  Keys are denominators of the data; no numerator is reduced
-    on the way up, and one ``Fraction``, over key**p * den, is
-    normalised at the root.  A sequential sum would carry the running
-    denominator, of up to thousands of bits, through every addition; the
-    tree keeps most additions on small operands.
+    key.  Keys are denominators of the data; no numerator is reduced, and
+    the root pair (num, key**p * den) is normalised once, by the caller's
+    constructor.  A sequential sum would carry the running denominator,
+    of up to thousands of bits, through every addition; the tree keeps
+    most additions on small operands.  The empty sum is (0, 1).
     """
     level = [*pairs]
     if not level:
-        return Fraction(0)
+        return 0, 1
     while len(level) > 1:
         up = []
         it = iter(level)
@@ -131,7 +131,7 @@ def _rational_sum(pairs: Iterable[tuple], power: int = 1, den: int = 1) -> Fract
             up.append(level[-1])
         level = up
     num, key = level[0]
-    return Fraction(num, key**power * den)
+    return num, key**power * den
 
 
 def _pairs(xs: Iterable[RationalLike]) -> tuple:
@@ -290,7 +290,7 @@ class PiecewiseLinearFn(_GridFn):
         x, y = t.numerator, t.denominator
         pairs = [(pj * (b - a), qj) for pj, qj, a, b in zip(p[:i], q, n, n[1:])]
         pairs.append((p[i] * (x * d - n[i] * y), q[i] * y))
-        return _rational_sum(pairs, den=d)
+        return Fraction(*_rational_sum(pairs, den=d))
 
     def __repr__(self):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
@@ -453,7 +453,7 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     sums: dict = {}
     for c, q, a, b in zip(num, den, n, n[1:]):
         sums[q] = sums.get(q, 0) + abs(c) ** p * (b - a)
-    return ExactReal(_rational_sum([(x, q) for q, x in sums.items()], p, d))
+    return ExactReal(*_rational_sum([(x, q) for q, x in sums.items()], p, d))
 
 
 def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
@@ -472,7 +472,7 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     for i, j, width, _ in _merge(du, nu, dw, nw):
         key = q[i] * s[j]
         sums[key] = sums.get(key, 0) + term(p[i] * s[j], r[j] * q[i]) * width
-    return ExactReal(_rational_sum([(num, key) for key, num in sums.items()], 3, lcm(du, dw)))
+    return ExactReal(*_rational_sum([(num, key) for key, num in sums.items()], 3, lcm(du, dw)))
 
 
 def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> Fraction:
@@ -621,4 +621,4 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
             terms.append((num // r, den // r))
         else:
             terms.append(((p + 1) * (x1 - x0) * abs(a0) ** p, d * b0**p))
-    return ExactReal(_rational_sum(terms, den=p + 1))
+    return ExactReal(*_rational_sum(terms, den=p + 1))

@@ -228,8 +228,8 @@ def assemble_vi(
 
 
 def residual(vi: DiscreteVI, x: np.ndarray) -> float:
-    """Natural-map residual ||x - P_A(x - G(x))||; zero exactly at solutions."""
-    x = np.asarray(x, dtype=float)
+    """Natural-map residual ||x - P_A(x - G(x))||, zero exactly at solutions; x is read like the forcing."""
+    x = _vector(x, "x")
     return _norm(x - vi.feasible_set.project(x - vi.operator(x)))
 
 

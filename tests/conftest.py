@@ -16,6 +16,13 @@ from viproplab import (
     SolveResult,
     plap_pairing,
 )
+from viproplab.certificates import (
+    PROP_KY_FAN_VIOLATION,
+    PROP_PREMISE_FAILS,
+    _tail_certificate,
+    equilibrium_gap,
+    pairing_sequence,
+)
 from viproplab.solver import (
     BACKTRACK_FACTOR,
     DEFAULT_STEP,
@@ -249,6 +256,29 @@ def reference_test_integral(f, phi):
     for i, ci in enumerate(c):
         total += ci * (t[i + 1] ** (d + 1) - t[i] ** (d + 1)) / (d + 1)
     return total
+
+
+def reference_ky_fan_violation_certificate(seq, limit, y, k_max):
+    """Test-only reference for ky_fan_violation_certificate: the pairing report of
+    every k = 1..k_max, judged on its last k_max // 2 values."""
+    report = pairing_sequence(seq, y, k_max)
+    tail = report.limit_candidate
+    witness = {"y": y, "k_window": report.k_window, "tail_constant": tail}
+    margin = None
+    if tail is not None:
+        gap_at_limit = equilibrium_gap(limit, y)
+        margin = gap_at_limit - tail
+        witness.update(gap_at_limit=gap_at_limit, margin=margin)
+    return _tail_certificate(PROP_KY_FAN_VIOLATION, margin, witness)
+
+
+def reference_pseudomonotone_premise_audit(seq, limit, k_max):
+    """Test-only reference for pseudomonotone_premise_audit, on the pairing report of
+    every k = 1..k_max."""
+    report = pairing_sequence(seq, limit, k_max)
+    tail = report.limit_candidate
+    witness = {"k_window": report.k_window, "tail_constant": tail}
+    return _tail_certificate(PROP_PREMISE_FAILS, tail, witness)
 
 
 def reference_operator(op, x):

@@ -4,7 +4,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viproplab import (
@@ -28,7 +28,11 @@ from viproplab import (
 )
 from viproplab.piecewise import MAX_POLY_DEGREE
 
-from conftest import random_pw_linear
+from conftest import (
+    random_pw_linear,
+    reference_ky_fan_violation_certificate,
+    reference_pseudomonotone_premise_audit,
+)
 
 F = Fraction
 ZERO = PiecewiseLinearFn.zero()
@@ -220,6 +224,74 @@ class TestL2UnitLimit:
             l2_unit_limit(9).witness["k_window"],
         ]
         assert windows == [[6, 9]] * 3
+
+
+def outcome(certify, *args):
+    """A certificate's verdict, witness and JSON text, or the error it raised."""
+    try:
+        cert = certify(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return cert.verdict, cert.witness, json.dumps(cert.to_json_dict(), indent=2)
+
+
+class TestTailWindow:
+    """The tail certificates evaluate k = k_max - k_max // 2 + 1..k_max only, and
+    judge it as the pairing report of every k = 1..k_max did (conftest's references)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(8, 80), st.fractions(F(1, 8), 40, max_denominator=60),
+           st.integers(0, 81),
+           st.sampled_from(["sawtooth", "head-then-constant", "converging", "unit-vectors"]))
+    @example(9, F(31, 2), 0, "sawtooth")
+    @example(80, F(16), 40, "head-then-constant")  # the head ends where the window 41..80 starts
+    @example(80, F(16), 41, "head-then-constant")  # one hat inside the window
+    @example(8, F(1), 81, "head-then-constant")
+    @example(79, F(3), 0, "unit-vectors")
+    @example(80, F(3), 0, "converging")
+    def test_certificates_match_the_whole_sequence_references(self, k_max, alpha, cut, kind):
+        y, limit = scaled_hat(alpha), ZERO
+        if kind == "sawtooth":
+            seq = sawtooth
+        elif kind == "head-then-constant":
+            # hats up to index cut, then the constant 45 - 3 alpha of one sawtooth
+            seq = lambda k: scaled_hat(k) if k <= cut else sawtooth(3)
+        elif kind == "converging":
+            seq, limit = CONVERGING, scaled_hat(1)
+        else:
+            seq, limit, y = L2SeqVector, None, None
+        assert outcome(pseudomonotone_premise_audit, seq, y, k_max) == outcome(
+            reference_pseudomonotone_premise_audit, seq, y, k_max)
+        # against y = None, Ky-Fan fails alike on the gap at the limit point
+        assert outcome(ky_fan_violation_certificate, seq, limit, y, k_max) == outcome(
+            reference_ky_fan_violation_certificate, seq, limit, y, k_max)
+
+    @pytest.mark.parametrize("k_max, window", [(8, [5, 8]), (9, [6, 9]), (64, [33, 64])])
+    def test_only_the_window_is_evaluated(self, k_max, window):
+        for certify in (lambda seq: pseudomonotone_premise_audit(seq, ZERO, k_max),
+                        lambda seq: ky_fan_violation_certificate(seq, ZERO, scaled_hat(16), k_max)):
+            seen = []
+            cert = certify(lambda k: seen.append(k) or sawtooth(k))
+            assert seen == list(range(window[0], window[1] + 1))
+            assert cert.witness["k_window"] == window and cert.verdict == "established"
+
+    def test_a_head_outside_the_window_is_not_evaluated(self):
+        # pairing_sequence, the references' path, fails on k = 1; the window 5..8 never reaches it
+        def seq(k):
+            if k == 1:
+                raise ZeroDivisionError("head evaluated")
+            return sawtooth(k)
+
+        assert pseudomonotone_premise_audit(seq, ZERO, 8).witness["tail_constant"] == 45
+        with pytest.raises(ZeroDivisionError):
+            pairing_sequence(seq, ZERO, 8)
+
+    @pytest.mark.parametrize("k_max", [7, 8.0, True, "8"])
+    def test_k_max_is_checked_before_any_pairing(self, k_max):
+        for certify in (lambda: pseudomonotone_premise_audit(sawtooth, ZERO, k_max),
+                        lambda: ky_fan_violation_certificate(sawtooth, ZERO, ZERO, k_max)):
+            with pytest.raises(ValueError, match="^k_max must be an integer >= 8, got "):
+                certify()
 
 
 # (sequence, weak limit, direction y, k_max): pairing reports, one per tail kind

@@ -165,6 +165,25 @@ class TestCertify:
         out = tmp_path / "c.json"
         assert main(["certify", "--alpha", "16", "--out", str(out)]) == EXIT_INCONCLUSIVE
 
+    # each tail certificate pairs only its window, the last K // 2 indices, and Ky-Fan
+    # adds the gap at the limit point
+    @pytest.mark.parametrize("kmax, calls", [(8, 9), (9, 9), (64, 65)])
+    def test_equilibrium_gap_calls(self, kmax, calls, monkeypatch, capsys):
+        import viproplab.certificates as certs_mod
+
+        counted = []
+        real = certs_mod.equilibrium_gap
+
+        def counting(*args):
+            counted.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certs_mod, "equilibrium_gap", counting)
+        monkeypatch.setattr(certs_mod, "pairing_sequence", None)  # certify never calls it
+        assert main(["certify", "--kmax", str(kmax)]) == EXIT_OK
+        assert len(counted) == 2 * (kmax // 2) + 1 == calls
+        assert json.loads(capsys.readouterr().out)["premise_audit"]["verdict"] == "established"
+
     # SHA-256 of stdout before the pairings shared one union-grid sum and pow_norm the integer view
     @pytest.mark.parametrize(
         "argv, code, digest",

@@ -160,15 +160,25 @@ rational_pairs_st = st.lists(st.tuples(
 ), max_size=40)
 
 
+def assert_reduced(x, cls=ExactReal):
+    """x is a ``cls`` in lowest terms with a positive denominator."""
+    assert type(x) is cls
+    assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
 class TestRationalSum:
-    """_rational_sum against the sequential Fraction sum."""
+    """_rational_sum's root pair against the sequential Fraction sum.
+
+    The pair is unreduced; each caller normalises it in one constructor, so
+    the reduced form is asserted on every caller's result below.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(rational_pairs_st)
     def test_matches_fraction_sum(self, pairs):
-        got = _rational_sum(pairs)
-        assert type(got) is Fraction and got == sum(starmap(Fraction, pairs), Fraction(0))
-        assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+        num, den = _rational_sum(pairs)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == sum(starmap(Fraction, pairs), Fraction(0))
 
     @pytest.mark.parametrize("pairs, want", [
         ([], F(0)),
@@ -180,7 +190,13 @@ class TestRationalSum:
     ], ids=["empty", "one", "zero", "three", "five", "seven"])
     def test_small_sums(self, pairs, want):
         got = _rational_sum(pairs)
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got[1] > 0 and Fraction(*got) == want
+
+    def test_root_pair_is_not_reduced(self):
+        # the one normalisation is the caller's, so the root keeps its common factors
+        assert _rational_sum([]) == (0, 1)
+        assert _rational_sum([(-4, 6)]) == (-4, 6)
+        assert _rational_sum([(1, 2), (1, 2)], 3, 5) == (2, 40)
 
     # keys share primes, so most nodes of the tree take the g > 1 branch
     @settings(max_examples=300, deadline=None)
@@ -189,15 +205,38 @@ class TestRationalSum:
     def test_powers_match_fraction_sum(self, pairs, power, den):
         got = _rational_sum(pairs, power, den)
         want = sum((Fraction(n, k**power) for n, k in pairs), Fraction(0)) / den
-        assert type(got) is Fraction and got == want
-        assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+        assert type(got[0]) is int and type(got[1]) is int and got[1] > 0
+        assert Fraction(*got) == want
+
+    # every caller of the tree sum builds its result once, reduced, from the root pair
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 40), st.integers(1, 5),
+           st.fractions(0, 1, max_denominator=10**6))
+    def test_every_caller_returns_a_reduced_result(self, r, interior, p, t):
+        u, w = random_wide_pw_linear(r, interior), random_pw_linear(r)
+        for x in (pow_norm(derivative(u), p), plap_pairing(u, w), plap_pairing(w, u),
+                  equilibrium_gap(u, w), monotone_gap_check(u, w), abs_pow_integral(u, p),
+                  abs_pow_integral(w, p)):
+            assert_reduced(x)
+        assert_reduced(u(t), Fraction)
+        assert_reduced(w(t), Fraction)
+        assert u(t) == reference_evaluate(u.breakpoints, u.values, t)
+
+    def test_callers_on_the_zero_function(self):
+        z = PiecewiseLinearFn.zero()
+        for x in (pow_norm(derivative(z), 3), plap_pairing(z, z), equilibrium_gap(z, z),
+                  monotone_gap_check(z, z), abs_pow_integral(z, 2)):
+            assert_reduced(x)
+            assert (x.numerator, x.denominator) == (0, 1)
+        assert_reduced(z(F(1, 3)), Fraction)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 64), st.integers(1, 5))
     def test_pow_norm_on_unrelated_denominators(self, r, interior, p):
         f = derivative(random_wide_pw_linear(r, interior))
         got = pow_norm(f, p)
-        assert got == reference_pow_norm(f, p) and math.gcd(got.numerator, got.denominator) == 1
+        assert got == reference_pow_norm(f, p)
+        assert_reduced(got)
 
     def test_pow_norm_at_1024_breakpoints(self):
         f = derivative(random_wide_pw_linear(random.Random(1024), 1022))
@@ -218,14 +257,20 @@ class TestRationalSum:
             return PiecewiseLinearFn((F(0), *bps, F(1)), (F(0), *vals, F(0)))
 
         u, w = fn(0), fn(5)
-        assert plap_pairing(u, w) == reference_sum(u, w, lambda c, d: abs(c) * c * d)
-        assert monotone_gap_check(u, w) == reference_sum(
-            u, w, lambda c, d: (abs(c) * c - abs(d) * d) * (c - d))
+        pairing, gap = plap_pairing(u, w), monotone_gap_check(u, w)
+        assert pairing == reference_sum(u, w, lambda c, d: abs(c) * c * d)
+        assert gap == reference_sum(u, w, lambda c, d: (abs(c) * c - abs(d) * d) * (c - d))
+        assert_reduced(pairing)
+        assert_reduced(gap)
         for p in (1, 3):
-            assert pow_norm(derivative(u), p) == reference_pow_norm(derivative(u), p)
-            assert abs_pow_integral(w, p) == reference_abs_pow_integral(w, p)
+            norm, integral = pow_norm(derivative(u), p), abs_pow_integral(w, p)
+            assert norm == reference_pow_norm(derivative(u), p)
+            assert integral == reference_abs_pow_integral(w, p)
+            assert_reduced(norm)
+            assert_reduced(integral)
         t = u.breakpoints[7] + F(1, 10**13)
         assert u(t) == reference_evaluate(u.breakpoints, u.values, t)
+        assert_reduced(u(t), Fraction)
 
 
 class TestDerivative:

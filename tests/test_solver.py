@@ -951,6 +951,31 @@ class TestResidual:
         vi = assemble_vi(3, forcing=[1.0, 1.0, 1.0])
         assert residual(vi, np.zeros(3)) > 0
 
+    # the point is read by the solver's number rule, as a problem file's vectors are
+    @pytest.mark.parametrize("x, message", [
+        ([True, False], "not a number: True"),
+        ([0, None], "not a number: None"),
+        ([math.nan, 0], "not a finite number: nan"),
+        ([0, -math.inf], "not a finite number: -inf"),
+        (np.array([1.0, math.inf]), "not a finite number: inf"),
+        (np.zeros((1, 2)), "x must be a list"),
+        (0.5, "x must be a list"),
+    ])
+    def test_point_outside_the_number_rule_is_a_value_error(self, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            residual(assemble_vi(2), x)
+
+    def test_text_entries_are_read_exactly(self):
+        vi = assemble_vi(2, forcing=[1, 2])
+        want = residual(vi, np.array([0.5, -0.25]))
+        assert residual(vi, ["1/2", "-1/4"]) == residual(vi, [Fraction(1, 2), -0.25]) == want
+        assert want > 0
+
+    @pytest.mark.parametrize("x", [[0.0], [0, 0, 0], np.zeros(3), ["1/2"]])
+    def test_a_wrong_length_still_fails(self, x):
+        with pytest.raises(ValueError, match="^x must have length n$"):
+            residual(assemble_vi(2), x)
+
     @pytest.mark.parametrize("solve", [residual, spg_solve, extragradient_solve])
     def test_finite_when_the_square_overflows(self, solve):
         # ||G(0)|| = ||(1e154, 1e154)||, whose square overflows, was inf
