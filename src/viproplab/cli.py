@@ -2,18 +2,19 @@
 
 Exit codes are a contract: 0 success, 1 identity mismatch / certificate
 not established, 2 inconclusive detection, 3 malformed argument or problem
-file or an output file that cannot be written, 4 solver non-convergence.
+file, or output that cannot be written: an --out path (a missing
+directory, a path that is a directory) or stdout (a full device), 4 solver
+non-convergence.  Output files are written with no newline translation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import os
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
@@ -108,23 +109,24 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-@contextmanager
-def _open_out(path: str, **kwargs):
-    """Open path for writing; if that or a write fails, one stderr line and EXIT_PARSE."""
+def _write(text: str, out: Optional[str]) -> None:
+    """The CLI's one writer: text to the file out, or to stdout, flushed; on OSError EXIT_PARSE."""
     try:
-        with open(path, "w", encoding="utf-8", **kwargs) as fh:
-            yield fh
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         print(f"cannot write output file: {exc}", file=sys.stderr)
+        if not out:  # stdout keeps the bytes it could not write, and would fail on them
+            try:  # again at interpreter exit (exit 120): its descriptor goes to the null device
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+            except (OSError, ValueError):  # a stand-in stdout has no descriptor
+                pass
         raise SystemExit(EXIT_PARSE) from None
-
-
-def _write(text: str, out: Optional[str]) -> None:
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # the C escaper behind json.dumps's default ensure_ascii=True
@@ -262,17 +264,13 @@ def cmd_figure(k: int, out: str) -> int:
     """Write plot data: nodal values of u_k and step data of its derivative."""
     u = sawtooth(k)
     du = derivative(u)
-    with _open_out(f"{out}_nodes.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(u.breakpoints, u.values):
-            writer.writerow([t, v])
-    with _open_out(f"{out}_steps.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_left", "t_right", "t_mid", "value"])
-        t = du.breakpoints
-        for a, b, c in zip(t, t[1:], du.interval_values):
-            writer.writerow([a, b, (a + b) / 2, c])
+    # CSV with CRLF line ends; no str(Fraction) holds a comma or a quote, so none is quoted
+    nodes = ["t,value"] + [f"{t},{v}" for t, v in zip(u.breakpoints, u.values)]
+    _write("\r\n".join(nodes) + "\r\n", f"{out}_nodes.csv")
+    t = du.breakpoints
+    steps = ["t_left,t_right,t_mid,value"]
+    steps += [f"{a},{b},{(a + b) / 2},{c}" for a, b, c in zip(t, t[1:], du.interval_values)]
+    _write("\r\n".join(steps) + "\r\n", f"{out}_steps.csv")
     return EXIT_OK
 
 
@@ -280,13 +278,14 @@ def cmd_remark32(kmax: int) -> int:
     """Identity operator on the sequence space, paired along unit vectors."""
     report = certs.pairing_sequence(L2SeqVector, None, max(kmax, certs.MIN_K_MAX))
     cert = certs.l2_unit_limit_certificate(report)
-    for k, v in enumerate(report.values[:kmax], start=1):
-        print(f"k={k}: <F(e_k), e_k - 0> = {v}")
+    values = enumerate(report.values[:kmax], start=1)
+    lines = [f"k={k}: <F(e_k), e_k - 0> = {v}" for k, v in values]
     tail = cert.witness["tail_constant"]
     if tail is not None:
-        print(f"detected limit: {tail}")
+        lines.append(f"detected limit: {tail}")
     verdict = {"established": "limit not zero", "refuted": "limit zero"}.get(cert.verdict)
-    print(f"verdict: {verdict or cert.verdict}")
+    lines.append(f"verdict: {verdict or cert.verdict}")
+    _write("\n".join(lines) + "\n", None)
     return _verdict_exit(cert)
 
 
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per process; argparse finds sys.stdout/sys.stderr when it writes
+# one parser per process; argparse looks up stdout and stderr when it writes
 _parser = functools.cache(build_parser)
 
 

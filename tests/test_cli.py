@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -447,6 +448,78 @@ def test_unwritable_out_exit_parse(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("cannot write output file") and "Traceback" not in captured.err
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: the write fails, or the write buffers and the flush fails."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.fail_on == "write":
+            self._full()
+        return super().write(text)
+
+    def flush(self):
+        self._full()
+
+
+# every command that writes to stdout, solve on {problem}, a converging box problem
+STDOUT_COMMANDS = [
+    ["reproduce", "--kmax", "2"],
+    ["reproduce", "--kmax", "2", "--format", "csv"],
+    ["certify", "--kmax", "8"],
+    ["weak-evidence", "--kmax", "2"],
+    ["remark32", "--kmax", "2"],
+    ["solve", "{problem}"],
+]
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=" ".join)
+def test_unwritable_stdout_exit_parse(argv, fail_on, tmp_path, capsys, monkeypatch):
+    problem = tmp_path / "p.json"
+    problem.write_text('{"n": 4, "forcing": [1, 2, 3, 4]}', encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", _FullStdout(fail_on))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(problem=problem) for a in argv])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cannot write output file") and "Traceback" not in err
+
+
+# a real stdout on /dev/full: buffered (a console script's default), the small
+# documents fail at the flush and stay buffered, which the interpreter flushes
+# again at exit; reproduce --kmax 64 is larger than the buffer
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", STDOUT_COMMANDS + [["reproduce", "--kmax", "64"]], ids=" ".join
+)
+def test_full_device_stdout_exit_parse(argv, buffering, tmp_path):
+    problem = tmp_path / "p.json"
+    problem.write_text('{"n": 4, "forcing": [1, 2, 3, 4]}', encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "viproplab.cli"] + [a.format(problem=problem) for a in argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("cannot write output file")
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 # solve inputs near the largest float: x - G(0) overflows inside a ball of

@@ -131,6 +131,16 @@ class TestInvariants:
         with pytest.raises(ValueError):
             PiecewiseConstFn((F(0), F(1)), (F(1), F(2)))
 
+    def test_repr_pinned_and_evaluates_back(self):
+        text = repr(sawtooth(1))
+        assert text == (
+            "PiecewiseLinearFn(breakpoints=(Fraction(0, 1), Fraction(1, 6), Fraction(1, 2), "
+            "Fraction(1, 1)), values=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
+            "Fraction(0, 1)))"
+        )
+        namespace = {"Fraction": Fraction, "PiecewiseLinearFn": PiecewiseLinearFn}
+        assert eval(text, namespace) == sawtooth(1)
+
     @pytest.mark.parametrize(
         "call",
         [
