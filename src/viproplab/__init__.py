@@ -7,9 +7,10 @@ problem.
 
 from .piecewise import (
     ExactReal,
+    Indicator,
+    Monomial,
     PiecewiseConstFn,
     PiecewiseLinearFn,
-    PolynomialTest,
     abs_pow_integral,
     common_refinement,
     derivative,

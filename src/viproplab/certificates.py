@@ -2,9 +2,9 @@
 
 A certificate never claims more than it checked: a limit of an infinite
 sequence is only accepted when the computed tail is exactly constant,
-and anything else is reported as inconclusive.  Every tail verdict is
-decided on exact rationals; only the Hölder check, whose norms take cube
-roots, works in floats.  All verdicts carry concrete witness data.
+and anything else is reported as inconclusive.  Every verdict is decided
+on exact rationals; only the Hölder check's witnesses, whose norms take
+cube roots, are floats.  All verdicts carry concrete witness data.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from typing import Callable, ClassVar, Iterable, List, Optional, Union
 
 from .families import L2SeqVector, l2_pairing
 from .piecewise import (
+    Indicator,
+    Monomial,
     PiecewiseLinearFn,
-    PolynomialTest,
     _integer,
     _union_sum,
     derivative,
@@ -26,7 +27,6 @@ from .piecewise import (
 )
 
 MIN_K_MAX = 8  # shortest sequence whose tail is long enough to analyse
-HOLDER_REL_TOL = 1e-9
 
 PROP_KY_FAN_VIOLATION = "ky_fan_violation"
 PROP_PREMISE_FAILS = "pseudomonotone_premise_fails"
@@ -231,25 +231,26 @@ def holder_boundedness_check(
 ) -> Certificate:
     """Check |<F(u), w>| <= ||u'||^2 * ||w'|| in the cubic-mean norms.
 
-    The norms involve cube roots, so this check is approximate with
-    relative tolerance 1e-9; a breach would indicate an implementation
-    bug, not a property failure.
+    Decided exactly, with both sides cubed: with the pairing a/b and the
+    cubed norms c/d = ∫|u'|^3 and e/f = ∫|w'|^3 as reduced pairs, the bound
+    holds iff |a|^3 d^2 f <= c^2 e b^3, in integers.  The witnesses lhs and
+    rhs are the two sides as floats, cube roots taken.
     """
-    lhs = abs(float(plap_pairing(u, w)))
-    nu = float(pow_norm(derivative(u), 3))
-    nw = float(pow_norm(derivative(w), 3))
-    rhs = nu ** (2.0 / 3.0) * nw ** (1.0 / 3.0)
-    ok = lhs <= rhs * (1.0 + HOLDER_REL_TOL) + 1e-300
+    a, b = plap_pairing(u, w).as_integer_ratio()
+    c, d = pow_norm(derivative(u), 3).as_integer_ratio()
+    e, f = pow_norm(derivative(w), 3).as_integer_ratio()
+    ok = abs(a) ** 3 * d**2 * f <= c**2 * e * b**3
+    rhs = (c / d) ** (2.0 / 3.0) * (e / f) ** (1.0 / 3.0)
     return Certificate(
         PROP_BOUNDED_HOLDER,
         "established" if ok else "refuted",
-        witness={"lhs": lhs, "rhs": rhs},
+        witness={"lhs": abs(a / b), "rhs": rhs},
     )
 
 
 @dataclass
 class WeakConvergenceEntry:
-    phi: PolynomialTest
+    phi: Union[Monomial, Indicator]
     integrals: List[Fraction]
     bound_constant: Fraction  # smallest C with |integral_k| <= C/k on the sweep
 
@@ -294,7 +295,7 @@ class WeakConvergenceReport:
 
 def weak_convergence_evidence(
     seq: FunctionSequence,
-    test_family: Iterable[PolynomialTest],
+    test_family: Iterable[Union[Monomial, Indicator]],
     k_max: int = 64,
 ) -> WeakConvergenceReport:
     """Sweep ∫ x_k'(t) φ(t) dt exactly for every φ and k = 1..k_max.

@@ -25,8 +25,8 @@ from .families import gap_negativity_threshold, sawtooth, scaled_hat
 from .piecewise import (
     MAX_DYADIC_LEVEL,
     MAX_POLY_DEGREE,
+    Monomial,
     PiecewiseLinearFn,
-    PolynomialTest,
     as_fraction,
     derivative,
     dyadic_indicators,
@@ -56,6 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message.translate(_LINE_BREAKS)}\n")
+
+    def print_help(self, file=None):
+        # through the CLI's one writer, so a failed write exits EXIT_PARSE; argparse's
+        # own writer swallows the OSError and --help would exit 0 having written nothing
+        _write(self.format_help(), None)
 
 
 def _int_in(lo: int, hi: Optional[int] = None):
@@ -250,9 +255,7 @@ def cmd_weak_evidence(
     kmax: int, degree_max: int, indicator_level: int, out: Optional[str]
 ) -> int:
     """Exact test-integral sweep of the sawtooth derivatives."""
-    family: List[PolynomialTest] = [
-        PolynomialTest.monomial(d) for d in range(degree_max + 1)
-    ]
+    family = [Monomial(d) for d in range(degree_max + 1)]
     for level in range(1, indicator_level + 1):
         family += dyadic_indicators(level)
     report = certs.weak_convergence_evidence(sawtooth, family, kmax)

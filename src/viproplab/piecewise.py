@@ -511,67 +511,54 @@ def lin_comb(
 
 
 @dataclass(frozen=True)
-class PolynomialTest:
-    """Test function for exact integration against piecewise-constant data.
+class Monomial:
+    """The test function t^degree, degree an ``int`` in 0..8.  Monomials carry
+    every polynomial by linearity: ∫ f Σ c_d t^d = Σ c_d ∫ f t^d."""
 
-    Either the monomial t^degree (degree 0..8) or the indicator of a
-    rational sub-interval of [0,1].  Monomials carry every polynomial by
-    linearity: ∫ f Σ c_d t^d = Σ c_d ∫ f t^d.
-    """
-
-    kind: str  # "poly" | "indicator"
-    degree: int = 0  # for kind == "poly"
-    support: tuple = ()  # (lo, hi), for kind == "indicator"
+    degree: int
 
     def __post_init__(self):
-        if self.kind == "poly":
-            _integer("degree", self.degree, 0, MAX_POLY_DEGREE)
-            if self.support != ():
-                raise ValueError("a monomial takes no support")
-        elif self.kind == "indicator":
-            if type(self.degree) is not int or self.degree != 0:
-                raise ValueError("an indicator takes no degree")
-            if not isinstance(self.support, (tuple, list)) or len(self.support) != 2:
-                raise ValueError("indicator support must be a pair (lo, hi)")
-            ends = []
-            for x in self.support:
-                try:
-                    ends.append(as_fraction(x))
-                except (TypeError, ValueError):  # a float, bool or None end, or a bad text
-                    raise ValueError(f"indicator end is not an exact rational: {x!r}") from None
-            lo, hi = ends
-            a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-            if not (0 <= a0 and a0 * b1 < a1 * b0 and a1 <= b1):  # 0 <= lo < hi <= 1
-                raise ValueError("indicator support must be a sub-interval of [0,1]")
-            object.__setattr__(self, "support", (lo, hi))
-            # the reduced ends for test_integral; not a field, so ==, hash and repr ignore it
-            object.__setattr__(self, "_ends", (a0, b0, a1, b1))
-        else:
-            raise ValueError(f"unsupported test-function kind: {self.kind!r}")
-
-    @classmethod
-    def monomial(cls, degree: int) -> "PolynomialTest":
-        return cls("poly", degree=degree)
-
-    @classmethod
-    def indicator(cls, lo: RationalLike, hi: RationalLike) -> "PolynomialTest":
-        return cls("indicator", support=(lo, hi))
+        _integer("degree", self.degree, 0, MAX_POLY_DEGREE)
 
     def describe(self) -> str:
-        """``poly[0,...,0,1]``, the coefficients low degree first, or ``indicator(lo,hi)``."""
-        if self.kind == "poly":
-            return "poly[" + "0," * self.degree + "1]"
-        lo, hi = self.support
-        return f"indicator({lo},{hi})"
+        """``poly[0,...,0,1]``, the coefficients low degree first."""
+        return "poly[" + "0," * self.degree + "1]"
+
+
+@dataclass(frozen=True)
+class Indicator:
+    """The indicator of a rational sub-interval (lo, hi) of [0,1], its ends kept as Fractions."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        ends = []
+        for x in (self.lo, self.hi):
+            try:
+                ends.append(as_fraction(x))
+            except (TypeError, ValueError):  # a float, bool or None end, or a bad text
+                raise ValueError(f"indicator end is not an exact rational: {x!r}") from None
+        lo, hi = ends
+        a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if not (0 <= a0 and a0 * b1 < a1 * b0 and a1 <= b1):  # 0 <= lo < hi <= 1
+            raise ValueError("indicator support must be a sub-interval of [0,1]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        # the reduced ends for test_integral; not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_ends", (a0, b0, a1, b1))
+
+    def describe(self) -> str:
+        return f"indicator({self.lo},{self.hi})"
 
 
 def dyadic_indicators(level: int) -> list:
     """All indicators of dyadic intervals (j/2^L, (j+1)/2^L) at one level."""
     n = 2 ** _integer("dyadic level", level, 1, MAX_DYADIC_LEVEL)
-    return [PolynomialTest.indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
+    return [Indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
 
 
-def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
+def test_integral(f: PiecewiseConstFn, phi: Union[Monomial, Indicator]) -> Fraction:
     """Exact integral ∫ f(t) φ(t) dt over [0,1], as an ``ExactReal``.
 
     An indicator of (a, b) gives F(b) - F(a), with F the primitive of f.
@@ -585,7 +572,7 @@ def test_integral(f: PiecewiseConstFn, phi: PolynomialTest) -> Fraction:
     O(cells); the one ``Fraction`` built is the result.
     """
     d, e, n, p, primitive, jump = f._integer_view
-    if phi.kind == "indicator":
+    if type(phi) is Indicator:
         a0, b0, a1, b1 = phi._ends
         # D*E*b*F(a/b) = primitive_i*b + p_i*(a*D - n_i*b), with n_i/D <= a/b < n_(i+1)/D
         i = bisect_right(n, a0 * d // b0) - 1

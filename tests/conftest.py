@@ -11,6 +11,7 @@ import pytest
 
 from viproplab import (
     Ball,
+    Indicator,
     PiecewiseConstFn,
     PiecewiseLinearFn,
     SolveResult,
@@ -238,8 +239,8 @@ def reference_abs_pow_integral(u, p):
 def reference_test_integral(f, phi):
     """Test-only reference for test_integral: walk the intervals, from the definition."""
     t, c = f.breakpoints, f.interval_values
-    if phi.kind == "indicator":
-        lo, hi = phi.support
+    if type(phi) is Indicator:
+        lo, hi = phi.lo, phi.hi
         total = Fraction(0)
         i = max(bisect_right(t, lo) - 1, 0)
         while i < len(c) and t[i] < hi:

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from viproplab import (
+    Indicator,
     PiecewiseLinearFn,
     L2SeqVector,
-    PolynomialTest,
+    Monomial,
     assemble_vi,
     derivative,
     dyadic_indicators,
@@ -119,7 +120,7 @@ def test_quadrature_oracle_equivalence():
 
 def test_weak_convergence_evidence_sweep():
     k_max = 256
-    family = [PolynomialTest.monomial(d) for d in range(6)]
+    family = [Monomial(d) for d in range(6)]
     for level in range(1, 7):
         family += dyadic_indicators(level)
     gradients = [derivative(sawtooth(k)) for k in range(1, k_max + 1)]
@@ -128,7 +129,7 @@ def test_weak_convergence_evidence_sweep():
         c_phi = max(F(k) * abs(v) for k, v in enumerate(integrals, start=1))
         for k, v in enumerate(integrals, start=1):
             assert abs(v) <= c_phi / k, (phi.describe(), k)
-        if phi.kind == "indicator" and phi.support[0] >= F(1, 2):
+        if type(phi) is Indicator and phi.lo >= F(1, 2):
             assert all(v == 0 for v in integrals), phi.describe()
     report("weak-convergence evidence: |integral| <= C/k for k<=256; right-half supports exactly 0")
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from viproplab import PiecewiseLinearFn, PolynomialTest, certificates, piecewise, scaled_hat
+from viproplab import Indicator, Monomial, PiecewiseLinearFn, certificates, piecewise, scaled_hat
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,9 +70,9 @@ def timed_kernel_calls() -> dict:
         "monotone_gap_check": lambda: certificates.monotone_gap_check(u, w),
         "pow_norm": lambda: piecewise.pow_norm(du, 3),
         "abs_pow_integral": lambda: piecewise.abs_pow_integral(u, 3),
-        "test_integral-poly": lambda: piecewise.test_integral(du, PolynomialTest.monomial(2)),
+        "test_integral-poly": lambda: piecewise.test_integral(du, Monomial(2)),
         "test_integral-indicator": lambda: piecewise.test_integral(
-            du, PolynomialTest.indicator(F(1, 4), F(1, 2))
+            du, Indicator(F(1, 4), F(1, 2))
         ),
     }
 

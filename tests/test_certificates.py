@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viproplab import (
+    Indicator,
     L2SeqVector,
+    Monomial,
     PiecewiseLinearFn,
-    PolynomialTest,
     certificates,
     derivative,
     dyadic_indicators,
@@ -419,7 +420,7 @@ class TestDerivedLabels:
         assert {f.name for f in fields(report)} == {"values", "limit_candidate"}
 
     def test_weak_entry_all_zero_is_a_zero_bound_constant(self):
-        family = [PolynomialTest.monomial(d) for d in range(4)] + dyadic_indicators(2)
+        family = [Monomial(d) for d in range(4)] + dyadic_indicators(2)
         report = weak_convergence_evidence(sawtooth, family, 12)
         docs = report.to_json_dict()["entries"]
         assert [doc["all_zero"] for doc in docs] == [e.bound_constant == 0 for e in report.entries]
@@ -465,17 +466,17 @@ class TestConsistencyInvariant:
 
 class TestWeakConvergenceEvidence:
     def test_constant_test_function_all_zero(self):
-        report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(0)], 32)
+        report = weak_convergence_evidence(sawtooth, [Monomial(0)], 32)
         assert report.entries[0].bound_constant == 0
         assert report.to_json_dict()["entries"][0]["all_zero"] is True
 
     def test_right_half_support_all_zero(self):
-        phi = PolynomialTest.indicator(F(1, 2), F(1))
+        phi = Indicator(F(1, 2), F(1))
         report = weak_convergence_evidence(sawtooth, [phi], 32)
         assert report.entries[0].bound_constant == 0
 
     def test_linear_test_function_decay(self):
-        report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 64)
+        report = weak_convergence_evidence(sawtooth, [Monomial(1)], 64)
         entry = report.entries[0]
         # the exact sweep constant for t is 1/4, attained at every k
         assert entry.bound_constant == F(1, 4)
@@ -483,7 +484,7 @@ class TestWeakConvergenceEvidence:
             assert abs(v) <= entry.bound_constant / k
 
     def test_report_is_labeled_evidence(self):
-        report = weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(2)], 16)
+        report = weak_convergence_evidence(sawtooth, [Monomial(2)], 16)
         assert report.verdict == "consistent with weak null convergence"
         assert "evidence" in report.disclaimer
         # fixed texts for every report, not fields a caller could set
@@ -495,7 +496,7 @@ class TestWeakConvergenceEvidence:
             weak_convergence_evidence(sawtooth, [], 16)
 
     def test_json_round_trip(self):
-        fam = [PolynomialTest.monomial(1)] + dyadic_indicators(2)
+        fam = [Monomial(1)] + dyadic_indicators(2)
         report = weak_convergence_evidence(sawtooth, fam, 16)
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["k_max"] == 16
@@ -503,7 +504,7 @@ class TestWeakConvergenceEvidence:
 
     def test_nonpositive_k_max_rejected(self):
         with pytest.raises(ValueError):
-            weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], 0)
+            weak_convergence_evidence(sawtooth, [Monomial(1)], 0)
 
     @pytest.mark.parametrize("k_max", [True, False, 2.0, "4", None])
     def test_k_max_must_be_an_int(self, k_max):
@@ -511,10 +512,10 @@ class TestWeakConvergenceEvidence:
         # 2.0 fail inside range; the message echoes the bad value
         want = f"^k_max must be an integer >= 1, got {re.escape(repr(k_max))}$"
         with pytest.raises(ValueError, match=want):
-            weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], k_max)
+            weak_convergence_evidence(sawtooth, [Monomial(1)], k_max)
 
     def test_an_iterator_family_is_read_once(self):
-        fam = [PolynomialTest.monomial(1)] + dyadic_indicators(2)
+        fam = [Monomial(1)] + dyadic_indicators(2)
         want = weak_convergence_evidence(sawtooth, fam, 16).to_json_dict()
         assert weak_convergence_evidence(sawtooth, iter(fam), 16).to_json_dict() == want
         assert weak_convergence_evidence(sawtooth, (phi for phi in fam), 16).to_json_dict() == want
@@ -536,8 +537,8 @@ class TestWeakConvergenceEvidence:
             return piecewise.test_integral(g, phi)
 
         monkeypatch.setattr(certificates, "test_integral", counted)
-        family = [PolynomialTest.monomial(3), PolynomialTest.monomial(6)]
-        family += dyadic_indicators(2) + [PolynomialTest.indicator(F(1, 3), F(5, 7))]
+        family = [Monomial(3), Monomial(6)]
+        family += dyadic_indicators(2) + [Indicator(F(1, 3), F(5, 7))]
         k_max = 9
         report = weak_convergence_evidence(sawtooth, family, k_max)
         assert len(calls) == len(family) * k_max
@@ -563,7 +564,7 @@ class TestWeakConvergenceEvidence:
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=24)
 
 test_function_st = st.one_of(
-    st.integers(0, MAX_POLY_DEGREE).map(PolynomialTest.monomial),
+    st.integers(0, MAX_POLY_DEGREE).map(Monomial),
     st.integers(1, 3).flatmap(lambda level: st.sampled_from(dyadic_indicators(level))),
 )
 
@@ -607,6 +608,16 @@ class TestHolderBoundedness:
         assert cert.verdict == "established"
         assert cert.witness["lhs"] == pytest.approx(45.0)
         assert cert.witness["rhs"] == pytest.approx(45.0)
+
+    @pytest.mark.parametrize("nudge, verdict", [(1, "refuted"), (-1, "established")])
+    def test_pairing_nudged_off_the_equality_case(self, monkeypatch, nudge, verdict):
+        # u = w is an equality case: a pairing 2^-40 above the bound breaches it,
+        # which a relative float tolerance of 1e-9 would let pass
+        exact = certificates.plap_pairing
+        monkeypatch.setattr(certificates, "plap_pairing",
+                            lambda u, w: exact(u, w) * (1 + nudge * F(1, 2**40)))
+        u = sawtooth(3)
+        assert holder_boundedness_check(u, u).verdict == verdict
 
     def test_random_pairs(self, rng):
         for _ in range(100):

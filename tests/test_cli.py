@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from viproplab import (
+    Indicator,
+    Monomial,
     PiecewiseLinearFn,
-    PolynomialTest,
     cli,
     derivative,
     extragradient_solve,
@@ -469,7 +470,8 @@ class _FullStdout(io.StringIO):
         self._full()
 
 
-# every command that writes to stdout, solve on {problem}, a converging box problem
+# every command that writes to stdout, solve on {problem}, a converging box problem,
+# and --help, whose text argparse's own writer would drop without an error
 STDOUT_COMMANDS = [
     ["reproduce", "--kmax", "2"],
     ["reproduce", "--kmax", "2", "--format", "csv"],
@@ -477,6 +479,9 @@ STDOUT_COMMANDS = [
     ["weak-evidence", "--kmax", "2"],
     ["remark32", "--kmax", "2"],
     ["solve", "{problem}"],
+    ["--help"],
+    ["reproduce", "--help"],
+    ["solve", "--help"],
 ]
 
 
@@ -901,7 +906,7 @@ class TestJsonWriter:
     @example([("1", "2")])
     @example([["1", 2], ["1"], ["1", "2", "3"]])
     @example(weak_convergence_evidence(
-        sawtooth, [PolynomialTest.monomial(2), PolynomialTest.indicator(F(1, 3), 1)], 3
+        sawtooth, [Monomial(2), Indicator(F(1, 3), 1)], 3
     ).to_json_dict())
     def test_same_text_as_dumps(self, doc):
         writes_like_dumps(doc)

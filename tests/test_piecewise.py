@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from viproplab import (
     ExactReal,
     GalerkinOperator,
+    Indicator,
     L2SeqVector,
+    Monomial,
     PiecewiseConstFn,
     PiecewiseLinearFn,
-    PolynomialTest,
     abs_pow_integral,
     assemble_vi,
     common_refinement,
@@ -507,22 +508,22 @@ class TestTestIntegral:
         # fundamental theorem: boundary values vanish
         for k in (1, 4, 9):
             d = derivative(sawtooth(k))
-            assert integral_against(d, PolynomialTest.monomial(0)) == 0
+            assert integral_against(d, Monomial(0)) == 0
 
     def test_constant_times_t(self):
         f = PiecewiseConstFn((F(0), F(1)), (F(3),))
-        assert integral_against(f, PolynomialTest.monomial(1)) == F(3, 2)
+        assert integral_against(f, Monomial(1)) == F(3, 2)
 
     def test_sawtooth_linear_decay(self):
         # exact closed form: integral of u_k' * t is -1/(4k)
         for k in (1, 4, 32):
-            val = integral_against(derivative(sawtooth(k)), PolynomialTest.monomial(1))
+            val = integral_against(derivative(sawtooth(k)), Monomial(1))
             assert val == F(-1, 4 * k)
 
     def test_indicator_right_half_zero(self):
         for k in (1, 3, 8):
             d = derivative(sawtooth(k))
-            phi = PolynomialTest.indicator(F(1, 2), F(1))
+            phi = Indicator(F(1, 2), F(1))
             assert integral_against(d, phi) == 0
 
     def test_indicator_equals_value_difference(self, rng):
@@ -532,39 +533,36 @@ class TestTestIntegral:
             a = F(rng.randint(0, 31), 64)
             b = a + F(rng.randint(1, 64 - 64 * a.numerator // a.denominator), 64)
             b = min(b, F(1))
-            got = integral_against(derivative(u), PolynomialTest.indicator(a, b))
+            got = integral_against(derivative(u), Indicator(a, b))
             assert got == u(b) - u(a)
 
     def test_degree_cap(self):
         # an int in 0..8 only: -1 once gave the constant 1 and True gave t
         for degree in (-1, 9, True, 2.0):
             with pytest.raises(ValueError, match="degree"):
-                PolynomialTest.monomial(degree)
-
-    def test_unsupported_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PolynomialTest("sine")
+                Monomial(degree)
 
     @pytest.mark.parametrize(
-        "kwargs, problem",
+        "build, problem",
         [
-            # accepted once, equal to no indicator built by .indicator and hashed apart
-            (dict(kind="indicator", degree=5, support=(0, F(1, 2))), "an indicator takes no degree"),
-            (dict(kind="indicator", degree=True, support=(0, F(1, 2))), "an indicator takes no degree"),
-            (dict(kind="poly", degree=2, support=("x",)), "a monomial takes no support"),
-            (dict(kind="poly", degree=2, support=(0, 1)), "a monomial takes no support"),
-            # (0,) once failed with "not enough values to unpack"
-            (dict(kind="indicator", support=(0,)), "support must be a pair"),
-            (dict(kind="indicator", support=(0, F(1, 4), F(1, 2))), "support must be a pair"),
-            (dict(kind="indicator", support=1), "support must be a pair"),
-            (dict(kind="indicator"), "support must be a pair"),
+            # an indicator with a degree was once accepted, equal to no indicator
+            # built without one and hashed apart; each type now takes its own
+            # fields only, so the call itself fails
+            (lambda: Indicator(0, F(1, 2), degree=5), "degree"),
+            (lambda: Indicator(0, F(1, 2), degree=True), "degree"),
+            (lambda: Monomial(2, support=("x",)), "support"),
+            (lambda: Monomial(2, support=(0, 1)), "support"),
+            (lambda: Indicator(0), "hi"),
+            (lambda: Indicator(0, F(1, 4), F(1, 2)), "positional"),
+            (lambda: Indicator(support=1), "support"),
+            (lambda: Indicator(), "lo"),
         ],
         ids=["indicator-degree", "indicator-bool-degree", "monomial-string-support",
              "monomial-pair-support", "one-end", "three-ends", "int-support", "no-support"],
     )
-    def test_field_the_kind_does_not_take_rejected(self, kwargs, problem):
-        with pytest.raises(ValueError, match=problem):
-            PolynomialTest(**kwargs)
+    def test_field_the_kind_does_not_take_rejected(self, build, problem):
+        with pytest.raises(TypeError, match=problem):
+            build()
 
     @pytest.mark.parametrize(
         "lo, hi, bad",
@@ -574,13 +572,13 @@ class TestTestIntegral:
     def test_inexact_end_rejected(self, lo, hi, bad):
         # a float or None end was once a TypeError from as_fraction
         with pytest.raises(ValueError) as caught:
-            PolynomialTest.indicator(lo, hi)
+            Indicator(lo, hi)
         assert str(caught.value) == f"indicator end is not an exact rational: {bad}"
 
     def test_dyadic_indicator_family(self):
         fam = dyadic_indicators(3)
         assert len(fam) == 8
-        assert fam[0].support == (F(0), F(1, 8))
+        assert (fam[0].lo, fam[0].hi) == (F(0), F(1, 8))
         # an int in 1..8 only: True once gave the level-1 family and 2.0 a TypeError
         for level in (0, 9, True, 2.0, "2"):
             with pytest.raises(ValueError, match="level"):
@@ -592,7 +590,7 @@ class TestTestIntegral:
         d = derivative(u)
         coeffs = [F(1, 2), F(-2), F(0), F(3)]
         # by linearity, one exact integral per monomial
-        exact = float(sum(c * integral_against(d, PolynomialTest.monomial(deg))
+        exact = float(sum(c * integral_against(d, Monomial(deg))
                           for deg, c in enumerate(coeffs)))
         n = 200_000
         mids = (2 * np.arange(n) + 1) / (2 * n)
@@ -623,7 +621,7 @@ def pw_const_st(draw):
 def phi_st(draw, f):
     """A monomial of degree 0..8, or an indicator placed relative to the grid of f."""
     if draw(st.booleans()):
-        return PolynomialTest.monomial(draw(st.integers(0, MAX_POLY_DEGREE)))
+        return Monomial(draw(st.integers(0, MAX_POLY_DEGREE)))
     bps = f.breakpoints
     if draw(st.booleans()):  # both ends inside one interval
         i = draw(st.integers(0, len(bps) - 2))
@@ -634,7 +632,7 @@ def phi_st(draw, f):
     else:  # on breakpoints (0 and 1 among them), off them, or anywhere
         point = st.one_of(st.sampled_from(bps), st.sampled_from([F(0), F(1)]), unit_points_st)
         lo, hi = sorted(draw(st.lists(point, min_size=2, max_size=2, unique=True)))
-    return PolynomialTest.indicator(lo, hi)
+    return Indicator(lo, hi)
 
 
 class TestCachedIntegerView:
@@ -667,7 +665,7 @@ class TestCachedIntegerView:
         f = derivative(sawtooth(5))
         g = PiecewiseConstFn(f.breakpoints, f.interval_values)
         before = (f.to_json_dict(), repr(f))
-        family = [*map(PolynomialTest.monomial, range(MAX_POLY_DEGREE + 1))]
+        family = [*map(Monomial, range(MAX_POLY_DEGREE + 1))]
         family += [phi for level in (1, 2, 4) for phi in dyadic_indicators(level)]
         for phi in family:
             integral_against(f, phi)
@@ -704,15 +702,16 @@ class TestIndicatorEnds:
         a, b = F(lo), F(hi)
         if not 0 <= a < b <= 1:
             with pytest.raises(ValueError) as caught:
-                PolynomialTest.indicator(lo, hi)
+                Indicator(lo, hi)
             assert str(caught.value) == "indicator support must be a sub-interval of [0,1]"
             return
-        phi = PolynomialTest.indicator(lo, hi)
-        assert phi.support == (a, b)
+        phi = Indicator(lo, hi)
+        assert (phi.lo, phi.hi) == (a, b)
+        assert type(phi.lo) is type(phi.hi) is F
         assert phi._ends == (a.numerator, a.denominator, b.numerator, b.denominator)
-        # the ends are not a field: equality, hash, repr and the field views ignore them
-        assert [x.name for x in dataclasses.fields(phi)] == ["kind", "degree", "support"]
-        assert dataclasses.asdict(phi) == {"kind": "indicator", "degree": 0, "support": (a, b)}
+        # the reduced ends are not a field: equality, hash, repr and the field views ignore them
+        assert [x.name for x in dataclasses.fields(phi)] == ["lo", "hi"]
+        assert dataclasses.asdict(phi) == {"lo": a, "hi": b}
         assert "_ends" not in repr(phi) and phi.describe() == f"indicator({a},{b})"
         f = data.draw(pw_const_st(), label="f")
         want = reference_test_integral(f, phi)
@@ -1160,12 +1159,12 @@ INTEGER_ARGUMENTS = [
     (sawtooth, "index k", ">= 1"),
     (L2SeqVector, "index", ">= 1"),
     (lambda x: pairing_sequence(sawtooth, None, x), "k_max", ">= 8"),
-    (lambda x: weak_convergence_evidence(sawtooth, [PolynomialTest.monomial(1)], x),
+    (lambda x: weak_convergence_evidence(sawtooth, [Monomial(1)], x),
      "k_max", ">= 1"),
     (lambda x: pow_norm(DU, x), "p", ">= 1"),
     (lambda x: abs_pow_integral(U, x), "p", ">= 1"),
     (dyadic_indicators, "dyadic level", f"in 1..{MAX_DYADIC_LEVEL}"),
-    (PolynomialTest.monomial, "degree", f"in 0..{MAX_POLY_DEGREE}"),
+    (Monomial, "degree", f"in 0..{MAX_POLY_DEGREE}"),
     (GalerkinOperator, "dimension", ">= 1"),
     (assemble_vi, "dimension", ">= 1"),
     (lambda x: assemble_vi(2, max_iter=x), "max_iter", ">= 1"),
@@ -1187,8 +1186,8 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("call, name, top", [
         (dyadic_indicators, "dyadic level", MAX_DYADIC_LEVEL),
-        (PolynomialTest.monomial, "degree", MAX_POLY_DEGREE),
-    ])
+        (Monomial, "degree", MAX_POLY_DEGREE),
+    ], ids=["dyadic_indicators-dyadic level-8", "monomial-degree-8"])
     def test_above_the_top_of_a_range(self, call, name, top):
         assert call(top)
         with pytest.raises(ValueError, match=f"^{name} must be an integer in .*, got {top + 1}$"):
