@@ -19,6 +19,7 @@ from .piecewise import (
     Monomial,
     PiecewiseLinearFn,
     _integer,
+    _rational,
     _union_sum,
     derivative,
     plap_pairing,
@@ -321,5 +322,5 @@ def weak_convergence_evidence(
             num = k * abs(a)
             if num * den > top * b:
                 top, den = num, b
-        entries.append(WeakConvergenceEntry(phi, integrals, Fraction(top, den)))
+        entries.append(WeakConvergenceEntry(phi, integrals, _rational(top, den)))
     return WeakConvergenceReport(entries=entries, k_max=k_max)

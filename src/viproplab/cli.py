@@ -2,9 +2,9 @@
 
 Exit codes are a contract: 0 success, 1 identity mismatch / certificate
 not established, 2 inconclusive detection, 3 malformed argument or problem
-file, or output that cannot be written: an --out path (a missing
-directory, a path that is a directory) or stdout (a full device), 4 solver
-non-convergence.  Output files are written with no newline translation.
+file, a size past the memory, or output that cannot be written: an --out
+path (a missing directory, a path that is a directory) or stdout (a full
+device), 4 solver non-convergence.  No newline translation in output files.
 """
 
 from __future__ import annotations
@@ -351,19 +351,24 @@ _parser = functools.cache(build_parser)
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "reproduce":
-        return cmd_reproduce(args.kmax, args.alpha, args.out, args.format)
-    if args.command == "certify":
-        return cmd_certify(args.kmax, args.alpha, args.out)
-    if args.command == "weak-evidence":
-        if args.degree_max < 0 and args.indicator_level == 0:
-            parser.error("weak-evidence: empty test family (no monomials, no indicators)")
-        return cmd_weak_evidence(args.kmax, args.degree_max, args.indicator_level, args.out)
-    if args.command == "figure":
-        return cmd_figure(args.k, args.out)
-    if args.command == "remark32":
-        return cmd_remark32(args.kmax)
-    return cmd_solve(args.problem, args.out)
+    try:
+        if args.command == "reproduce":
+            return cmd_reproduce(args.kmax, args.alpha, args.out, args.format)
+        if args.command == "certify":
+            return cmd_certify(args.kmax, args.alpha, args.out)
+        if args.command == "weak-evidence":
+            if args.degree_max < 0 and args.indicator_level == 0:
+                parser.error("weak-evidence: empty test family (no monomials, no indicators)")
+            return cmd_weak_evidence(args.kmax, args.degree_max, args.indicator_level, args.out)
+        if args.command == "figure":
+            return cmd_figure(args.k, args.out)
+        if args.command == "remark32":
+            return cmd_remark32(args.kmax)
+        return cmd_solve(args.problem, args.out)
+    except MemoryError:  # the line is written after the handler, which frees the command's data
+        pass
+    print(f"{parser.prog} {args.command}: error: out of memory at this size", file=sys.stderr)
+    return EXIT_PARSE
 
 
 if __name__ == "__main__":

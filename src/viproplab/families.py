@@ -43,14 +43,14 @@ def sawtooth(k: int) -> PiecewiseLinearFn:
 
 
 def scaled_hat(alpha: RationalLike) -> PiecewiseLinearFn:
-    """Hat function alpha * min(t, 1-t): peak alpha/2 at the midpoint."""
-    alpha = as_fraction(alpha)
-    if alpha <= 0:
+    """Hat function alpha * min(t, 1-t): peak alpha/2 at the midpoint.
+
+    Built on its integer grid: breakpoints 0, 1, 2 over 2, slopes a/b and -a/b.
+    """
+    a, b = as_fraction(alpha).as_integer_ratio()
+    if a <= 0:
         raise ValueError("alpha must be > 0")
-    return PiecewiseLinearFn(
-        (Fraction(0), Fraction(1, 2), Fraction(1)),
-        (Fraction(0), alpha / 2, Fraction(0)),
-    )
+    return PiecewiseLinearFn._from_grid(2, (0, 1, 2), (a, -a), (b, b))
 
 
 def gap_negativity_threshold() -> Fraction:

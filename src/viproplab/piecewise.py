@@ -40,6 +40,15 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _rational(num: int, den: int, cls: type = Fraction) -> Fraction:
+    """num/den, den != 0, as the ``cls`` that ``cls(num, den)`` builds: one gcd, the sign
+    moved to the numerator, and the two slots set without ``Fraction.__new__``'s dispatch."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    r = object.__new__(cls)
+    r._numerator, r._denominator = num // g, den // g
+    return r
+
+
 def _integer(name: str, x, lo: int, hi: Optional[int] = None) -> int:
     """x if it is exactly an ``int`` in lo..hi (no top if hi is None), else a ValueError echoing x.
 
@@ -91,7 +100,7 @@ def _json_pairs(d: dict) -> tuple:
         nums = [*map(int, nums)]
         if 0 in nums[1::2]:
             raise ValueError(f"{key} has a zero denominator")
-        out.append(tuple(map(Fraction, nums[::2], nums[1::2])))
+        out.append(tuple(map(_rational, nums[::2], nums[1::2])))
     return tuple(out)
 
 
@@ -109,10 +118,10 @@ def _rational_sum(pairs: Iterable[tuple], power: int = 1, den: int = 1) -> tuple
     keys alone: with g = gcd(ka, kb), na/ka**p + nb/kb**p is
     (na (kb/g)**p + nb (ka/g)**p) / ((ka/g) kb)**p, again a pair over a
     key.  Keys are denominators of the data; no numerator is reduced, and
-    the root pair (num, key**p * den) is normalised once, by the caller's
-    constructor.  A sequential sum would carry the running denominator,
-    of up to thousands of bits, through every addition; the tree keeps
-    most additions on small operands.  The empty sum is (0, 1).
+    the root pair (num, key**p * den) is normalised once, by ``_rational``.
+    A sequential sum would carry the running denominator, of up to
+    thousands of bits, through every addition; the tree keeps most
+    additions on small operands.  The empty sum is (0, 1).
     """
     level = [*pairs]
     if not level:
@@ -249,7 +258,7 @@ def _linear_views(u: "PiecewiseLinearFn") -> tuple:
     """(breakpoints, values) as Fraction tuples, for the public properties only; the
     last few are kept for callers that index them in a loop.  A lookup hashes u's grid."""
     c, e, a, b = _nodes(u)
-    return tuple(map(Fraction, c, e)), tuple(map(Fraction, a, b))
+    return tuple(map(_rational, c, e)), tuple(map(_rational, a, b))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -290,7 +299,7 @@ class PiecewiseLinearFn(_GridFn):
         x, y = t.numerator, t.denominator
         pairs = [(pj * (b - a), qj) for pj, qj, a, b in zip(p[:i], q, n, n[1:])]
         pairs.append((p[i] * (x * d - n[i] * y), q[i] * y))
-        return Fraction(*_rational_sum(pairs, den=d))
+        return _rational(*_rational_sum(pairs, den=d))
 
     def __repr__(self):
         return f"PiecewiseLinearFn(breakpoints={self.breakpoints!r}, values={self.values!r})"
@@ -334,18 +343,18 @@ class PiecewiseConstFn(_GridFn):
     def breakpoints(self) -> tuple:
         """The breakpoints n_i/D as reduced rationals, built on each read."""
         d, n = self._grid[:2]
-        return tuple([Fraction(x, d) for x in n])
+        return tuple([_rational(x, d) for x in n])
 
     @property
     def interval_values(self) -> tuple:
         """The values P_i/Q_i as reduced rationals, built on each read."""
-        return tuple(map(Fraction, *self._grid[2:]))
+        return tuple(map(_rational, *self._grid[2:]))
 
     def value_at(self, t: RationalLike) -> Fraction:
         """Value on the interval containing t (left-closed convention)."""
         i = self._cell(t)[0]
         p, q = self._grid[2:]
-        return Fraction(p[i], q[i])
+        return _rational(p[i], q[i])
 
     def __repr__(self):
         return (f"PiecewiseConstFn(breakpoints={self.breakpoints!r}, "
@@ -453,7 +462,7 @@ def pow_norm(f: PiecewiseConstFn, p: int) -> Fraction:
     sums: dict = {}
     for c, q, a, b in zip(num, den, n, n[1:]):
         sums[q] = sums.get(q, 0) + abs(c) ** p * (b - a)
-    return ExactReal(*_rational_sum([(x, q) for q, x in sums.items()], p, d))
+    return _rational(*_rational_sum([(x, q) for q, x in sums.items()], p, d), ExactReal)
 
 
 def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
@@ -472,7 +481,7 @@ def _union_sum(u: PiecewiseLinearFn, w: PiecewiseLinearFn, term) -> Fraction:
     for i, j, width, _ in _merge(du, nu, dw, nw):
         key = q[i] * s[j]
         sums[key] = sums.get(key, 0) + term(p[i] * s[j], r[j] * q[i]) * width
-    return ExactReal(*_rational_sum([(num, key) for key, num in sums.items()], 3, lcm(du, dw)))
+    return _rational(*_rational_sum([(x, key) for key, x in sums.items()], 3, lcm(du, dw)), ExactReal)
 
 
 def plap_pairing(u: PiecewiseLinearFn, w: PiecewiseLinearFn) -> Fraction:
@@ -555,7 +564,7 @@ class Indicator:
 def dyadic_indicators(level: int) -> list:
     """All indicators of dyadic intervals (j/2^L, (j+1)/2^L) at one level."""
     n = 2 ** _integer("dyadic level", level, 1, MAX_DYADIC_LEVEL)
-    return [Indicator(Fraction(j, n), Fraction(j + 1, n)) for j in range(n)]
+    return [Indicator(_rational(j, n), _rational(j + 1, n)) for j in range(n)]
 
 
 def test_integral(f: PiecewiseConstFn, phi: Union[Monomial, Indicator]) -> Fraction:
@@ -569,7 +578,7 @@ def test_integral(f: PiecewiseConstFn, phi: Union[Monomial, Indicator]) -> Fract
     c_i) / (d+1), one integer power sum, taken by ``map`` over the view's
     tuples.  Both unpack the integer view cached on f once per call, so
     after the first call an indicator costs O(log cells) and a monomial
-    O(cells); the one ``Fraction`` built is the result.
+    O(cells); the result is built by one ``_rational`` call.
     """
     d, e, n, p, primitive, jump = f._integer_view
     if type(phi) is Indicator:
@@ -579,9 +588,9 @@ def test_integral(f: PiecewiseConstFn, phi: Union[Monomial, Indicator]) -> Fract
         j = bisect_right(n, a1 * d // b1) - 1
         lo = primitive[i] * b0 + p[i] * (a0 * d - n[i] * b0)
         hi = primitive[j] * b1 + p[j] * (a1 * d - n[j] * b1)
-        return ExactReal(hi * b0 - lo * b1, d * e * b0 * b1)
+        return _rational(hi * b0 - lo * b1, d * e * b0 * b1, ExactReal)
     j = phi.degree + 1
-    return ExactReal(sum(map(mul, map(pow, n, repeat(j)), jump)), j * e * d**j)
+    return _rational(sum(map(mul, map(pow, n, repeat(j)), jump)), j * e * d**j, ExactReal)
 
 
 def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
@@ -608,4 +617,4 @@ def abs_pow_integral(u: PiecewiseLinearFn, p: int) -> Fraction:
             terms.append((num // r, den // r))
         else:
             terms.append(((p + 1) * (x1 - x0) * abs(a0) ** p, d * b0**p))
-    return ExactReal(*_rational_sum(terms, den=p + 1))
+    return _rational(*_rational_sum(terms, den=p + 1), ExactReal)

@@ -13,6 +13,11 @@ import sys
 import warnings
 from fractions import Fraction
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -221,6 +226,23 @@ class TestWeakEvidence:
         assert doc["verdict"] == "consistent with weak null convergence"
         # monomials t^0..t^2 plus dyadic levels 1 and 2
         assert len(doc["entries"]) == 3 + 2 + 4
+
+    # work counted, not timed: every rational the sweep makes (152 integrals,
+    # 19 sweep constants, 28 dyadic ends here) is built from an integer pair
+    # by piecewise._rational, and none by Fraction's generic constructor
+    def test_no_fraction_constructor_calls(self, capsys, monkeypatch):
+        cli._parser()  # the parser's defaults are built once per process, not per run
+        new, calls = Fraction.__new__, []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        argv = ["weak-evidence", "--kmax", "8", "--degree-max", "4", "--indicator-level", "3"]
+        assert main(argv) == EXIT_OK
+        assert calls == []
+        assert json.loads(capsys.readouterr().out)["k_max"] == 8
 
 
     # SHA-256 of stdout before test_integral read a cached integer view
@@ -525,6 +547,30 @@ def test_full_device_stdout_exit_parse(argv, buffering, tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("cannot write output file")
     assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+# a size past the memory: under a cap on the child's address space (256 MiB
+# here, so that the test itself stays small), the first allocation too large
+# raises MemoryError, which exits 3 with one stderr line and no traceback,
+# not 1 (certificate not established)
+@pytest.mark.skipif(resource is None, reason="no resource module")
+@pytest.mark.parametrize(
+    "argv", [["figure", "--k", "100000000", "--out", "{dir}/big"], ["certify", "--kmax", "100000000"]],
+    ids=" ".join,
+)
+def test_out_of_memory_exit_parse(argv, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cap = 256 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "viproplab.cli"] + [a.format(dir=tmp_path) for a in argv],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert proc.stderr == f"viproplab {argv[0]}: error: out of memory at this size\n"
+    assert proc.stdout == "" and os.listdir(tmp_path) == []
 
 
 # solve inputs near the largest float: x - G(0) overflows inside a ball of

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from viproplab import (
     L2SeqVector,
+    PiecewiseLinearFn,
     derivative,
     gap_negativity_threshold,
     l2_pairing,
@@ -13,6 +16,8 @@ from viproplab import (
     scaled_hat,
 )
 from viproplab.families import HAT_PAIRING_SLOPE, SAWTOOTH_ENERGY
+
+from conftest import assert_grid_form
 
 F = Fraction
 
@@ -90,6 +95,16 @@ class TestScaledHat:
             scaled_hat(0)
         with pytest.raises(ValueError):
             scaled_hat(F(-1, 2))
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            scaled_hat("-3/4")
+
+    # built unchecked on its grid, the hat is the function the checked constructor builds
+    @given(st.fractions(min_value=0, max_value=10**9, max_denominator=10**9).filter(bool))
+    def test_grid_matches_the_public_constructor(self, alpha):
+        hat = scaled_hat(alpha)
+        assert_grid_form(hat)
+        assert hat == PiecewiseLinearFn((0, F(1, 2), 1), (0, alpha / 2, 0))
+        assert hat.values == (0, alpha / 2, 0) and scaled_hat(str(alpha)) == hat
 
     def test_negativity_threshold_computed(self):
         assert gap_negativity_threshold() == 15 == SAWTOOTH_ENERGY / HAT_PAIRING_SLOPE

@@ -40,7 +40,9 @@ from viproplab import (
     test_integral as integral_against,
     weak_convergence_evidence,
 )
-from viproplab.piecewise import MAX_DYADIC_LEVEL, MAX_POLY_DEGREE, _rational_sum, as_fraction
+from viproplab.piecewise import (
+    MAX_DYADIC_LEVEL, MAX_POLY_DEGREE, _rational, _rational_sum, as_fraction,
+)
 
 from conftest import (
     Three,
@@ -102,6 +104,25 @@ class TestExactReal:
         for y in (x + 1, 1 - x, x * x, x / 2, -x, abs(x), x**2):
             assert type(y) is Fraction
         assert type(x + 0.5) is float
+
+    # the kernels' builder: the rational cls(num, den) builds, whatever the signs and sizes
+    @given(
+        num=st.one_of(st.just(0), st.integers(-(2**1000), 2**1000)),
+        den=st.integers(-(2**1000), 2**1000).filter(bool),
+        cls=st.sampled_from([Fraction, ExactReal]),
+    )
+    @example(num=0, den=-3, cls=ExactReal)
+    @example(num=-6, den=-4, cls=Fraction)
+    @example(num=2**1000, den=-(2**999), cls=ExactReal)
+    def test_builder_matches_the_constructor(self, num, den, cls):
+        r, want = _rational(num, den, cls), cls(num, den)
+        assert type(r) is type(want) is cls
+        assert (r.numerator, r.denominator) == (want.numerator, want.denominator)
+        assert r == want and hash(r) == hash(want)
+        assert str(r) == str(want) and repr(r) == repr(want)
+        assert r.as_integer_ratio() == want.as_integer_ratio()
+        assert type(r + 1) is type(want + 1) is Fraction
+        assert _rational(num, den) == want and type(_rational(num, den)) is Fraction
 
     # Fraction refuses a NaN, which would read > 0 and >= 0, and both infinities
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
