@@ -303,18 +303,18 @@ def weak_convergence_evidence(
 
     For each φ the report carries the sharp sweep constant
     C_φ = max_k k * |integral_k|, so |integral_k| <= C_φ/k on the sweep.
-    ``certificates.test_integral`` is called by name once per (φ, k), and
-    the constant is compared in integers on each result's
-    ``as_integer_ratio()``, one read per integral.
+    One gradient x_k' is alive at a time, so memory is linear in k_max * |Φ|;
+    ``certificates.test_integral`` is called by name once per (k, φ), and the
+    constant is compared in integers on each result's ``as_integer_ratio()``.
     """
     test_family = list(test_family)  # an iterator is read once, and can be empty
     if not test_family:
         raise ValueError("test family must be nonempty")
     _integer("k_max", k_max, 1)
-    gradients = [derivative(seq(k)) for k in range(1, k_max + 1)]
+    rows = [[test_integral(g, phi) for phi in test_family]
+            for g in map(derivative, map(seq, range(1, k_max + 1)))]
     entries = []
-    for phi in test_family:
-        integrals = [test_integral(g, phi) for g in gradients]
+    for phi, integrals in zip(test_family, map(list, zip(*rows))):
         # C_φ as top/den, compared by cross-multiplying k * |a| / b in integers,
         # each integral's reduced pair (a, b) read once
         top, den = 0, 1

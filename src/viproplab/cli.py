@@ -194,27 +194,27 @@ def _emit(doc, out: Optional[str]) -> None:
     _write(_json_text(doc) + "\n", out)
 
 
-def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> int:
     """Tabulate the derivative cubed-norm and the equilibrium gap per index."""
-    v = scaled_hat(alpha)
-    expected_gap = SAWTOOTH_ENERGY - HAT_PAIRING_SLOPE * alpha
+    v = scaled_hat(args.alpha)
+    expected_gap = SAWTOOTH_ENERGY - HAT_PAIRING_SLOPE * args.alpha
     rows = []
     bad_k = None
-    for k in range(1, kmax + 1):
+    for k in range(1, args.kmax + 1):
         u = sawtooth(k)
         norm3 = pow_norm(derivative(u), 3)
         gap = certs.equilibrium_gap(u, v)
         rows.append((k, norm3, gap))
         if bad_k is None and (norm3 != SAWTOOTH_ENERGY or gap != expected_gap):
             bad_k = k
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["k,grad_norm_cubed,gap"]
         lines += [f"{k},{n},{g}" for k, n, g in rows]
-        _write("\n".join(lines) + "\n", out)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit(
             {
-                "alpha": str(alpha),
+                "alpha": str(args.alpha),
                 "expected": {
                     "grad_norm_cubed": str(SAWTOOTH_ENERGY),
                     "gap": str(expected_gap),
@@ -225,7 +225,7 @@ def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> i
                 ],
                 "all_match": bad_k is None,
             },
-            out,
+            args.out,
         )
     if bad_k is not None:
         print(f"identity mismatch at k={bad_k}", file=sys.stderr)
@@ -233,55 +233,55 @@ def cmd_reproduce(kmax: int, alpha: Fraction, out: Optional[str], fmt: str) -> i
     return EXIT_OK
 
 
-def cmd_certify(kmax: int, alpha: Fraction, out: Optional[str]) -> int:
+def cmd_certify(args: argparse.Namespace) -> int:
     """Emit the lower-semicontinuity violation and premise-failure certificates."""
     limit = PiecewiseLinearFn.zero()
-    y = scaled_hat(alpha)
-    kyfan = certs.ky_fan_violation_certificate(sawtooth, limit, y, k_max=kmax)
-    premise = certs.pseudomonotone_premise_audit(sawtooth, limit, k_max=kmax)
+    y = scaled_hat(args.alpha)
+    kyfan = certs.ky_fan_violation_certificate(sawtooth, limit, y, k_max=args.kmax)
+    premise = certs.pseudomonotone_premise_audit(sawtooth, limit, k_max=args.kmax)
     _emit(
         {
-            "alpha": str(alpha),
+            "alpha": str(args.alpha),
             "negativity_threshold": str(gap_negativity_threshold()),
             "ky_fan_violation": kyfan.to_json_dict(),
             "premise_audit": premise.to_json_dict(),
         },
-        out,
+        args.out,
     )
     return _verdict_exit(kyfan, premise)
 
 
-def cmd_weak_evidence(
-    kmax: int, degree_max: int, indicator_level: int, out: Optional[str]
-) -> int:
+def cmd_weak_evidence(args: argparse.Namespace) -> int:
     """Exact test-integral sweep of the sawtooth derivatives."""
-    family = [Monomial(d) for d in range(degree_max + 1)]
-    for level in range(1, indicator_level + 1):
+    family = [Monomial(d) for d in range(args.degree_max + 1)]
+    for level in range(1, args.indicator_level + 1):
         family += dyadic_indicators(level)
-    report = certs.weak_convergence_evidence(sawtooth, family, kmax)
-    _emit(report.to_json_dict(), out)
+    if not family:
+        _parser().error("weak-evidence: empty test family (no monomials, no indicators)")
+    report = certs.weak_convergence_evidence(sawtooth, family, args.kmax)
+    _emit(report.to_json_dict(), args.out)
     return EXIT_OK
 
 
-def cmd_figure(k: int, out: str) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
     """Write plot data: nodal values of u_k and step data of its derivative."""
-    u = sawtooth(k)
+    u = sawtooth(args.k)
     du = derivative(u)
     # CSV with CRLF line ends; no str(Fraction) holds a comma or a quote, so none is quoted
     nodes = ["t,value"] + [f"{t},{v}" for t, v in zip(u.breakpoints, u.values)]
-    _write("\r\n".join(nodes) + "\r\n", f"{out}_nodes.csv")
+    _write("\r\n".join(nodes) + "\r\n", f"{args.out}_nodes.csv")
     t = du.breakpoints
     steps = ["t_left,t_right,t_mid,value"]
     steps += [f"{a},{b},{(a + b) / 2},{c}" for a, b, c in zip(t, t[1:], du.interval_values)]
-    _write("\r\n".join(steps) + "\r\n", f"{out}_steps.csv")
+    _write("\r\n".join(steps) + "\r\n", f"{args.out}_steps.csv")
     return EXIT_OK
 
 
-def cmd_remark32(kmax: int) -> int:
+def cmd_remark32(args: argparse.Namespace) -> int:
     """Identity operator on the sequence space, paired along unit vectors."""
-    report = certs.pairing_sequence(L2SeqVector, None, max(kmax, certs.MIN_K_MAX))
+    report = certs.pairing_sequence(L2SeqVector, None, max(args.kmax, certs.MIN_K_MAX))
     cert = certs.l2_unit_limit_certificate(report)
-    values = enumerate(report.values[:kmax], start=1)
+    values = enumerate(report.values[:args.kmax], start=1)
     lines = [f"k={k}: <F(e_k), e_k - 0> = {v}" for k, v in values]
     tail = cert.witness["tail_constant"]
     if tail is not None:
@@ -292,9 +292,10 @@ def cmd_remark32(kmax: int) -> int:
     return _verdict_exit(cert)
 
 
-def cmd_solve(problem_path: str, out: Optional[str]) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
+    """Solve the discretized VI in a problem file by spectral projected gradient."""
     try:
-        vi = vis.load_problem(problem_path)
+        vi = vis.load_problem(args.problem)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot parse problem file: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -302,7 +303,7 @@ def cmd_solve(problem_path: str, out: Optional[str]) -> int:
     # code and the non-finite residual written as null report it, not numpy
     with vis.np.errstate(over="ignore", invalid="ignore"):
         result = vis.spg_solve(vi)
-    _emit(result.to_json_dict(), out)
+    _emit(result.to_json_dict(), args.out)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -318,28 +319,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_positive_rational, default=Fraction(16))
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(run=cmd_reproduce)
 
     p = sub.add_parser("certify", help="emit property certificates along the sawtooth sequence")
     p.add_argument("--kmax", type=_int_in(certs.MIN_K_MAX), default=64)
     p.add_argument("--alpha", type=_positive_rational, default=Fraction(16))
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("weak-evidence", help="exact test-integral decay sweep")
     p.add_argument("--kmax", type=_int_in(1), default=64)
     p.add_argument("--degree-max", type=_int_in(-1, MAX_POLY_DEGREE), default=5)
     p.add_argument("--indicator-level", type=_int_in(0, MAX_DYADIC_LEVEL), default=3)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_weak_evidence)
 
     p = sub.add_parser("figure", help="write plot data files for one sawtooth index")
     p.add_argument("--k", type=_int_in(1), default=4)
     p.add_argument("--out", required=True, help="output path prefix")
+    p.set_defaults(run=cmd_figure)
 
     p = sub.add_parser("remark32", help="unit-vector sequence check in the sequence space")
     p.add_argument("--kmax", type=_int_in(1), default=64)
+    p.set_defaults(run=cmd_remark32)
 
     p = sub.add_parser("solve", help="solve a discretized VI problem file")
     p.add_argument("problem", help="problem JSON path")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_solve)
 
     return parser
 
@@ -352,19 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "reproduce":
-            return cmd_reproduce(args.kmax, args.alpha, args.out, args.format)
-        if args.command == "certify":
-            return cmd_certify(args.kmax, args.alpha, args.out)
-        if args.command == "weak-evidence":
-            if args.degree_max < 0 and args.indicator_level == 0:
-                parser.error("weak-evidence: empty test family (no monomials, no indicators)")
-            return cmd_weak_evidence(args.kmax, args.degree_max, args.indicator_level, args.out)
-        if args.command == "figure":
-            return cmd_figure(args.k, args.out)
-        if args.command == "remark32":
-            return cmd_remark32(args.kmax)
-        return cmd_solve(args.problem, args.out)
+        return args.run(args)
     except MemoryError:  # the line is written after the handler, which frees the command's data
         pass
     print(f"{parser.prog} {args.command}: error: out of memory at this size", file=sys.stderr)

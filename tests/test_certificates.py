@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 
@@ -545,6 +546,28 @@ class TestWeakConvergenceEvidence:
         gradients = [derivative(sawtooth(k)) for k in range(1, k_max + 1)]
         for entry, phi in zip(report.entries, family):
             assert entry.integrals == [piecewise.test_integral(g, phi) for g in gradients]
+
+    def test_one_gradient_alive_at_a_time(self, monkeypatch):
+        # each gradient is read by every φ and dropped before the next is
+        # read: the sweep's memory is linear in k_max, not quadratic
+        live, seen = [], []
+
+        def tracked(u):
+            g = piecewise.derivative(u)
+            live.append(None)
+            weakref.finalize(g, live.pop)
+            return g
+
+        def counted(g, phi):
+            seen.append(len(live))
+            return piecewise.test_integral(g, phi)
+
+        monkeypatch.setattr(certificates, "derivative", tracked)
+        monkeypatch.setattr(certificates, "test_integral", counted)
+        family = [Monomial(0), Monomial(2)] + dyadic_indicators(1)
+        weak_convergence_evidence(sawtooth, family, 32)
+        assert len(seen) == len(family) * 32
+        assert max(seen) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

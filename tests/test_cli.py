@@ -553,24 +553,39 @@ def test_full_device_stdout_exit_parse(argv, buffering, tmp_path):
 # here, so that the test itself stays small), the first allocation too large
 # raises MemoryError, which exits 3 with one stderr line and no traceback,
 # not 1 (certificate not established)
+def run_capped(argv, cap):
+    """The CLI run on argv in a fresh interpreter whose address space is cap bytes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "viproplab.cli", *argv], env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
 @pytest.mark.skipif(resource is None, reason="no resource module")
 @pytest.mark.parametrize(
     "argv", [["figure", "--k", "100000000", "--out", "{dir}/big"], ["certify", "--kmax", "100000000"]],
     ids=" ".join,
 )
 def test_out_of_memory_exit_parse(argv, tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    cap = 256 * 2**20
-    proc = subprocess.run(
-        [sys.executable, "-m", "viproplab.cli"] + [a.format(dir=tmp_path) for a in argv],
-        env=env, capture_output=True, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
+    proc = run_capped([a.format(dir=tmp_path) for a in argv], 256 * 2**20)
     assert proc.returncode == EXIT_PARSE, proc.stderr
     assert proc.stderr == f"viproplab {argv[0]}: error: out of memory at this size\n"
     assert proc.stdout == "" and os.listdir(tmp_path) == []
+
+
+# one gradient is alive at a time, so the sweep's memory is linear in kmax:
+# kmax 1024 once held all 1024 gradients and ran out of memory under this cap
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_weak_evidence_sweep_fits_a_small_address_space():
+    argv = ["weak-evidence", "--kmax", "1024", "--degree-max", "0", "--indicator-level", "1"]
+    proc = run_capped(argv, 64 * 2**20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+        "591256e686befbac5381e25408191c9bd3af2d38f2eea215e40ed3055965ff18"
+    )
 
 
 # solve inputs near the largest float: x - G(0) overflows inside a ball of
@@ -806,7 +821,7 @@ class TestSolve:
 
 
 # one call of each kind the parser handles: usage error, --out, stdout, the
-# error main() raises itself after parsing, and --help; {out} is a file path
+# error a command raises itself after parsing, and --help; {out} is a file path
 PARSER_SEQUENCE = [
     ["reproduce", "--kmax", "0"],
     ["reproduce", "--format", "csv", "--out", "{out}"],
@@ -825,6 +840,40 @@ def run_captured(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out.encode("utf-8"), captured.err.encode("utf-8")
+
+
+# SHA-256 of each help text at 80 columns (argparse wraps help to the width
+# it reads from COLUMNS); "" is the program's own --help
+HELP_DIGESTS = {
+    "": "0bbf091e7818469c39fec67ed8fdf48de42dde7a228d1809db249f687dacfedd",
+    "reproduce": "aa5f10ba27a61b26ded09fdaeff00d076c35471748d1ed3f1628092663e98c59",
+    "certify": "66f5894046aa07c6b47438e920b25dbbd555d813ff4cb0c4c8210e01a2a29760",
+    "weak-evidence": "a2af9bb1dc8dc6af22d0b862781ff09d8bccd361ac307e381d6f1fffce4a30b2",
+    "figure": "96609524896cdd57c4e6bb4078bc7a88063428a4977790cf0bb7b5e37e544e80",
+    "remark32": "4200016800234bda77df05a051bbe6959fb094f21a65adb2b6c15b505e4734d7",
+    "solve": "fe4bf003ddd16ad128124281d23f2cea44708de7e6628afc70134c1d132c4def",
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=lambda c: c or "program")
+    def test_help_bytes_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_captured([command, "--help"] if command else ["--help"], capsys)
+        assert (code, err) == (EXIT_OK, b"")
+        assert hashlib.sha256(out).hexdigest() == HELP_DIGESTS[command]
+
+    def test_every_command_has_its_runner(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(c for c in HELP_DIGESTS if c)
+        for name, parser in sub.choices.items():
+            assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+    def test_empty_family_stderr_pinned(self, capsys):
+        argv = ["weak-evidence", "--degree-max", "-1", "--indicator-level", "0"]
+        assert run_captured(argv, capsys) == (EXIT_PARSE, b"", (
+            b"viproplab: error: weak-evidence: empty test family (no monomials, no indicators)\n"
+        ))
 
 
 class TestCachedParser:
