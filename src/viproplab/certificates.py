@@ -72,19 +72,13 @@ class PairingSequenceReport:
 
     def to_json_dict(self) -> dict:
         k_max = len(self.values)
-        limit = self.limit_candidate
         return {
             "indices": list(range(1, k_max + 1)),
-            "values": [_frac_pair(v) for v in self.values],
-            "limit_candidate": None if limit is None else _frac_pair(limit),
-            "detection": "none" if limit is None else "eventually-constant",
+            "values": list(self.values),
+            "limit_candidate": self.limit_candidate,
+            "detection": "none" if self.limit_candidate is None else "eventually-constant",
             "tail_window": k_max // 2,
         }
-
-
-def _frac_pair(q: Fraction) -> list:
-    # canonical serialization: reduced fraction, sign on the numerator
-    return [str(q.numerator), str(q.denominator)]
 
 
 def _pairings(seq: FunctionSequence, y: Optional[PiecewiseLinearFn], ks: range) -> List[Fraction]:
@@ -139,16 +133,11 @@ class Certificate:
         return "approximate" if floats else "exact"
 
     def to_json_dict(self) -> dict:
-        witness = {}
-        for key, val in self.witness.items():
-            if isinstance(val, float):
-                witness[key] = {"approx": True, "value": val}
-            elif isinstance(val, Fraction):
-                witness[key] = _frac_pair(val)
-            elif isinstance(val, PiecewiseLinearFn):
-                witness[key] = val.to_json_dict()
-            else:
-                witness[key] = val
+        witness = {  # a Fraction as it is, for cli._json_text to write as its pair
+            key: {"approx": True, "value": val} if isinstance(val, float)
+            else val.to_json_dict() if isinstance(val, PiecewiseLinearFn) else val
+            for key, val in self.witness.items()
+        }
         return {
             "property": self.property,
             "verdict": self.verdict,
@@ -282,12 +271,9 @@ class WeakConvergenceReport:
             "entries": [
                 {
                     "phi": e.phi.describe(),
-                    "bound_constant": _frac_pair(e.bound_constant),
+                    "bound_constant": e.bound_constant,
                     "all_zero": e.bound_constant.numerator == 0,
-                    # each integral's reduced pair read once, without a call per value
-                    "integrals": [
-                        [str(a), str(b)] for a, b in map(Fraction.as_integer_ratio, e.integrals)
-                    ],
+                    "integrals": list(e.integrals),
                 }
                 for e in self.entries
             ],

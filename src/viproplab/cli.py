@@ -25,6 +25,7 @@ from .families import gap_negativity_threshold, sawtooth, scaled_hat
 from .piecewise import (
     MAX_DYADIC_LEVEL,
     MAX_POLY_DEGREE,
+    ExactReal,
     Monomial,
     PiecewiseLinearFn,
     as_fraction,
@@ -141,25 +142,25 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """The text of json.dumps(obj, indent=2), built with one join per container.
+    """The text of json.dumps(obj, indent=2), a Fraction written as its pair ["p", "q"].
 
     json.dumps runs its pure-Python encoder whenever indent is set; this
     writes the same bytes for str-keyed dicts, lists, tuples, str, int,
     float, bool and None, and hands anything else to json.dumps.  nl is a
-    newline plus the indent of obj's own level.  A list item that is a list
-    of two strings, the lab's rational pair, is written in place, and so is
-    one whose type is exactly float, such as each entry of solve's x.
+    newline plus the indent of obj's own level.  A list item or a dict value
+    whose type is exactly str, Fraction or ExactReal is written in place, and
+    so is a list item that is exactly a float and a dict value that is a bool.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = nl + "  "
-        pair_open, pair_sep, pair_close = "[" + inner + "  ", "," + inner + "  ", inner + "]"
         items = [
             _escape(v) if type(v) is str
-            else pair_open + _escape(v[0]) + pair_sep + _escape(v[1]) + pair_close
-            if type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
             else _NONFINITE.get(t := float.__repr__(v), t) if type(v) is float
+            # the two slots piecewise._rational sets, read without a property call
+            else f'[{inner}  "{v._numerator}",{inner}  "{v._denominator}"{inner}]'
+            if type(v) is ExactReal or type(v) is Fraction
             else _json_text(v, inner)
             for v in obj
         ]
@@ -169,23 +170,26 @@ def _json_text(obj, nl: str = "\n") -> str:
             return "{}"
         inner = nl + "  "
         items = [
-            _escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner))
+            _escape(k) + ": " + (
+                _escape(v) if type(v) is str
+                else f'[{inner}  "{v._numerator}",{inner}  "{v._denominator}"{inner}]'
+                if type(v) is ExactReal or type(v) is Fraction
+                else ("true" if v else "false") if type(v) is bool
+                else _json_text(v, inner))
             for k, v in obj.items()
         ]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(obj, str):
         return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _NONFINITE.get(text, text)
+    if isinstance(obj, Fraction):
+        return f'[{nl}  "{obj.numerator}",{nl}  "{obj.denominator}"{nl}]'
     # the nested text of json.dumps is its top-level text indented at every newline
     return json.dumps(obj, indent=2).replace("\n", nl)
 

@@ -578,9 +578,14 @@ def test_integral(f: PiecewiseConstFn, phi: Union[Monomial, Indicator]) -> Fract
     c_i) / (d+1), one integer power sum, taken by ``map`` over the view's
     tuples.  Both unpack the integer view cached on f once per call, so
     after the first call an indicator costs O(log cells) and a monomial
-    O(cells); the result is built by one ``_rational`` call.
+    O(cells); the result is built by one ``_rational`` call.  An f that is
+    not a ``PiecewiseConstFn``, or a φ of neither type, is a TypeError.
     """
-    d, e, n, p, primitive, jump = f._integer_view
+    try:
+        d, e, n, p, primitive, jump = f._integer_view
+    except AttributeError:  # only a PiecewiseConstFn has the view
+        _grid_of(f, PiecewiseConstFn)
+        raise
     if type(phi) is Indicator:
         a0, b0, a1, b1 = phi._ends
         # D*E*b*F(a/b) = primitive_i*b + p_i*(a*D - n_i*b), with n_i/D <= a/b < n_(i+1)/D
@@ -589,6 +594,8 @@ def test_integral(f: PiecewiseConstFn, phi: Union[Monomial, Indicator]) -> Fract
         lo = primitive[i] * b0 + p[i] * (a0 * d - n[i] * b0)
         hi = primitive[j] * b1 + p[j] * (a1 * d - n[j] * b1)
         return _rational(hi * b0 - lo * b1, d * e * b0 * b1, ExactReal)
+    if type(phi) is not Monomial:
+        raise TypeError(f"expected a Monomial or an Indicator, got {type(phi).__name__}")
     j = phi.degree + 1
     return _rational(sum(map(mul, map(pow, n, repeat(j)), jump)), j * e * d**j, ExactReal)
 

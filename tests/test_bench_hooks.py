@@ -12,6 +12,7 @@ there.
 import ast
 import importlib
 import importlib.util
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -85,3 +86,30 @@ def test_timed_kernel_results_read_as_exact_real(kernel):
     assert isinstance(r, piecewise.ExactReal) and isinstance(r, F)
     assert r.exact is True and r.value == r
     assert piecewise.ExactReal(r.value + 1) == r + 1
+
+
+def load_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads.py imports reference.py by name
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_canonical_still_dumps_every_document_it_reads(monkeypatch):
+    # perfbench/workloads.py's _canonical digests a non-ExactReal result as
+    # json.dumps(result.to_json_dict()): a function from lin_comb or from the JSON
+    # round trip, whose layout is string pairs, and the Hölder certificate, whose
+    # witnesses are floats; a Fraction left in one of them would fail its op
+    canonical = load_workloads(monkeypatch)._canonical
+    u = PiecewiseLinearFn((0, F(1, 3), F(5, 7), 1), (0, F(2, 5), F(-3, 4), 0))
+    w = scaled_hat(F(7, 2))
+    results = {
+        "lin_comb": piecewise.lin_comb(F(-2, 3), u, F(5, 9), w),
+        "json round trip": PiecewiseLinearFn.from_json_dict(
+            json.loads(json.dumps(u.to_json_dict()))),
+        "holder_boundedness_check": certificates.holder_boundedness_check(u, w),
+    }
+    docs = {name: json.loads(canonical(result)) for name, result in results.items()}
+    assert docs["lin_comb"].keys() == docs["json round trip"].keys() == {"breakpoints", "values"}
+    assert docs["holder_boundedness_check"]["exactness"] == "approximate"

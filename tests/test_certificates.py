@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 import weakref
 from dataclasses import fields
@@ -14,6 +15,7 @@ from viproplab import (
     Monomial,
     PiecewiseLinearFn,
     certificates,
+    cli,
     derivative,
     dyadic_indicators,
     equilibrium_gap,
@@ -45,6 +47,12 @@ CONVERGING = lambda k: scaled_hat(1 + F(1, 4**k))
 # converges strongly to scaled_hat(1 + 1e-11); its pairings against
 # scaled_hat(1) differ by less than 1e-12 over k = 33..64 without being equal
 NEAR_LIMIT = lambda k: scaled_hat(1 + F(1, 10**11) - F(1, 10**9) / k)
+
+
+def written(doc):
+    """A certificate or report document as the CLI writes it, read back: its
+    Fractions reach cli._json_text, which writes each as a string pair."""
+    return json.loads(cli._json_text(doc))
 
 
 class TestEquilibriumGap:
@@ -105,7 +113,7 @@ class TestPairingSequence:
 
     def test_json_of_an_exact_report(self):
         doc = pairing_sequence(sawtooth, scaled_hat(16), 8).to_json_dict()
-        assert json.loads(json.dumps(doc)) == {
+        assert written(doc) == {
             "indices": [1, 2, 3, 4, 5, 6, 7, 8],
             "values": [["-3", "1"]] * 8,
             "limit_candidate": ["-3", "1"],
@@ -117,7 +125,7 @@ class TestPairingSequence:
         # the pairings (1 + 4^-k)^3 tend to 1 but no tail of them is constant
         report = pairing_sequence(CONVERGING, None, 64)
         assert report.limit_candidate is None
-        doc = json.loads(json.dumps(report.to_json_dict()))
+        doc = written(report.to_json_dict())
         assert doc["values"] == [[str((4**k + 1) ** 3), str(4 ** (3 * k))] for k in range(1, 65)]
         assert doc["limit_candidate"] is None
         assert doc["detection"] == "none" and doc["tail_window"] == 32
@@ -161,7 +169,7 @@ class TestKyFanViolation:
 
     def test_json_schema(self):
         cert = ky_fan_violation_certificate(sawtooth, ZERO, scaled_hat(16), 64)
-        doc = json.loads(json.dumps(cert.to_json_dict()))
+        doc = written(cert.to_json_dict())
         assert doc["property"] == "ky_fan_violation"
         assert doc["verdict"] == "established"
         assert doc["exactness"] == "exact"
@@ -234,7 +242,7 @@ def outcome(certify, *args):
         cert = certify(*args)
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
-    return cert.verdict, cert.witness, json.dumps(cert.to_json_dict(), indent=2)
+    return cert.verdict, cert.witness, cli._json_text(cert.to_json_dict())
 
 
 class TestTailWindow:
@@ -371,7 +379,7 @@ JSON_CERTIFICATES = {
 @pytest.mark.parametrize("name", sorted(JSON_CERTIFICATES))
 def test_json_tags_every_float_and_pairs_every_rational(name):
     cert = JSON_CERTIFICATES[name]()
-    doc = json.loads(json.dumps(cert.to_json_dict()))
+    doc = written(cert.to_json_dict())
     assert_floats_tagged(doc)
     numbers = {k: v for k, v in cert.witness.items() if isinstance(v, (F, float))}
     assert numbers
@@ -397,7 +405,7 @@ class TestDerivedLabels:
     def test_certificate_exactness_follows_its_witness(self, witness, exactness):
         cert = certificates.Certificate("p", "established", witness)
         assert cert.exactness == exactness
-        text = json.dumps(cert.to_json_dict())
+        text = cli._json_text(cert.to_json_dict())
         assert json.loads(text)["exactness"] == exactness
         assert ('"approx": true' in text) is (exactness == "approximate")
         # a label, not a field: the constructor takes no exactness
@@ -414,7 +422,7 @@ class TestDerivedLabels:
         limit = tail[0] if len(set(tail)) == 1 else None
         assert report.limit_candidate == limit
         assert report.k_window == [k_max - k_max // 2 + 1, k_max]
-        doc = json.loads(json.dumps(report.to_json_dict()))
+        doc = written(report.to_json_dict())
         assert doc["indices"] == list(range(1, k_max + 1))
         assert doc["tail_window"] == k_max // 2
         assert doc["detection"] == ("none" if limit is None else "eventually-constant")
@@ -499,9 +507,19 @@ class TestWeakConvergenceEvidence:
     def test_json_round_trip(self):
         fam = [Monomial(1)] + dyadic_indicators(2)
         report = weak_convergence_evidence(sawtooth, fam, 16)
-        doc = json.loads(json.dumps(report.to_json_dict()))
+        doc = written(report.to_json_dict())
         assert doc["k_max"] == 16
         assert len(doc["entries"]) == len(fam)
+
+    def test_json_hands_over_the_reports_own_values(self):
+        # no list or string is built per integral: cli._json_text writes each pair
+        fam = [Monomial(1)] + dyadic_indicators(2)
+        report = weak_convergence_evidence(sawtooth, fam, 16)
+        for entry, doc in zip(report.entries, report.to_json_dict()["entries"], strict=True):
+            assert len(doc["integrals"]) == 16
+            assert all(map(operator.is_, doc["integrals"], entry.integrals))
+            assert all(type(x) is piecewise.ExactReal for x in doc["integrals"])
+            assert doc["bound_constant"] is entry.bound_constant
 
     def test_nonpositive_k_max_rejected(self):
         with pytest.raises(ValueError):

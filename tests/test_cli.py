@@ -44,6 +44,7 @@ from viproplab.cli import (
     main,
 )
 from viproplab.certificates import Certificate, weak_convergence_evidence
+from viproplab.piecewise import ExactReal
 
 F = Fraction
 
@@ -968,23 +969,61 @@ json_scalar_st = st.one_of(
     st.text(st.characters(codec=None)),
     st.sampled_from(["é", "\u00a0", "\u2028", "\x00", "\x1f", "\x7f", '"\\/', "\U0001f600"]),
 )
-# containers: str-keyed dicts, lists, tuples, and dicts whose other keys
-# json.dumps accepts, which the writer hands over to it
-json_doc_st = st.recursive(
-    json_scalar_st,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=4), kids, max_size=4),
-        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
-                        kids, max_size=3),
-    ),
-    max_leaves=30,
-)
+# exact rationals, which the writer writes as the lab's string pair: zero,
+# negative and 300-digit numerators, each as a Fraction, as an ExactReal and
+# as ExactReal(x.value + 1), the value perfbench/selftest.py's wrong kernel returns
+rational_st = st.one_of(
+    st.fractions(),
+    st.sampled_from([F(0), F(-1), F(-3, 4)]),
+    st.builds(F, st.integers(10**299, 10**300 - 1) | st.integers(-(10**300) + 1, -(10**299)),
+              st.integers(1, 10**6)),
+).flatmap(lambda x: st.sampled_from([x, ExactReal(x), ExactReal(ExactReal(x).value + 1)]))
+
+
+def json_docs(leaves, other_key_values=None):
+    """Containers: str-keyed dicts, lists, tuples, and dicts whose other keys
+    json.dumps accepts, which the writer hands over to it, with values drawn
+    from other_key_values."""
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), kids, max_size=4),
+            st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                            kids if other_key_values is None else other_key_values,
+                            max_size=3),
+        ),
+        max_leaves=30,
+    )
+
+
+# rationals go anywhere but under a dict that json.dumps writes, which has no pair for them
+json_doc_st = json_docs(json_scalar_st | rational_st, json_docs(json_scalar_st))
+
+
+def as_pairs(doc):
+    """doc with each rational replaced by its pair [str(numerator), str(denominator)]."""
+    if isinstance(doc, Fraction):
+        return [str(doc.numerator), str(doc.denominator)]
+    if isinstance(doc, (list, tuple)):
+        return [as_pairs(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: as_pairs(v) for k, v in doc.items()}
+    return doc
 
 
 def writes_like_dumps(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    assert cli._json_text(doc) == json.dumps(as_pairs(doc), indent=2)
+
+
+def weak_document_of_a_wrong_kernel():
+    """A weak-evidence document whose integrals are ExactReal(x.value + 1), the
+    values perfbench/selftest.py's wrong test_integral returns."""
+    report = weak_convergence_evidence(sawtooth, [Monomial(2), Indicator(F(1, 3), 1)], 3)
+    for entry in report.entries:
+        entry.integrals = [ExactReal(x.value + 1) for x in entry.integrals]
+    return report.to_json_dict()
 
 
 class TestJsonWriter:
@@ -992,17 +1031,20 @@ class TestJsonWriter:
 
     @settings(max_examples=400, deadline=None)
     @given(json_doc_st)
-    # rational pairs, which the writer writes in place, at depths 1, 2 and 3,
-    # with escaped and empty text; then near-pairs that take the general path
+    # rationals, which the writer writes as pairs in place, at depths 0 to 4, as
+    # list items and as dict values
+    @example(F(-3, 4))
+    @example([ExactReal(0), F(10**299, 7), {"a": ExactReal(-5, 2), "b": [F(1, 3)]}])
+    @example([{"c": [[F(7, 8), 9]]}, [[[ExactReal(-1, 3)]]]])
+    # lists of two strings at depths 1, 2 and 3, with escaped and empty text;
+    # then near-pairs
     @example([["-3", "4"]])
     @example({"a": [["1", "2"], ["0", "1"]], "b": ["5", "6"]})
     @example([{"c": [["7", "8"], 9]}, [[["-1", "3"]]]])
     @example([["é", '"\n'], ["", ""]])
     @example([("1", "2")])
     @example([["1", 2], ["1"], ["1", "2", "3"]])
-    @example(weak_convergence_evidence(
-        sawtooth, [Monomial(2), Indicator(F(1, 3), 1)], 3
-    ).to_json_dict())
+    @example(weak_document_of_a_wrong_kernel())
     def test_same_text_as_dumps(self, doc):
         writes_like_dumps(doc)
 

@@ -1164,15 +1164,26 @@ class TestKernelsReadTheirOwnGridClass:
         (lambda: pow_norm(U, 3), "PiecewiseConstFn"),
         (lambda: common_refinement(U, derivative(W)), "PiecewiseConstFn"),
         (lambda: common_refinement(DU, W), "PiecewiseConstFn"),
+        (lambda: integral_against(U, Monomial(1)), "PiecewiseConstFn"),
+        (lambda: integral_against(U, Indicator(F(1, 4), F(1, 2))), "PiecewiseConstFn"),
     ], ids=["derivative", "pairing-first", "pairing-second", "equilibrium-gap",
             "monotone-gap", "lin-comb-first", "lin-comb-second", "abs-pow-integral",
-            "pow-norm", "refinement-first", "refinement-second"])
+            "pow-norm", "refinement-first", "refinement-second", "test-integral-monomial",
+            "test-integral-indicator"])
     def test_the_other_class_is_a_type_error(self, call, want):
         # each of these once returned a number or a function: pow_norm(sawtooth(1), 3)
-        # read the slopes and gave 45, where the integral of |u|^3 is 1/8
+        # read the slopes and gave 45, where the integral of |u|^3 is 1/8; test_integral
+        # raised AttributeError on the integer view only a PiecewiseConstFn has
         got = "PiecewiseConstFn" if want == "PiecewiseLinearFn" else "PiecewiseLinearFn"
         with pytest.raises(TypeError, match=f"^expected a {want}, got {got}$"):
             call()
+
+    @pytest.mark.parametrize("phi", [SimpleNamespace(degree=1), 1, None, "t"],
+                             ids=["namespace-with-degree", "int", "none", "str"])
+    def test_a_test_function_of_neither_type_is_a_type_error(self, phi):
+        # a φ with .degree was read as a monomial, and one without raised AttributeError
+        with pytest.raises(TypeError, match="^expected a Monomial or an Indicator, got "):
+            integral_against(DU, phi)
 
 
 # every integer argument of the library, with its name and its range as the message says
