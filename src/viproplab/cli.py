@@ -87,12 +87,6 @@ def _echo(text: str) -> str:
     return f"{text[:32]!r}... ({len(text)} characters)"
 
 
-@functools.lru_cache(maxsize=4)
-def _digit_bound(limit: int) -> int:
-    """10**(limit - 2), the least integer too long for alpha; built once per limit."""
-    return 10 ** (limit - 2)
-
-
 def _positive_rational(text: str) -> Fraction:
     # str() refuses integers longer than this limit (0 means no limit, and
     # Python before 3.10.7 has none); alpha/2, 3*alpha and 45 - 3*alpha print
@@ -110,9 +104,12 @@ def _positive_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {_echo(text)}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {_echo(text)}")
-    if limit and max(value.numerator, value.denominator) >= _digit_bound(limit):
-        raise argparse.ArgumentTypeError(too_long)
-    return value
+    try:  # str() itself refuses an integer past limit digits ("1e5000"): too long as well
+        if not limit or len(str(max(value.numerator, value.denominator))) <= limit - 2:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(too_long)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -141,43 +138,41 @@ _escape = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _items(values, inner: str) -> list:
+    """The text of each value at the indent inner: a value whose type is exactly
+    str, float, Fraction, ExactReal or bool in place, any other through _json_text."""
+    return [
+        _escape(v) if type(v) is str
+        else _NONFINITE.get(t := float.__repr__(v), t) if type(v) is float
+        # the two slots piecewise._rational sets, read without a property call
+        else f'[{inner}  "{v._numerator}",{inner}  "{v._denominator}"{inner}]'
+        if type(v) is ExactReal or type(v) is Fraction
+        else ("true" if v else "false") if type(v) is bool
+        else _json_text(v, inner)
+        for v in values
+    ]
+
+
 def _json_text(obj, nl: str = "\n") -> str:
     """The text of json.dumps(obj, indent=2), a Fraction written as its pair ["p", "q"].
 
     json.dumps runs its pure-Python encoder whenever indent is set; this
-    writes the same bytes for str-keyed dicts, lists, tuples, str, int,
-    float, bool and None, and hands anything else to json.dumps.  nl is a
-    newline plus the indent of obj's own level.  A list item or a dict value
-    whose type is exactly str, Fraction or ExactReal is written in place, and
-    so is a list item that is exactly a float and a dict value that is a bool.
+    writes the same bytes for dicts, lists, tuples, str, int, float, bool,
+    None and Fraction, each list item and dict value by the one rule of
+    _items.  nl is a newline plus the indent of obj's own level.  A dict key
+    must be a str, or _escape raises TypeError; any other type of value
+    raises TypeError, as json.dumps would.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = nl + "  "
-        items = [
-            _escape(v) if type(v) is str
-            else _NONFINITE.get(t := float.__repr__(v), t) if type(v) is float
-            # the two slots piecewise._rational sets, read without a property call
-            else f'[{inner}  "{v._numerator}",{inner}  "{v._denominator}"{inner}]'
-            if type(v) is ExactReal or type(v) is Fraction
-            else _json_text(v, inner)
-            for v in obj
-        ]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        return "[" + inner + ("," + inner).join(_items(obj, inner)) + nl + "]"
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = nl + "  "
-        items = [
-            _escape(k) + ": " + (
-                _escape(v) if type(v) is str
-                else f'[{inner}  "{v._numerator}",{inner}  "{v._denominator}"{inner}]'
-                if type(v) is ExactReal or type(v) is Fraction
-                else ("true" if v else "false") if type(v) is bool
-                else _json_text(v, inner))
-            for k, v in obj.items()
-        ]
+        items = [_escape(k) + ": " + v for k, v in zip(obj, _items(obj.values(), inner))]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(obj, str):
         return _escape(obj)
@@ -190,8 +185,7 @@ def _json_text(obj, nl: str = "\n") -> str:
         return _NONFINITE.get(text, text)
     if isinstance(obj, Fraction):
         return f'[{nl}  "{obj.numerator}",{nl}  "{obj.denominator}"{nl}]'
-    # the nested text of json.dumps is its top-level text indented at every newline
-    return json.dumps(obj, indent=2).replace("\n", nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(doc, out: Optional[str]) -> None:
@@ -274,7 +268,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     # CSV with CRLF line ends; no str(Fraction) holds a comma or a quote, so none is quoted
     nodes = ["t,value"] + [f"{t},{v}" for t, v in zip(u.breakpoints, u.values)]
     _write("\r\n".join(nodes) + "\r\n", f"{args.out}_nodes.csv")
-    t = du.breakpoints
+    t = u.breakpoints  # derivative(u) shares u's grid
     steps = ["t_left,t_right,t_mid,value"]
     steps += [f"{a},{b},{(a + b) / 2},{c}" for a, b, c in zip(t, t[1:], du.interval_values)]
     _write("\r\n".join(steps) + "\r\n", f"{args.out}_steps.csv")

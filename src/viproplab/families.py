@@ -60,9 +60,8 @@ def gap_negativity_threshold() -> Fraction:
     constant derivative cubed-norm and S the pairing slope in alpha; both
     are computed here rather than hard-coded.
     """
-    norm_const = pow_norm(derivative(sawtooth(1)), 3)
-    slope = plap_pairing(sawtooth(1), scaled_hat(1))
-    return norm_const / slope
+    u = sawtooth(1)
+    return pow_norm(derivative(u), 3) / plap_pairing(u, scaled_hat(1))
 
 
 @dataclass(frozen=True)

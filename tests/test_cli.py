@@ -980,26 +980,16 @@ rational_st = st.one_of(
 ).flatmap(lambda x: st.sampled_from([x, ExactReal(x), ExactReal(ExactReal(x).value + 1)]))
 
 
-def json_docs(leaves, other_key_values=None):
-    """Containers: str-keyed dicts, lists, tuples, and dicts whose other keys
-    json.dumps accepts, which the writer hands over to it, with values drawn
-    from other_key_values."""
-    return st.recursive(
-        leaves,
-        lambda kids: st.one_of(
-            st.lists(kids, max_size=4),
-            st.lists(kids, max_size=4).map(tuple),
-            st.dictionaries(st.text(max_size=4), kids, max_size=4),
-            st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
-                            kids if other_key_values is None else other_key_values,
-                            max_size=3),
-        ),
-        max_leaves=30,
-    )
-
-
-# rationals go anywhere but under a dict that json.dumps writes, which has no pair for them
-json_doc_st = json_docs(json_scalar_st | rational_st, json_docs(json_scalar_st))
+# containers: str-keyed dicts, lists and tuples, with rationals at any depth
+json_doc_st = st.recursive(
+    json_scalar_st | rational_st,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=30,
+)
 
 
 def as_pairs(doc):
@@ -1070,6 +1060,12 @@ class TestJsonWriter:
     def test_unserializable_value_raises_like_dumps(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_text({"a": [1, object()]})
+
+    @pytest.mark.parametrize("doc", [{1: F(1, 2)}, {1: 2}, {None: "x"}, [{"a": 1, 2: "b"}]])
+    def test_a_key_that_is_not_a_str_raises(self, doc):
+        # json.dumps would write 1 and None as "1" and "null"; the writer has str keys only
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
 
     def test_emit_writes_the_text_and_a_newline(self, tmp_path, capsys):
         doc = {"a": [1, 2.5, None, {"b": ()}], "é": {}}

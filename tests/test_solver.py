@@ -25,6 +25,7 @@ from viproplab import (
     residual,
     spg_solve,
 )
+from viproplab import solver
 from viproplab.solver import (
     MAX_N,
     SPG_ARMIJO,
@@ -875,6 +876,38 @@ class TestSpg:
             (x, _, g, _), (y, _, _, _) = accepted[k - 1], accepted[k]
             ceiling = max(energies[max(0, k - SPG_MEMORY):k])
             assert energies[k] <= ceiling + SPG_ARMIJO * g.dot(y - x)
+
+    @pytest.mark.parametrize("kind, n", [("box", 32), ("ball", 64), ("box", 64)])
+    def test_a_trial_point_is_accepted_exactly_when_it_passes_the_test(self, kind, n):
+        # a trial point is accepted exactly when E(y) <= ceiling + gamma*t*g.d,
+        # t being 1 at the first trial point of an iteration and halved on each
+        # rejection. At gamma = 0.5 some points accepted at t < 1 have decreases
+        # between gamma*t*g.d and gamma*g.d, where a rule without t decides
+        # otherwise; at the solver's 1e-4 none of the pinned problems' does
+        gamma = 0.5
+        vi = pinned_problem(kind, n)
+        with mock.patch.object(solver, "SPG_ARMIJO", gamma):
+            _, points, accepted, _ = traced_spg(vi)
+        kept = {id(p) for p in accepted}
+        x, _, g, e = points[0]
+        energies, t, rejected = [e], 1.0, 0
+        for point in points[1:]:
+            y, _, gy, e = point
+            if t == 1.0:
+                d = y - x
+                gd = g.dot(d)
+                ceiling = max(energies[-SPG_MEMORY:])
+            else:
+                assert y.tobytes() == (x + t * d).tobytes()
+            passes = e <= ceiling + gamma * t * gd
+            assert passes == (id(point) in kept)
+            if passes:
+                x, g, t = y, gy, 1.0
+                energies.append(e)
+            else:
+                t *= 0.5
+                rejected += 1
+        assert rejected > 0 and len(energies) == len(accepted)
 
     def test_steps_are_clamped(self):
         # n = 1 with forcing f: G(x) = 8|x|x - f, so from x = f the
