@@ -3,7 +3,7 @@
 Exit codes are a contract: 0 success, 1 identity mismatch / certificate
 not established, 2 inconclusive detection, 3 malformed argument or problem
 file, a size past the memory, or output that cannot be written: an --out
-path (a missing directory, a path that is a directory) or stdout (a full
+path (a missing directory, a path that is a directory, "") or stdout (a full
 device), 4 solver non-convergence.  No newline translation in output files.
 """
 
@@ -115,7 +115,7 @@ def _positive_rational(text: str) -> Fraction:
 def _write(text: str, out: Optional[str]) -> None:
     """The CLI's one writer: text to the file out, or to stdout, flushed; on OSError EXIT_PARSE."""
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
@@ -123,7 +123,7 @@ def _write(text: str, out: Optional[str]) -> None:
             sys.stdout.flush()
     except OSError as exc:
         print(f"cannot write output file: {exc}", file=sys.stderr)
-        if not out:  # stdout keeps the bytes it could not write, and would fail on them
+        if out is None:  # stdout keeps the bytes it could not write, and would fail on them
             try:  # again at interpreter exit (exit 120): its descriptor goes to the null device
                 with open(os.devnull, "w") as null:
                     os.dup2(null.fileno(), sys.stdout.fileno())
@@ -139,8 +139,9 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _items(values, inner: str) -> list:
-    """The text of each value at the indent inner: a value whose type is exactly
-    str, float, Fraction, ExactReal or bool in place, any other through _json_text."""
+    """The text of each value at the indent inner, by one rule for its exact type:
+    str, float, Fraction or ExactReal, bool, int and None in place, a dict or a
+    list through _json_text, where any other type raises TypeError."""
     return [
         _escape(v) if type(v) is str
         else _NONFINITE.get(t := float.__repr__(v), t) if type(v) is float
@@ -148,43 +149,34 @@ def _items(values, inner: str) -> list:
         else f'[{inner}  "{v._numerator}",{inner}  "{v._denominator}"{inner}]'
         if type(v) is ExactReal or type(v) is Fraction
         else ("true" if v else "false") if type(v) is bool
+        else int.__repr__(v) if type(v) is int
+        else "null" if v is None
         else _json_text(v, inner)
         for v in values
     ]
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """The text of json.dumps(obj, indent=2), a Fraction written as its pair ["p", "q"].
+    """The text of json.dumps(obj, indent=2) for a dict or a list obj, each
+    Fraction written as its pair ["p", "q"].
 
     json.dumps runs its pure-Python encoder whenever indent is set; this
-    writes the same bytes for dicts, lists, tuples, str, int, float, bool,
-    None and Fraction, each list item and dict value by the one rule of
-    _items.  nl is a newline plus the indent of obj's own level.  A dict key
-    must be a str, or _escape raises TypeError; any other type of value
-    raises TypeError, as json.dumps would.
+    writes the same bytes, each list item and dict value by the one rule of
+    _items.  nl is a newline plus the indent of obj's own level.  A key that
+    is not a str raises TypeError in _escape, and so does, here, any obj no
+    command emits: a tuple, a bare scalar, or a subclass (numpy.float64,
+    IntEnum, a str subclass, a Fraction subclass other than ExactReal).
     """
-    if isinstance(obj, (list, tuple)):
+    inner = nl + "  "
+    if type(obj) is list:
         if not obj:
             return "[]"
-        inner = nl + "  "
         return "[" + inner + ("," + inner).join(_items(obj, inner)) + nl + "]"
-    if isinstance(obj, dict):
+    if type(obj) is dict:
         if not obj:
             return "{}"
-        inner = nl + "  "
         items = [_escape(k) + ": " + v for k, v in zip(obj, _items(obj.values(), inner))]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NONFINITE.get(text, text)
-    if isinstance(obj, Fraction):
-        return f'[{nl}  "{obj.numerator}",{nl}  "{obj.denominator}"{nl}]'
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

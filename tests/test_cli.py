@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import enum
 import errno
 import functools
 import hashlib
@@ -459,12 +460,19 @@ UNWRITABLE_OUT = [
     ["certify", "--kmax", "8", "--out", "{dir}"],
     ["weak-evidence", "--kmax", "2", "--out", "{dir}"],
     ["figure", "--out", "{missing}/fig"],
+    # an empty path names no file, so it cannot be opened either; figure's
+    # --out is a prefix, and "" writes _nodes.csv and _steps.csv
+    ["reproduce", "--kmax", "2", "--out", ""],
+    ["certify", "--kmax", "8", "--out", ""],
+    ["weak-evidence", "--kmax", "2", "--out", ""],
+    ["solve", "{problem}", "--out", ""],
 ]
 
 
 @pytest.mark.parametrize("argv", UNWRITABLE_OUT, ids=" ".join)
 def test_unwritable_out_exit_parse(argv, tmp_path, capsys):
-    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "problem": tmp_path / "p.json"}
+    paths["problem"].write_text('{"n": 2, "forcing": [1, 2]}', encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main([a.format(**paths) for a in argv])
     assert exc.value.code == EXIT_PARSE
@@ -980,16 +988,19 @@ rational_st = st.one_of(
 ).flatmap(lambda x: st.sampled_from([x, ExactReal(x), ExactReal(ExactReal(x).value + 1)]))
 
 
-# containers: str-keyed dicts, lists and tuples, with rationals at any depth
-json_doc_st = st.recursive(
-    json_scalar_st | rational_st,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=4), kids, max_size=4),
-    ),
-    max_leaves=30,
-)
+def json_containers(kids):
+    return st.one_of(st.lists(kids, max_size=4),
+                     st.dictionaries(st.text(max_size=4), kids, max_size=4))
+
+
+# documents as the commands emit them: a str-keyed dict or a list at the top,
+# with rationals at any depth
+json_doc_st = json_containers(
+    st.recursive(json_scalar_st | rational_st, json_containers, max_leaves=30))
+# one value of each type the writer writes in place, and both empty
+# containers; json_doc_st's draws need not hold each of them
+PINNED_VALUES = [True, False, None, 0, -1, 2**300, -0.0, math.nan, math.inf, "", "\u2028",
+                 ExactReal(-5, 2), [], {}]
 
 
 def as_pairs(doc):
@@ -1005,6 +1016,31 @@ def as_pairs(doc):
 
 def writes_like_dumps(doc):
     assert cli._json_text(doc) == json.dumps(as_pairs(doc), indent=2)
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Rational(Fraction):
+    pass
+
+
+# values of types no command emits, each as a list item, as a dict value and
+# at the top; then a bare scalar of each exact type, which is written only
+# inside a dict or a list
+UNEMITTED_DOCS = [
+    pytest.param(doc, id=f"{name}-{where}")
+    for name, value in [("tuple", ("1", "2")), ("float64", np.float64(0.5)),
+                        ("IntEnum", _Level.ONE), ("str-subclass", _Text("a")),
+                        ("Fraction-subclass", _Rational(1, 2))]
+    for where, doc in [("item", [value]), ("value", {"a": value}), ("top", value)]
+] + [pytest.param(value, id=f"bare-{type(value).__name__}")
+     for value in ["s", 1, 1.5, True, None, F(1, 2)]]
 
 
 def weak_document_of_a_wrong_kernel():
@@ -1023,7 +1059,7 @@ class TestJsonWriter:
     @given(json_doc_st)
     # rationals, which the writer writes as pairs in place, at depths 0 to 4, as
     # list items and as dict values
-    @example(F(-3, 4))
+    @example([F(-3, 4)])
     @example([ExactReal(0), F(10**299, 7), {"a": ExactReal(-5, 2), "b": [F(1, 3)]}])
     @example([{"c": [[F(7, 8), 9]]}, [[[ExactReal(-1, 3)]]]])
     # lists of two strings at depths 1, 2 and 3, with escaped and empty text;
@@ -1032,21 +1068,24 @@ class TestJsonWriter:
     @example({"a": [["1", "2"], ["0", "1"]], "b": ["5", "6"]})
     @example([{"c": [["7", "8"], 9]}, [[["-1", "3"]]]])
     @example([["é", '"\n'], ["", ""]])
-    @example([("1", "2")])
     @example([["1", 2], ["1"], ["1", "2", "3"]])
     @example(weak_document_of_a_wrong_kernel())
+    # each exact type as a list item and as a dict value
+    @example(PINNED_VALUES)
+    @example({repr(v): v for v in PINNED_VALUES})
     def test_same_text_as_dumps(self, doc):
         writes_like_dumps(doc)
 
     def test_floats_in_a_list_written_in_place(self):
-        # a list item whose type is exactly float takes the fast path; an
-        # np.float64, a float subclass, takes the general one to the same bytes
+        # a list item whose type is exactly float is written in place; an
+        # np.float64, a float subclass that no command emits, raises
         floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -2.5e-308, 0.1]
-        doc = {"x": floats, "mixed": [1.5, np.float64(-0.25), "s", ["1", "2"], 3, None]}
+        doc = {"x": floats, "mixed": [1.5, "s", ["1", "2"], 3, None]}
         assert cli._json_text(doc) == json.dumps(doc, indent=2)
         assert cli._json_text(floats) == json.dumps(floats, indent=2)
-        assert cli._json_text([np.float64(math.nan), np.float64(1e300)]) == (
-            json.dumps([math.nan, 1e300], indent=2))
+        for doc in [[1.5, np.float64(-0.25)], [np.float64(math.nan), np.float64(1e300)]]:
+            with pytest.raises(TypeError, match="float64 is not JSON serializable"):
+                cli._json_text(doc)
 
     def test_skipped_ascii_escaping_is_caught(self, monkeypatch):
         # the same property with an escaper that leaves non-ASCII text as it is
@@ -1067,8 +1106,15 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._json_text(doc)
 
+    @pytest.mark.parametrize("doc", UNEMITTED_DOCS)
+    def test_types_no_command_emits_raise(self, doc):
+        # json.dumps would write each of these, a tuple as a list; the writer
+        # has one rule per exact type and a dict or a list at the top
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text(doc)
+
     def test_emit_writes_the_text_and_a_newline(self, tmp_path, capsys):
-        doc = {"a": [1, 2.5, None, {"b": ()}], "é": {}}
+        doc = {"a": [1, 2.5, None, {"b": []}], "é": {}}
         text = json.dumps(doc, indent=2) + "\n"
         cli._emit(doc, None)
         assert capsys.readouterr().out == text
